@@ -1,89 +1,20 @@
 """Kendall-tau calibration: theta -> tau and its inverse for every family.
 
-Closed forms exist for Clayton (``tau = theta/(theta+2)``), Gumbel-Hougaard
-(``tau = 1 - 1/theta``) and Ali-Mikhail-Haq; Frank needs the Debye-type
-integral ``int_0^theta t/(e^t - 1) dt`` and Joe a unit-interval integral with
-weak endpoint features, both evaluated by adaptive quadrature.  Inversion is
-closed-form where available and bracketed bisection on tau otherwise.
+The formulas live in the family records of :mod:`archvar.families`: closed
+forms for Clayton, Gumbel-Hougaard and Ali-Mikhail-Haq, adaptive quadrature
+for Frank and Joe, and bracketed bisection where no closed inverse exists.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ParameterError, RangeError
-from .families import CopulaSpec, FamilyId
-from .quadrature import QuadConfig, graded_breakpoints, integrate
+from .families import FAMILIES, CopulaSpec, FamilyId
 
 __all__ = ["kendall_tau", "theta_from_tau", "tau_range"]
-
-_AMH_TAU_MIN = (5.0 - 8.0 * np.log(2.0)) / 3.0  # tau at theta = -1
-_TAU_QUAD = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
-_AMH_SERIES_CUTOFF = 1e-3
-
-_BISECT_TOL = 1e-10
-_BISECT_CAP = 200
-
-
-def _debye_integral(theta: float) -> float:
-    """``int_0^theta t/(e^t - 1) dt`` to absolute accuracy ~1e-12.
-
-    The integrand has a removable point at t = 0 (value 1); quadrature nodes
-    stay strictly interior so it is never evaluated there.
-    """
-    a, b = (0.0, theta) if theta > 0 else (theta, 0.0)
-    val, _ = integrate(lambda t: t / np.expm1(t), a, b, _TAU_QUAD)
-    return val if theta > 0 else -val
-
-
-def _frank_tau(theta: float) -> float:
-    return 1.0 - 4.0 / theta * (1.0 - _debye_integral(theta) / theta)
-
-
-def _joe_tau(theta: float) -> float:
-    """Joe tau through the reflected integrand on (0, 1).
-
-    With ``s = 1 - t`` the integrand is
-    ``(1 - s^theta) ln(1 - s^theta) s^(1-theta)``; factoring ``s^theta`` out
-    of the logarithm ratio keeps it finite for any theta:
-    ``f(s) = s (1 - s^theta) ln(1 - s^theta)/s^theta``.
-    """
-    th = theta
-
-    def f(s: np.ndarray) -> np.ndarray:
-        sth = np.exp(th * np.log(s))
-        one_m = -np.expm1(th * np.log(s))
-        ratio = np.where(sth > 0.0, np.log1p(-sth) / np.where(sth > 0, sth, 1.0), -1.0)
-        return s * one_m * ratio
-
-    val, _ = integrate(f, 0.0, 1.0, _TAU_QUAD, graded_breakpoints(0.0, 1.0))
-    return 1.0 + 4.0 / th * val
-
-
-def _amh_tau(theta: float) -> float:
-    if theta == 0.0:
-        return 0.0
-    if abs(theta) < _AMH_SERIES_CUTOFF:
-        # series around 0: tau = (4/3) sum_k theta^k / (k (k+1) (k+2))
-        k = np.arange(1, 7)
-        return float(4.0 / 3.0 * np.sum(theta ** k / (k * (k + 1) * (k + 2))))
-    return float(
-        1.0 - 2.0 / 3.0 * (theta + (1.0 - theta) ** 2 * np.log1p(-theta)) / theta ** 2
-    )
 
 
 def kendall_tau(spec: CopulaSpec) -> float:
     """Population Kendall tau of the copula."""
-    th = spec.theta
-    fam = spec.family
-    if fam is FamilyId.CLAYTON:
-        return th / (th + 2.0)
-    if fam is FamilyId.FRANK:
-        return _frank_tau(th)
-    if fam is FamilyId.GUMBEL_HOUGAARD:
-        return 1.0 - 1.0 / th
-    if fam is FamilyId.JOE:
-        return 0.0 if th == 1.0 else _joe_tau(th)
-    return _amh_tau(th)
+    return FAMILIES[spec.family].tau(spec.theta)
 
 
 def tau_range(family: FamilyId) -> tuple[float, float]:
@@ -93,59 +24,7 @@ def tau_range(family: FamilyId) -> tuple[float, float]:
     attain 0 (theta = 1); Ali-Mikhail-Haq attains its minimum (theta = -1).
     Frank attains any tau except 0.
     """
-    return {
-        FamilyId.CLAYTON: (0.0, 1.0),
-        FamilyId.FRANK: (-1.0, 1.0),
-        FamilyId.GUMBEL_HOUGAARD: (0.0, 1.0),
-        FamilyId.JOE: (0.0, 1.0),
-        FamilyId.ALI_MIKHAIL_HAQ: (_AMH_TAU_MIN, 1.0 / 3.0),
-    }[family]
-
-
-def _tau_attainable(family: FamilyId, tau: float) -> bool:
-    lo, hi = tau_range(family)
-    if family is FamilyId.CLAYTON:
-        return lo < tau < hi
-    if family is FamilyId.FRANK:
-        return lo < tau < hi and tau != 0.0
-    if family is FamilyId.ALI_MIKHAIL_HAQ:
-        # tolerate last-ulp representations of the theta = -1 endpoint
-        return lo - 1e-12 <= tau < hi
-    return lo <= tau < hi  # Gumbel-Hougaard, Joe
-
-
-def _bisect_tau(tau_of_theta, target: float, lo: float, hi: float) -> float:
-    """Bisection for a monotone-increasing tau(theta) on a valid bracket."""
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        fmid = tau_of_theta(mid) - target
-        if abs(fmid) <= _BISECT_TOL:
-            return mid
-        if fmid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _bracket_up(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Grow ``hi`` geometrically until tau(hi) exceeds the target."""
-    for _ in range(200):
-        if tau_of_theta(hi) >= target:
-            return lo, hi
-        lo, hi = hi, hi * 2.0
-    raise RuntimeError(f"failed to bracket tau = {target}")
-
-
-def _bracket_down(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink ``lo`` geometrically toward 0 until tau(lo) drops below the target."""
-    for _ in range(200):
-        if tau_of_theta(lo) <= target:
-            return lo, hi
-        lo, hi = lo * 0.5, lo
-    raise RuntimeError(f"failed to bracket tau = {target}")
+    return FAMILIES[family].tau_range
 
 
 def theta_from_tau(family: FamilyId, tau: float) -> float:
@@ -159,32 +38,12 @@ def theta_from_tau(family: FamilyId, tau: float) -> float:
     if not isinstance(family, FamilyId):
         raise ParameterError(f"family must be a FamilyId, got {family!r}")
     tau = float(tau)
-    if not _tau_attainable(family, tau):
-        lo, hi = tau_range(family)
+    rec = FAMILIES[family]
+    if not rec.tau_ok(tau):
+        lo, hi = rec.tau_range
         raise RangeError(
             f"tau = {tau} is unattainable for {family.value}; attainable "
             f"interval is [{lo:.6f}, {hi:.6f})",
             (lo, hi),
         )
-    if family is FamilyId.CLAYTON:
-        return 2.0 * tau / (1.0 - tau)
-    if family is FamilyId.GUMBEL_HOUGAARD:
-        return 1.0 / (1.0 - tau)
-    if family is FamilyId.FRANK:
-        # tau is increasing in theta on either sign; solve on |tau| and
-        # mirror, using tau(sign*th)*sign which is increasing for th > 0
-        sign = 1.0 if tau > 0 else -1.0
-        g = lambda th: sign * _frank_tau(sign * th)
-        lo, hi = _bracket_up(g, abs(tau), 0.5, 1.0)
-        lo, hi = _bracket_down(g, abs(tau), lo, hi)
-        return sign * _bisect_tau(g, abs(tau), lo, hi)
-    if family is FamilyId.JOE:
-        if tau == 0.0:
-            return 1.0
-        joe = lambda th: 0.0 if th == 1.0 else _joe_tau(th)
-        lo, hi = _bracket_up(joe, tau, 1.0, 2.0)
-        return _bisect_tau(joe, tau, lo, hi)
-    # Ali-Mikhail-Haq on [-1, 1)
-    if tau <= _AMH_TAU_MIN:
-        return -1.0
-    return _bisect_tau(_amh_tau, tau, -1.0, 1.0 - 1e-12)
+    return rec.theta_from_tau(tau)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import DomainError, ParameterError
-from .families import CopulaSpec, FamilyId, phi_inverse
+from .families import FAMILIES, CopulaSpec, FamilyId, phi_inverse
 from .rng import Seed
 
 __all__ = ["Sample", "sample_copula", "sample_frailty", "empirical_kendall_tau",
@@ -48,45 +48,25 @@ class Sample:
 
 
 def sample_frailty(family: FamilyId, theta: float, seed: Seed, n: int) -> np.ndarray:
-    """Draw ``n`` frailty variates for a family.
+    """Draw ``n`` variates of the family's frailty law (its record's ``frailty``).
 
     Laws: Clayton -> Gamma(1/theta, rate 1); Frank -> logarithmic series
     with parameter ``1 - e^-theta``; Gumbel-Hougaard -> positive stable with
     index ``1/theta``; Joe -> Sibuya(1/theta); Ali-Mikhail-Haq with
     ``theta in [0, 1)`` -> geometric with success probability ``1 - theta``.
-    Negative-theta AMH has no frailty representation (sampling falls back to
-    conditional inversion in :func:`sample_copula`).
     """
     if n < 1:
         raise ParameterError(f"frailty count must be >= 1, got {n}")
+    if not isinstance(family, FamilyId):
+        raise ParameterError(f"unknown family {family!r}")
+    rec = FAMILIES[family]
+    if not rec.frailty_ok(theta):
+        raise DomainError(
+            f"{rec.name} frailty sampling requires {rec.frailty_domain}, got {theta}"
+        )
     keys = rng.substream_keys(seed.base_key(), rng.LABEL_FRAILTY,
                               np.arange(n, dtype=np.uint64))
-    if family is FamilyId.CLAYTON:
-        if theta <= 0:
-            raise DomainError(f"Clayton requires theta > 0, got {theta}")
-        return rng.gammas(keys, 1.0 / theta)
-    if family is FamilyId.FRANK:
-        if theta <= 0:
-            raise DomainError(
-                f"Frank frailty sampling requires theta > 0, got {theta}"
-            )
-        return rng.log_series(keys, -np.expm1(-theta))
-    if family is FamilyId.GUMBEL_HOUGAARD:
-        if theta < 1:
-            raise DomainError(f"Gumbel-Hougaard requires theta >= 1, got {theta}")
-        return rng.positive_stables(keys, 1.0 / theta)
-    if family is FamilyId.JOE:
-        if theta < 1:
-            raise DomainError(f"Joe requires theta >= 1, got {theta}")
-        return rng.sibuyas(keys, 1.0 / theta)
-    if family is FamilyId.ALI_MIKHAIL_HAQ:
-        if not 0.0 <= theta < 1.0:
-            raise DomainError(
-                "AMH frailty sampling requires theta in [0, 1); negative "
-                f"theta uses conditional inversion instead (got {theta})"
-            )
-        return rng.geometrics(keys, 1.0 - theta)
-    raise ParameterError(f"unknown family {family!r}")
+    return rec.frailty(keys, theta)
 
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
@@ -94,51 +74,32 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"sample size must be an integer >= 1, got {n!r}")
     n = int(n)
-    if spec.family is FamilyId.FRANK and spec.theta < 0:
-        raise DomainError(
-            "sampling the Frank family is supported for theta > 0 only "
-            "(the frailty construction needs a positive parameter)"
-        )
+    rec = FAMILIES[spec.family]
     base = seed.base_key()
     rows = np.arange(n, dtype=np.uint64)
-    if spec.family is FamilyId.ALI_MIKHAIL_HAQ and spec.theta < 0:
-        data = _amh_conditional_rows(spec.theta, base, rows)
-    else:
+    if rec.frailty_ok(spec.theta):
         ekeys = rng.substream_keys(base, rng.LABEL_EXPONENTIAL, rows)
         v = sample_frailty(spec.family, spec.theta, seed, n)
-        if spec.family is FamilyId.CLAYTON:
-            # frailty is Gamma(1/theta, 1); the implemented generator carries
-            # a 1/theta factor, so the matching latent scale is theta * V
-            v = spec.theta * v
+        v *= rec.latent_scale(spec.theta)
         data = np.empty((n, spec.d))
         for i in range(spec.d):
             e = rng.exponentials(ekeys, i)
             data[:, i] = phi_inverse(spec, e / v)
+    elif rec.conditional_rows is not None:
+        data = rec.conditional_rows(spec.theta, base, rows)
+    else:
+        raise DomainError(
+            f"sampling the {rec.name} family is supported for "
+            f"{rec.frailty_domain} only (the frailty construction needs it)"
+        )
     np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
     return Sample(data, seed, spec)
-
-
-def _amh_conditional_rows(theta: float, base_key: int, rows: np.ndarray) -> np.ndarray:
-    """Bivariate AMH rows for theta < 0 by closed-form conditional inversion.
-
-    Solving ``v = dC/du1`` for ``u2`` reduces to a quadratic in ``w = 1 - u2``;
-    the root ``(-B + sqrt(B^2 - 4AC))/(2A)`` is the one inside [0, 1].
-    """
-    keys = rng.substream_keys(base_key, rng.LABEL_CONDITIONAL, rows)
-    u1 = rng.uniforms(keys, 0)
-    v = rng.uniforms(keys, 1)
-    b = 1.0 - u1
-    qa = theta * (v * theta * b * b - 1.0)
-    qb = 1.0 + theta - 2.0 * v * theta * b
-    qc = v - 1.0
-    w = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
-    return np.column_stack([u1, 1.0 - w])
 
 
 def empirical_kendall_tau(sample, pair: tuple[int, int] = (0, 1)) -> float:
     """Concordance-based Kendall tau of one column pair.
 
-    O(n log n) merge-count (Knight) with tie corrections; raises
+    Merge-count (Knight) with tie corrections; raises
     :class:`DomainError` on a degenerate (constant) column.
     """
     data = sample.data if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
@@ -150,46 +111,48 @@ def empirical_kendall_tau(sample, pair: tuple[int, int] = (0, 1)) -> float:
     n = x.shape[0]
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
+    y_sorted = np.sort(y)
     n0 = n * (n - 1) // 2
     tie_x = _tie_pairs(xs)
-    tie_y = _tie_pairs(np.sort(y))
+    tie_y = _tie_pairs(y_sorted)
     if tie_x == n0 or tie_y == n0:
         raise DomainError("degenerate column: all pairs tied, tau undefined")
-    both = np.empty(n, dtype=bool)
-    both[0] = False
-    both[1:] = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
-    tie_xy = _run_pairs(both)
-    discordant = _count_inversions(ys)
+    tie_xy = _tie_pairs(xs, ys)
+    discordant = _count_inversions(np.searchsorted(y_sorted, ys, side="left"))
     concordant_minus = n0 - tie_x - tie_y + tie_xy - 2 * discordant
     return concordant_minus / np.sqrt(float(n0 - tie_x) * float(n0 - tie_y))
 
 
-def _tie_pairs(sorted_vals: np.ndarray) -> int:
-    same = np.empty(sorted_vals.shape[0], dtype=bool)
-    same[0] = False
-    same[1:] = sorted_vals[1:] == sorted_vals[:-1]
-    return _run_pairs(same)
+def _tie_pairs(*sorted_cols: np.ndarray) -> int:
+    """Pairs of rows equal in every column; equal rows must be adjacent."""
+    same = np.ones(sorted_cols[0].shape[0] - 1, dtype=bool)
+    for col in sorted_cols:
+        same &= col[1:] == col[:-1]
+    # run boundaries, with one past the end: their gaps are the run lengths
+    lengths = np.diff(np.flatnonzero(np.concatenate([[True], ~same, [True]])))
+    return int(np.sum(lengths * (lengths - 1) // 2))
 
 
-def _run_pairs(same_as_prev: np.ndarray) -> int:
-    """Sum of t*(t-1)/2 over runs of equal values flagged by ``same_as_prev``."""
-    starts = np.flatnonzero(~same_as_prev)
-    lengths = np.diff(np.append(starts, same_as_prev.shape[0]))
-    ties = lengths[lengths > 1].astype(np.int64)
-    return int(np.sum(ties * (ties - 1) // 2))
+def _count_inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
 
-
-def _count_inversions(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j] (merge-based, vectorized)."""
-    a = np.asarray(a)
-    if a.shape[0] < 2:
-        return 0
-    mid = a.shape[0] // 2
-    left, right = a[:mid], a[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    left_s, right_s = np.sort(left), np.sort(right)
-    # cross pairs: for each left value, count strictly smaller right values
-    inv += int(np.searchsorted(right_s, left_s, side="left").sum())
+    A bottom-up merge count: at width ``w`` the positions form blocks of
+    ``2w``, and each block's left half is paired with its right half.  Keying
+    ranks by ``block * n + rank`` lets one sort of all right halves and one
+    ``searchsorted`` of all left halves count every block's cross pairs.
+    """
+    n = ranks.shape[0]
+    pos = np.arange(n)
+    inv = 0
+    w = 1
+    while w < n:
+        block = pos // (2 * w)
+        key = block * n + ranks
+        right = (pos & w) != 0
+        below = np.searchsorted(np.sort(key[right]), key[~right], side="left")
+        # the right halves of all earlier blocks are full: block * w keys
+        inv += int(np.sum(below - block[~right] * w))
+        w *= 2
     return inv
 
 

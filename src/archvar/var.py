@@ -7,8 +7,10 @@ Every routine here evaluates the same conditional-expectation integral
 where ``q_i`` is the i-th marginal quantile function and ``beta_d`` the
 kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``.  ``var_generic`` works from
 the generator alone; the family-specific routines use the algebraically
-reduced integrands (for Gumbel and Joe in substituted variables that map the
-integration onto a finite interval with tame endpoint behaviour).
+reduced integrands of their :class:`~archvar.families.Family` records (for
+Gumbel and Joe in substituted variables that map the integration onto a
+finite interval with tame endpoint behaviour).  One driver, ``_var``, runs
+every one of these integrands.
 """
 from __future__ import annotations
 
@@ -16,23 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .families import CopulaSpec, FamilyId, phi, phi_prime
+from .errors import DomainError, ParameterError, QuadratureError
+from .families import FAMILIES, CopulaSpec, FamilyId, phi, phi_prime
 from .margins import UniformMargin
 from .quadrature import DEFAULT_QUAD, QuadConfig, graded_breakpoints, integrate
 
-__all__ = [
-    "VarResult",
-    "var_generic",
-    "var_clayton",
-    "var_clayton_uniform",
-    "var_frank",
-    "var_gumbel",
-    "var_joe",
-    "var_amh",
-    "kernel_mass",
-    "var_for_spec",
-]
+__all__ = ["VarResult", "var_generic", "var_clayton", "var_clayton_uniform", "var_frank",
+           "var_gumbel", "var_joe", "var_amh", "kernel_mass", "var_for_spec"]
 
 
 @dataclass(frozen=True)
@@ -68,37 +60,8 @@ def _check_margins(margins, d: int):
     return margins
 
 
-def _component_integrals(margins, one_margin_integral) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the integral once per distinct margin and broadcast.
-
-    Components sharing a margin receive bitwise-identical values.
-    """
-    values = np.empty(len(margins))
-    errors = np.empty(len(margins))
-    seen: list[tuple[object, float, float]] = []
-    for i, m in enumerate(margins):
-        hit = None
-        for obj, v, e in seen:
-            if obj is m or obj == m:
-                hit = (v, e)
-                break
-        if hit is None:
-            hit = one_margin_integral(m)
-            seen.append((m, hit[0], hit[1]))
-        values[i], errors[i] = hit
-    return values, errors
-
-
-def var_generic(spec: CopulaSpec, margins, alpha: float,
-                cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """VaR components from the generator-form integral, any family.
-
-    The kernel is normalized inside the integrand (bracket expressed as a
-    ratio against ``phi(alpha)``) so that large generator values cannot
-    overflow the ``d - 1`` power.
-    """
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
+def _generic_form(spec: CopulaSpec, alpha: float):
+    """The generator-form weight of :func:`var_generic`, any family."""
     phi_a = phi(spec, alpha)
     d = spec.d
     scale = (d - 1) / phi_a
@@ -107,41 +70,72 @@ def var_generic(spec: CopulaSpec, margins, alpha: float,
         ratio = 1.0 - phi(spec, u) / phi_a
         return -phi_prime(spec, u) * ratio ** (d - 2) * scale
 
-    breaks = graded_breakpoints(alpha, 1.0)
+    return weight, alpha, 1.0, lambda u: u
 
-    def one(margin):
-        return integrate(lambda u: margin(u) * weight(u), alpha, 1.0, cfg, breaks)
 
-    values, errors = _component_integrals(margins, one)
+def _kernel(form, spec: CopulaSpec, alpha: float):
+    """``form(spec, alpha)``, with an underflowed ``phi(alpha)`` as a typed error.
+
+    Every form divides by a multiple of ``phi(alpha)``, which rounds to 0
+    when ``alpha`` is within rounding of 1 on the generator's scale (Frank
+    ``theta = 40`` at ``alpha = 1 - 1e-6``).
+    """
+    try:
+        return form(spec, alpha)
+    except ZeroDivisionError:
+        raise QuadratureError(
+            f"phi(alpha) underflows to 0 for {spec.family.value} theta = "
+            f"{spec.theta} at alpha = {alpha}; the VaR kernel cannot be "
+            "normalized in double precision", float("nan"), float("inf"),
+        ) from None
+
+
+def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarResult:
+    """VaR components from ``form``'s integrand.
+
+    The integral runs once per distinct margin, so components sharing a
+    margin receive bitwise-identical values.
+    """
+    _check_alpha(alpha)
+    margins = _check_margins(margins, spec.d)
+    weight, lo, hi, to_u = _kernel(form, spec, alpha)
+    breaks = graded_breakpoints(lo, hi)
+    values = np.empty(len(margins))
+    errors = np.empty(len(margins))
+    seen: list[tuple[object, float, float]] = []
+    for i, m in enumerate(margins):
+        hit = next(((v, e) for obj, v, e in seen if obj is m or obj == m), None)
+        if hit is None:
+            hit = integrate(lambda x: m(to_u(x)) * weight(x), lo, hi, cfg, breaks)
+            seen.append((m, hit[0], hit[1]))
+        values[i], errors[i] = hit
     return VarResult(alpha, values, errors, spec)
 
 
-def _require_family(spec: CopulaSpec, family: FamilyId, name: str) -> None:
+def var_generic(spec: CopulaSpec, margins, alpha: float,
+                cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
+    """VaR components from the generator-form integral, any family.
+
+    The kernel is normalized inside the integrand (bracket expressed as a
+    ratio against ``phi(alpha)``) so that large generator values cannot
+    overflow the ``d - 1`` power.  This is the oracle the reduced forms are
+    checked against: it shares no integrand with them.
+    """
+    return _var(spec, margins, alpha, cfg, _generic_form)
+
+
+def _family_var(family: FamilyId, name: str, spec: CopulaSpec, margins, alpha: float,
+                cfg: QuadConfig) -> VarResult:
+    """A family's public routine: check the spec's family, run its record's form."""
     if spec.family is not family:
         raise ParameterError(f"{name} requires a {family.value} spec, got {spec.family.value}")
+    return _var(spec, margins, alpha, cfg, FAMILIES[family].var_form)
 
 
 def var_clayton(spec: CopulaSpec, margins, alpha: float,
                 cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
     """Clayton VaR via the reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``."""
-    _require_family(spec, FamilyId.CLAYTON, "var_clayton")
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
-    th, d = spec.theta, spec.d
-    denom = alpha ** -th - 1.0
-    scale = (d - 1) * th / denom
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        ratio = (alpha ** -th - u ** -th) / denom
-        return u ** (-th - 1.0) * ratio ** (d - 2) * scale
-
-    breaks = graded_breakpoints(alpha, 1.0)
-
-    def one(margin):
-        return integrate(lambda u: margin(u) * weight(u), alpha, 1.0, cfg, breaks)
-
-    values, errors = _component_integrals(margins, one)
-    return VarResult(alpha, values, errors, spec)
+    return _family_var(FamilyId.CLAYTON, "var_clayton", spec, margins, alpha, cfg)
 
 
 def var_clayton_uniform(theta: float, d: int, alpha: float,
@@ -158,31 +152,7 @@ def var_clayton_uniform(theta: float, d: int, alpha: float,
 def var_frank(spec: CopulaSpec, margins, alpha: float,
               cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
     """Frank VaR; restricted to ``theta > 0`` (the reduced form's domain)."""
-    _require_family(spec, FamilyId.FRANK, "var_frank")
-    if spec.theta <= 0:
-        raise DomainError(
-            "Frank VaR is defined for dependence parameter in (0, inf); "
-            f"got theta = {spec.theta}"
-        )
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
-    th, d = spec.theta, spec.d
-    phi_a = float(-np.log(np.expm1(-th * alpha) / np.expm1(-th)))
-    scale = (d - 1) / phi_a
-    ea = np.expm1(-th * alpha)
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        # -phi'(u) = theta/(e^(theta u) - 1); bracket = ln[(e^(-theta u)-1)/(e^(-theta a)-1)]
-        ratio = np.log(np.expm1(-th * u) / ea) / phi_a
-        return th / np.expm1(th * u) * ratio ** (d - 2) * scale
-
-    breaks = graded_breakpoints(alpha, 1.0)
-
-    def one(margin):
-        return integrate(lambda u: margin(u) * weight(u), alpha, 1.0, cfg, breaks)
-
-    values, errors = _component_integrals(margins, one)
-    return VarResult(alpha, values, errors, spec)
+    return _family_var(FamilyId.FRANK, "var_frank", spec, margins, alpha, cfg)
 
 
 def var_gumbel(spec: CopulaSpec, margins, alpha: float,
@@ -192,52 +162,13 @@ def var_gumbel(spec: CopulaSpec, margins, alpha: float,
     The substitution ``t = -ln u`` maps the upper endpoint ``u -> 1`` to 0
     and leaves a polynomial-type integrand.
     """
-    _require_family(spec, FamilyId.GUMBEL_HOUGAARD, "var_gumbel")
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
-    th, d = spec.theta, spec.d
-    la = -np.log(alpha)
-    scale = (d - 1) * th / la ** th
-
-    def weight(t: np.ndarray) -> np.ndarray:
-        ratio = 1.0 - (t / la) ** th
-        return t ** (th - 1.0) * ratio ** (d - 2) * scale
-
-    breaks = graded_breakpoints(0.0, la)
-
-    def one(margin):
-        return integrate(
-            lambda t: margin(np.exp(-t)) * weight(t), 0.0, la, cfg, breaks
-        )
-
-    values, errors = _component_integrals(margins, one)
-    return VarResult(alpha, values, errors, spec)
+    return _family_var(FamilyId.GUMBEL_HOUGAARD, "var_gumbel", spec, margins, alpha, cfg)
 
 
 def var_joe(spec: CopulaSpec, margins, alpha: float,
             cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
     """Joe VaR on the reflected interval ``t in [0, 1 - alpha]`` (``t = 1 - u``)."""
-    _require_family(spec, FamilyId.JOE, "var_joe")
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
-    th, d = spec.theta, spec.d
-    phi_a = float(-np.log1p(-((1.0 - alpha) ** th)))
-    scale = (d - 1) * th / phi_a
-
-    def weight(t: np.ndarray) -> np.ndarray:
-        one_minus_tth = -np.expm1(th * np.log(t))
-        ratio = (np.log1p(-(t ** th)) + phi_a) / phi_a
-        return t ** (th - 1.0) / one_minus_tth * ratio ** (d - 2) * scale
-
-    breaks = graded_breakpoints(0.0, 1.0 - alpha)
-
-    def one(margin):
-        return integrate(
-            lambda t: margin(1.0 - t) * weight(t), 0.0, 1.0 - alpha, cfg, breaks
-        )
-
-    values, errors = _component_integrals(margins, one)
-    return VarResult(alpha, values, errors, spec)
+    return _family_var(FamilyId.JOE, "var_joe", spec, margins, alpha, cfg)
 
 
 def var_amh(theta: float, margins, alpha: float,
@@ -253,20 +184,7 @@ def var_amh(theta: float, margins, alpha: float,
             f"genuine Archimedean extension beyond d = 2); got {len(margins)} margins"
         )
     spec = CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2)
-    _check_alpha(alpha)
-    margins = _check_margins(margins, 2)
-    pre = (1.0 - theta) / np.log((1.0 - theta * (1.0 - alpha)) / alpha)
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        return pre / (u * (1.0 - theta * (1.0 - u)))
-
-    breaks = graded_breakpoints(alpha, 1.0)
-
-    def one(margin):
-        return integrate(lambda u: margin(u) * weight(u), alpha, 1.0, cfg, breaks)
-
-    values, errors = _component_integrals(margins, one)
-    return VarResult(alpha, values, errors, spec)
+    return _family_var(FamilyId.ALI_MIKHAIL_HAQ, "var_amh", spec, margins, alpha, cfg)
 
 
 def kernel_mass(spec: CopulaSpec, alpha: float,
@@ -274,32 +192,16 @@ def kernel_mass(spec: CopulaSpec, alpha: float,
     """Total mass ``(d-1)/phi(alpha)^(d-1) int_alpha^1 beta_d(u, alpha) du``.
 
     Analytically exactly 1 for every family, theta, d and alpha; a
-    diagnostic of the quadrature and kernel implementation.
+    diagnostic of the quadrature and kernel implementation.  It integrates
+    :func:`var_generic`'s weight.
     """
     _check_alpha(alpha)
-    phi_a = phi(spec, alpha)
-    d = spec.d
-    scale = (d - 1) / phi_a
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        ratio = 1.0 - phi(spec, u) / phi_a
-        return -phi_prime(spec, u) * ratio ** (d - 2) * scale
-
-    value, _err = integrate(weight, alpha, 1.0, cfg, graded_breakpoints(alpha, 1.0))
+    weight, lo, hi, _to_u = _kernel(_generic_form, spec, alpha)
+    value, _err = integrate(weight, lo, hi, cfg, graded_breakpoints(lo, hi))
     return value
-
-
-_FAMILY_VAR = {
-    FamilyId.CLAYTON: var_clayton,
-    FamilyId.FRANK: var_frank,
-    FamilyId.GUMBEL_HOUGAARD: var_gumbel,
-    FamilyId.JOE: var_joe,
-}
 
 
 def var_for_spec(spec: CopulaSpec, margins, alpha: float,
                  cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Dispatch to the family-specific VaR routine for ``spec``."""
-    if spec.family is FamilyId.ALI_MIKHAIL_HAQ:
-        return var_amh(spec.theta, margins, alpha, cfg)
-    return _FAMILY_VAR[spec.family](spec, margins, alpha, cfg)
+    """VaR through the reduced integrand of ``spec``'s family record."""
+    return _var(spec, margins, alpha, cfg, FAMILIES[spec.family].var_form)

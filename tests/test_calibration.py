@@ -60,6 +60,17 @@ class TestKendallTau:
         expect = (5.0 - 8.0 * np.log(2.0)) / 3.0
         assert tau_of(FamilyId.ALI_MIKHAIL_HAQ, -1.0) == pytest.approx(expect, abs=1e-14)
 
+    @pytest.mark.parametrize("theta", [1e-8, -1e-8, 1e-6, 1e-3, 0.05, 0.1])
+    def test_frank_small_theta_against_mpmath(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            debye = mpmath.quad(lambda t: t / mpmath.expm1(t), [0, th])
+            want = float(1 - 4 / th * (1 - debye / th))
+        # the Taylor series below |theta| = 0.1, the Debye quadrature at 0.1
+        rtol = 1e-15 if abs(theta) < 0.1 else 2e-11
+        assert tau_of(FamilyId.FRANK, theta) == pytest.approx(want, rel=rtol, abs=0.0)
+
     def test_amh_series_joins_closed_form(self):
         # values straddling the series switch at |theta| = 1e-3
         for theta in (9e-4, 1.1e-3, -9e-4, -1.1e-3):
@@ -94,6 +105,12 @@ class TestThetaFromTau:
         assert theta_from_tau(FamilyId.JOE, 0.5) == pytest.approx(
             JOE_THETA_FOR_HALF, abs=1e-6
         )
+
+    def test_frank_small_target(self):
+        # tau ~ theta/9 near 0; the bisection stops at |delta tau| <= 1e-10
+        theta = theta_from_tau(FamilyId.FRANK, 1e-7)
+        assert abs(tau_of(FamilyId.FRANK, theta) - 1e-7) <= 1e-10
+        assert theta == pytest.approx(9e-7, rel=2e-3)
 
     def test_joe_zero_is_independence(self):
         assert theta_from_tau(FamilyId.JOE, 0.0) == 1.0

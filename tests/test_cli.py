@@ -76,6 +76,14 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 3
         assert "converge" in capsys.readouterr().err
 
+    def test_underflowed_phi_alpha_exit_3(self, tmp_path, capsys):
+        # Frank phi(1 - 1e-6) at theta = 40 rounds to 0 in double precision
+        text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
+            "theta = 2.0", "theta = 40.0").replace("alpha = 0.05", "alpha = 0.999999")
+        cfg = write_config(tmp_path, text)
+        assert main(["var", "--config", cfg]) == 3
+        assert "underflows" in capsys.readouterr().err
+
     def test_tabulated_margins_file(self, tmp_path):
         # a dense tabulation of the identity behaves like uniform margins
         levels = np.linspace(0.001, 0.999, 400)

@@ -10,12 +10,24 @@ from archvar import (
     FamilyId,
     GeneratorInfinityError,
     ParameterError,
+    Seed,
+    UniformMargin,
     beta_kernel,
     copula_cdf,
+    estimate_var_once,
+    kendall_tau,
+    kernel_mass,
     phi,
     phi_inverse,
     phi_prime,
+    sample_copula,
+    sample_frailty,
+    tau_range,
+    theta_from_tau,
+    var_for_spec,
+    var_generic,
 )
+from archvar.families import FAMILIES
 
 CLAYTON2_D3 = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)
 CLAYTON2_D2 = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)
@@ -288,3 +300,37 @@ class TestBetaKernel:
             beta_kernel(CLAYTON2_D3, 1.0, 0.05)
         with pytest.raises(DomainError):
             beta_kernel(CLAYTON2_D3, 0.5, 1.5)
+
+
+class TestFamilyTable:
+    def test_one_record_per_family(self):
+        assert list(FAMILIES) == list(FamilyId)
+        assert len({id(rec) for rec in FAMILIES.values()}) == len(FamilyId)
+        aliases = [alias for rec in FAMILIES.values() for alias in rec.aliases]
+        assert len(aliases) == len(set(aliases))
+        for family, rec in FAMILIES.items():
+            for alias in rec.aliases + (family.value,):
+                assert FamilyId.from_string(alias) is family
+
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_every_entry_point_accepts_every_family(self, family):
+        theta = THETA_GRID[family][1]
+        spec = CopulaSpec(family, theta, 2)
+        u = np.array([0.3, 0.7])
+        np.testing.assert_allclose(phi_inverse(spec, phi(spec, u)), u, rtol=1e-12)
+        assert np.all(phi_prime(spec, u) < 0.0)
+        assert 0.0 < copula_cdf(spec, u) < 0.3
+        assert beta_kernel(spec, 0.7, 0.3) > 0.0
+        tau = kendall_tau(spec)
+        lo, hi = tau_range(family)
+        assert lo <= tau < hi
+        assert theta_from_tau(family, tau) == pytest.approx(theta, rel=1e-6)
+        assert np.all(sample_frailty(family, theta, Seed(1), 100) > 0.0)
+        margins = [UniformMargin()] * 2
+        res = var_for_spec(spec, margins, 0.3)
+        np.testing.assert_allclose(res.components,
+                                   var_generic(spec, margins, 0.3).components, rtol=1e-8)
+        assert kernel_mass(spec, 0.3) == pytest.approx(1.0, abs=1e-9)
+        est, _count = estimate_var_once(sample_copula(spec, 20_000, Seed(1)), spec, 0.3,
+                                        1e-2, margins)
+        np.testing.assert_allclose(est, res.components, atol=0.05)

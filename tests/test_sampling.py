@@ -162,6 +162,24 @@ class TestEmpiricalKendallTau:
         expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
         assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 200])
+    @pytest.mark.parametrize("levels", [3, 7, 0])
+    def test_matches_brute_force_tau_b(self, n, levels):
+        # O(n^2) oracle over all pairs; levels = 0 draws continuous columns
+        gen = np.random.default_rng(100 * n + levels)
+        if levels:
+            data = gen.integers(0, levels, size=(n, 2)).astype(float)
+        else:
+            data = gen.uniform(size=(n, 2))
+        data[:2] = [[-2.0, -1.0], [-1.0, -2.0]]     # no column is constant
+        i, j = np.triu_indices(n, 1)
+        sx = np.sign(data[i, 0] - data[j, 0])
+        sy = np.sign(data[i, 1] - data[j, 1])
+        n0 = n * (n - 1) // 2
+        untied_x, untied_y = n0 - int(np.sum(sx == 0)), n0 - int(np.sum(sy == 0))
+        expect = int(np.sum(sx * sy)) / np.sqrt(float(untied_x) * float(untied_y))
+        assert empirical_kendall_tau(data) == expect
+
     def test_degenerate_column_raises(self):
         data = np.column_stack([np.ones(50), np.arange(50.0)])
         with pytest.raises(DomainError, match="degenerate"):

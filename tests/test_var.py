@@ -9,6 +9,7 @@ from archvar import (
     FamilyId,
     FunctionMargin,
     ParameterError,
+    QuadratureError,
     UniformMargin,
     kernel_mass,
     var_amh,
@@ -214,6 +215,17 @@ class TestDomainHandling:
         for alpha in (0.0, 1.0, -0.2):
             with pytest.raises(DomainError):
                 var_clayton(spec, [U] * 2, alpha)
+
+    def test_underflowed_phi_alpha_is_a_quadrature_error(self):
+        # phi(alpha) rounds to 0: Frank theta = 40 at alpha = 1 - 1e-6, and
+        # Joe theta = 1100 at alpha = 0.5, where (1 - alpha)^theta underflows
+        for spec, alpha in ((CopulaSpec(FamilyId.FRANK, 40.0, 3), 1.0 - 1e-6),
+                            (CopulaSpec(FamilyId.JOE, 1100.0, 2), 0.5)):
+            for call in (lambda: var_for_spec(spec, [U] * spec.d, alpha),
+                         lambda: var_generic(spec, [U] * spec.d, alpha),
+                         lambda: kernel_mass(spec, alpha)):
+                with pytest.raises(QuadratureError, match="underflows"):
+                    call()
 
     def test_family_mismatch_rejected(self):
         spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)

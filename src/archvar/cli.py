@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import datetime
 import os
 import sys
 from dataclasses import dataclass
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 
@@ -38,18 +39,17 @@ from .var import var_for_spec
 __all__ = ["main"]
 
 # Table-1 defaults: caption parameters for the four simulated families
-_TABLE1_FAMILIES = ("clayton", "frank", "gumbel", "joe")
-_TABLE1_THETAS = {"clayton": 2.0, "frank": 5.74, "gumbel": 2.0, "joe": 2.4}
+_TABLE1_THETAS = {FamilyId.CLAYTON: 2.0, FamilyId.FRANK: 5.74,
+                  FamilyId.GUMBEL_HOUGAARD: 2.0, FamilyId.JOE: 2.4}
 _TABLE1_NGRID = (50_000, 100_000, 500_000, 1_000_000)
+_SECTIONS = ("model", "margins", "quadrature", "mc", "table1")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated view of a parsed config file."""
 
-    family: FamilyId
-    theta: float
-    d: int
+    spec: CopulaSpec
     alpha: float
     margins: tuple
     quad: QuadConfig
@@ -57,108 +57,123 @@ class RunConfig:
     mc_replications: int
     mc_h: float
     seed: Seed
-    table1_families: tuple[str, ...]
-    table1_thetas: dict
+    table1_specs: tuple[CopulaSpec, ...]
     table1_n: tuple[int, ...]
 
-    @property
-    def spec(self) -> CopulaSpec:
-        return CopulaSpec(self.family, self.theta, self.d)
+    def study(self, spec: CopulaSpec, margins, n: int, stream_offset: int = 0) -> McConfig:
+        """One study's config; ``stream_offset`` shifts the seed's stream id."""
+        return McConfig(
+            spec=spec, margins=margins, n=n, replications=self.mc_replications,
+            h=self.mc_h, alpha=self.alpha, quad=self.quad,
+            seed=self.seed.with_stream(self.seed.stream_id + stream_offset),
+        )
 
 
 def _config_error(msg: str) -> ParameterError:
     return ParameterError(f"config error: {msg}")
 
 
-def _parse_numbers(text: str):
-    return [tok for tok in text.replace(",", " ").split() if tok]
+def _parse(section, key: str, default: str, kind=float, many: bool = False):
+    """Read ``key`` as a number, or as a list of numbers when ``many``."""
+    text = section.get(key, default)
+    try:
+        if many:
+            return tuple(kind(tok) for tok in text.replace(",", " ").split())
+        return kind(text)
+    except (ValueError, OverflowError):
+        raise _config_error(f"[{section.name}] {key} = {text!r} is not valid") from None
+
+
+def _count(text: str) -> int:
+    return int(float(text))
+
+
+def _spec(family: FamilyId, theta: float, d: int) -> CopulaSpec:
+    try:
+        return CopulaSpec(family, theta, d)
+    except ParameterError as exc:
+        raise _config_error(str(exc)) from exc
+
+
+def _load_margin(section, config_path: str):
+    kind = section.get("kind", "uniform").strip().lower()
+    if kind == "uniform":
+        return UniformMargin()
+    if kind != "file":
+        raise _config_error(f"[margins] kind must be uniform or file, got {kind!r}")
+    path = section.get("path", "").strip()
+    if not path:
+        raise _config_error("[margins] kind = file requires a path")
+    # relative to the config file; join keeps an absolute path as it is
+    path = os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
+    if not os.path.exists(path):
+        raise _config_error(f"margins file not found: {path}")
+    try:
+        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _config_error(f"cannot read margins file {path}: {exc}") from None
+    if table.shape[1] != 2:
+        raise _config_error("margins file must have two columns: level,quantile")
+    return TabulatedMargin(table[:, 0], table[:, 1])
+
+
+def _table1_specs(section, d: int) -> tuple[CopulaSpec, ...]:
+    names = section.get("families", " ".join(family.value for family in _TABLE1_THETAS))
+    families = [FamilyId.from_string(tok) for tok in names.replace(",", " ").split()]
+    if "thetas" in section:
+        thetas = _parse(section, "thetas", "", many=True)
+    else:
+        thetas = [_TABLE1_THETAS.get(family) for family in families]
+    if len(thetas) != len(families):
+        raise _config_error("[table1] thetas must match families in length")
+    if None in thetas:
+        raise _config_error(
+            f"no theta known for table family {families[thetas.index(None)].value!r}")
+    return tuple(_spec(fam, theta, d) for fam, theta in zip(families, thetas))
 
 
 def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a config file (exit-code-2 errors on any defect)."""
     if not os.path.exists(path):
         raise _config_error(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser.read_dict(dict.fromkeys(_SECTIONS, {}))  # every section exists, maybe empty
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise _config_error(f"cannot parse {path}: {exc}") from exc
+    model, quad, mc, t1 = (parser[name] for name in ("model", "quadrature", "mc", "table1"))
 
-    model = parser["model"] if parser.has_section("model") else {}
     if "family" not in model:
         raise _config_error("missing [model] family")
     family = FamilyId.from_string(model["family"])
-    has_theta = "theta" in model
-    has_tau = "target_tau" in model
-    if has_theta == has_tau:
+    if ("theta" in model) == ("target_tau" in model):
         raise _config_error("[model] must set exactly one of theta / target_tau")
-    d = int(model.get("d", "3"))
-    alpha = float(model.get("alpha", "0.05"))
-    if has_theta:
-        theta = float(model["theta"])
+    d = _parse(model, "d", "3", int)
+    if "theta" in model:
+        theta = _parse(model, "theta", "")
     else:
-        theta = theta_from_tau(family, float(model["target_tau"]))
+        theta = theta_from_tau(family, _parse(model, "target_tau", ""))
+    spec = _spec(family, theta, d)
 
-    margins_sec = parser["margins"] if parser.has_section("margins") else {}
-    kind = margins_sec.get("kind", "uniform").strip().lower()
-    if kind == "uniform":
-        margin = UniformMargin()
-    elif kind == "file":
-        mpath = margins_sec.get("path", "").strip()
-        if not mpath:
-            raise _config_error("[margins] kind = file requires a path")
-        if not os.path.isabs(mpath):
-            mpath = os.path.join(os.path.dirname(os.path.abspath(path)), mpath)
-        if not os.path.exists(mpath):
-            raise _config_error(f"margins file not found: {mpath}")
-        table = np.loadtxt(mpath, delimiter=",", comments="#", ndmin=2)
-        if table.shape[1] != 2:
-            raise _config_error("margins file must have two columns: level,quantile")
-        margin = TabulatedMargin(table[:, 0], table[:, 1])
-    else:
-        raise _config_error(f"[margins] kind must be uniform or file, got {kind!r}")
-
-    quad_sec = parser["quadrature"] if parser.has_section("quadrature") else {}
-    quad = QuadConfig(
-        abs_tol=float(quad_sec.get("abs_tol", "1e-10")),
-        rel_tol=float(quad_sec.get("rel_tol", "1e-9")),
-        max_subdivisions=int(quad_sec.get("max_subdivisions", "2000")),
-    )
-
-    mc_sec = parser["mc"] if parser.has_section("mc") else {}
-    mc_n = tuple(int(float(tok)) for tok in _parse_numbers(mc_sec.get("n", "50000")))
-    replications = int(mc_sec.get("replications", "100"))
-    h = float(mc_sec.get("h", "1e-4"))
-    seed_value = int(mc_sec.get("seed", "0"))
-    stream = int(mc_sec.get("stream", "0"))
-    if seed_override is not None:
-        seed_value = seed_override
-    seed = Seed(seed_value, stream)
-
-    t1 = parser["table1"] if parser.has_section("table1") else {}
-    fams = tuple(
-        tok.lower() for tok in _parse_numbers(t1.get("families", " ".join(_TABLE1_FAMILIES)))
-    )
-    thetas = dict(_TABLE1_THETAS)
-    if "thetas" in t1:
-        vals = [float(tok) for tok in _parse_numbers(t1["thetas"])]
-        if len(vals) != len(fams):
-            raise _config_error("[table1] thetas must match families in length")
-        thetas.update(dict(zip(fams, vals)))
-    t1_n = tuple(
-        int(float(tok))
-        for tok in _parse_numbers(t1.get("n", mc_sec.get("n", "")))
-    ) or _TABLE1_NGRID
-
-    try:
-        spec = CopulaSpec(family, theta, d)
-    except ParameterError as exc:
-        raise _config_error(str(exc)) from exc
+    mc_n = _parse(mc, "n", "50000", _count, many=True)
+    if not mc_n:
+        raise _config_error("[mc] n must list at least one sample size")
+    seed = _parse(mc, "seed", "0", int) if seed_override is None else seed_override
     return RunConfig(
-        family=family, theta=spec.theta, d=spec.d, alpha=alpha,
-        margins=tuple([margin] * spec.d), quad=quad,
-        mc_n=mc_n, mc_replications=replications, mc_h=h, seed=seed,
-        table1_families=fams, table1_thetas=thetas, table1_n=t1_n,
+        spec=spec, alpha=_parse(model, "alpha", "0.05"),
+        margins=(_load_margin(parser["margins"], path),) * spec.d,
+        quad=QuadConfig(
+            abs_tol=_parse(quad, "abs_tol", "1e-10"),
+            rel_tol=_parse(quad, "rel_tol", "1e-9"),
+            max_subdivisions=_parse(quad, "max_subdivisions", "2000", int),
+        ),
+        mc_n=mc_n,
+        mc_replications=_parse(mc, "replications", "100", int),
+        mc_h=_parse(mc, "h", "1e-4"),
+        seed=Seed(seed, _parse(mc, "stream", "0", int)),
+        table1_specs=_table1_specs(t1, spec.d),
+        table1_n=_parse(t1, "n", mc.get("n", ""), _count, many=True) or _TABLE1_NGRID,
     )
 
 
@@ -166,40 +181,38 @@ def _fmt(x: float, full: bool) -> str:
     return repr(float(x)) if full else f"{x:.6f}"
 
 
-def _report_header(lines: list[str], timestamp: bool) -> list[str]:
-    out = list(lines)
-    if timestamp:
-        out.append(f"# generated = {datetime.datetime.now().isoformat(timespec='seconds')}")
-    return out
+def _model_header(command: str, cfg: RunConfig) -> list[str]:
+    spec = cfg.spec
+    return [f"# command = {command}", f"# family = {spec.family.value}",
+            f"# theta = {spec.theta!r}", f"# d = {spec.d}", f"# alpha = {cfg.alpha!r}"]
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _stats_line(row, full: bool) -> str:
+    """A study row: n, label (and component) as given, then five formatted floats."""
+    return ",".join([str(x) for x in row[:-5]] + [_fmt(x, full) for x in row[-5:]])
+
+
+def _write_report(args, header: list[str], columns: str, rows: list[str]) -> None:
+    """Header, optional timestamp, column line and rows, to ``--out`` or stdout."""
+    if not args.no_timestamp:
+        header = header + [f"# generated = {datetime.now().isoformat(timespec='seconds')}"]
+    text = "\n".join(header + [columns] + rows) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def cmd_var(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     res = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad)
-    lines = _report_header([
-        f"# command = var",
-        f"# family = {cfg.family.value}",
-        f"# theta = {cfg.theta!r}",
-        f"# d = {cfg.d}",
-        f"# alpha = {cfg.alpha!r}",
-    ], not args.no_timestamp)
-    lines.append("component,var,abs_error")
-    for i in range(cfg.d):
-        lines.append(
-            f"{i + 1},{_fmt(res.components[i], args.full_precision)},"
-            f"{res.abs_error_estimate[i]:.3e}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_report(args, _model_header("var", cfg), "component,var,abs_error", [
+        f"{i + 1},{_fmt(res.components[i], args.full_precision)},"
+        f"{res.abs_error_estimate[i]:.3e}"
+        for i in range(cfg.spec.d)
+    ])
     print(
-        f"var {cfg.family.value} theta={cfg.theta:g} d={cfg.d} "
+        f"var {cfg.spec.family.value} theta={cfg.spec.theta:g} d={cfg.spec.d} "
         f"alpha={cfg.alpha:g}: {res.components[0]:.6f}"
     )
     return 0
@@ -207,59 +220,43 @@ def cmd_var(args) -> int:
 
 def cmd_calibrate(args) -> int:
     family = FamilyId.from_string(args.family)
-    tau = float(args.tau)
-    theta = theta_from_tau(family, tau)
+    theta = theta_from_tau(family, args.tau)
     achieved = float(kendall_tau(CopulaSpec(family, theta, 2)))
     print(f"theta = {theta!r}  (kendall tau achieved {achieved!r})")
-    line = f"{family.value},{tau!r},{theta!r}\n"
+    line = f"{family.value},{args.tau!r},{theta!r}\n"
     sys.stdout.write(line)
     if args.out:
-        _write_text(args.out, line)
+        Path(args.out).write_text(line, encoding="utf-8")
     return 0
 
 
 def cmd_sample(args) -> int:
     cfg = load_config(args.config, args.seed)
     n = cfg.mc_n[0]
-    sample = sample_copula(cfg.spec, n, cfg.seed)
     out = args.out or "sample.csv"
-    write_sample(sample, out, full_precision=True)
-    print(f"wrote {n} x {cfg.d} sample to {out}")
+    write_sample(sample_copula(cfg.spec, n, cfg.seed), out)
+    print(f"wrote {n} x {cfg.spec.d} sample to {out}")
     return 0
 
 
 def cmd_mc(args) -> int:
     cfg = load_config(args.config, args.seed)
-    mc_cfg = McConfig(
-        spec=cfg.spec, margins=cfg.margins, n=cfg.mc_n[0],
-        replications=cfg.mc_replications, h=cfg.mc_h, alpha=cfg.alpha,
-        seed=cfg.seed, quad=cfg.quad,
-    )
+    mc_cfg = cfg.study(cfg.spec, cfg.margins, cfg.mc_n[0])
     stats = run_study(mc_cfg, jobs=args.jobs)
-    lines = _report_header([
-        f"# command = mc",
-        f"# family = {cfg.family.value}",
-        f"# theta = {cfg.theta!r}",
-        f"# d = {cfg.d}",
-        f"# alpha = {cfg.alpha!r}",
+    family = cfg.spec.family.value
+    _write_report(args, _model_header("mc", cfg) + [
         f"# n = {mc_cfg.n}",
         f"# replications = {mc_cfg.replications}",
         f"# h = {mc_cfg.h!r}",
         f"# seed = {cfg.seed.value} / stream {cfg.seed.stream_id}",
         f"# mean_selected_count = {stats.mean_selected_count!r}",
         f"# failed_replications = {stats.failed_replications}",
-    ], not args.no_timestamp)
-    lines.append("n,copula,component,mean,std_dev,bias,rmse,theoretical")
-    for row in stats_table_rows(stats, cfg.family.value, per_component=True):
-        n_, label, comp, mean, sd, bias, rmse, theo = row
-        lines.append(
-            f"{n_},{label},{comp}," + ",".join(
-                _fmt(x, args.full_precision) for x in (mean, sd, bias, rmse, theo)
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    ], "n,copula,component,mean,std_dev,bias,rmse,theoretical", [
+        _stats_line(row, args.full_precision)
+        for row in stats_table_rows(stats, family, per_component=True)
+    ])
     print(
-        f"mc {cfg.family.value} n={mc_cfg.n} M={mc_cfg.replications}: "
+        f"mc {family} n={mc_cfg.n} M={mc_cfg.replications}: "
         f"mean={stats.mean.mean():.6f} theo={stats.theoretical.mean():.6f}"
     )
     return 0
@@ -267,47 +264,54 @@ def cmd_mc(args) -> int:
 
 def cmd_table1(args) -> int:
     cfg = load_config(args.config, args.seed)
-    joe_tau_at_caption = kendall_tau(CopulaSpec(FamilyId.JOE, 2.4, 2))
-    joe_theta_for_half = theta_from_tau(FamilyId.JOE, 0.5)
-    lines = _report_header([
+    # family-major: each study's replications take the next block of streams
+    studies = [
+        cfg.study(spec, (UniformMargin(),) * spec.d, n, i * cfg.mc_replications)
+        for i, (spec, n) in enumerate((s, n) for s in cfg.table1_specs for n in cfg.table1_n)
+    ]
+    header = [
         "# command = table1",
         f"# alpha = {cfg.alpha!r}",
         f"# h = {cfg.mc_h!r}",
         f"# replications = {cfg.mc_replications}",
         f"# seed = {cfg.seed.value} / stream {cfg.seed.stream_id}",
-        "# note: joe theta=2.4 has kendall tau "
-        f"{joe_tau_at_caption:.6f}, not 0.5; tau=0.5 would require "
-        f"theta={joe_theta_for_half:.6f} -- the caption calibration claim is "
-        "inconsistent for joe and 2.4 is used as printed",
-    ], not args.no_timestamp)
-    lines.append("n,copula,mean,std_dev,bias,rmse,theoretical")
-    stream_offset = 0
-    for fam_name in cfg.table1_families:
-        family = FamilyId.from_string(fam_name)
-        theta = cfg.table1_thetas.get(fam_name)
-        if theta is None:
-            raise _config_error(f"no theta known for table family {fam_name!r}")
-        spec = CopulaSpec(family, theta, cfg.d)
-        margins = tuple([UniformMargin()] * cfg.d)
-        for n in cfg.table1_n:
-            mc_cfg = McConfig(
-                spec=spec, margins=margins, n=n,
-                replications=cfg.mc_replications, h=cfg.mc_h, alpha=cfg.alpha,
-                seed=cfg.seed.with_stream(cfg.seed.stream_id + stream_offset),
-                quad=cfg.quad,
-            )
-            stream_offset += cfg.mc_replications
-            stats = run_study(mc_cfg, jobs=args.jobs)
-            (row,) = stats_table_rows(stats, fam_name)
-            n_, label, mean, sd, bias, rmse, theo = row
-            lines.append(
-                f"{n_},{label}," + ",".join(
-                    _fmt(x, args.full_precision) for x in (mean, sd, bias, rmse, theo)
-                )
-            )
-            print(f"table1 {label:8s} n={n_}: mean={mean:.6f} theo={theo:.6f}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    ]
+    if any(s.family is FamilyId.JOE and s.theta == 2.4 for s in cfg.table1_specs):
+        header.append(
+            "# note: joe theta=2.4 has kendall tau "
+            f"{kendall_tau(CopulaSpec(FamilyId.JOE, 2.4, 2)):.6f}, not 0.5; tau=0.5 would "
+            f"require theta={theta_from_tau(FamilyId.JOE, 0.5):.6f} -- the caption "
+            "calibration claim is inconsistent for joe and 2.4 is used as printed"
+        )
+    rows = []
+    for mc_cfg in studies:
+        (row,) = stats_table_rows(run_study(mc_cfg, jobs=args.jobs), mc_cfg.spec.family.value)
+        rows.append(_stats_line(row, args.full_precision))
+        n, label, mean, *_, theo = row
+        print(f"table1 {label:8s} n={n}: mean={mean:.6f} theo={theo:.6f}")
+    _write_report(args, header, "n,copula,mean,std_dev,bias,rmse,theoretical", rows)
     return 0
+
+
+_FLAGS = {
+    "--config": dict(default=None, help="INI config file"),
+    "--seed": dict(type=int, default=None, help="override seed value"),
+    "--jobs": dict(type=int, default=1, help="worker threads"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+    "--no-timestamp": dict(action="store_true", help="omit the timestamp header line"),
+    "--full-precision": dict(action="store_true",
+                             help="print full float precision instead of 6 decimals"),
+}
+_REPORT_FLAGS = ("--config", "--out", "--no-timestamp", "--full-precision")
+
+# name, handler, help, flags read by the handler
+_COMMANDS = (
+    ("var", cmd_var, "analytical VaR", _REPORT_FLAGS),
+    ("calibrate", cmd_calibrate, "theta from Kendall tau", ("--out",)),
+    ("sample", cmd_sample, "draw a seeded copula sample", ("--config", "--seed", "--out")),
+    ("mc", cmd_mc, "one Monte Carlo study", tuple(_FLAGS)),
+    ("table1", cmd_table1, "convergence table report", tuple(_FLAGS)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,45 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Marginal multivariate VaR under Archimedean dependence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override seed value")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp header line")
-        p.add_argument("--full-precision", action="store_true",
-                       help="print full float precision instead of 6 decimals")
-
-    p_var = sub.add_parser("var", help="analytical VaR")
-    common(p_var)
-    p_var.set_defaults(fn=cmd_var, needs_config=True)
-
-    p_cal = sub.add_parser("calibrate", help="theta from Kendall tau")
-    p_cal.add_argument("family")
-    p_cal.add_argument("tau", type=float)
-    common(p_cal)
-    p_cal.set_defaults(fn=cmd_calibrate, needs_config=False)
-
-    p_sample = sub.add_parser("sample", help="draw a seeded copula sample")
-    common(p_sample)
-    p_sample.set_defaults(fn=cmd_sample, needs_config=True)
-
-    p_mc = sub.add_parser("mc", help="one Monte Carlo study")
-    common(p_mc)
-    p_mc.set_defaults(fn=cmd_mc, needs_config=True)
-
-    p_t1 = sub.add_parser("table1", help="convergence table report")
-    common(p_t1)
-    p_t1.set_defaults(fn=cmd_table1, needs_config=True)
+    for name, fn, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if fn is cmd_calibrate:
+            p.add_argument("family")
+            p.add_argument("tau", type=float)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and not args.config:
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "config") and not args.config:
         print("error: --config is required for this command", file=sys.stderr)
         return 2
     try:

@@ -269,7 +269,7 @@ def _bracket_up(tau_of_theta, target: float, lo: float, hi: float) -> tuple[floa
         if tau_of_theta(hi) >= target:
             return lo, hi
         lo, hi = hi, hi * 2.0
-    raise RuntimeError(f"failed to bracket tau = {target}")
+    raise ParameterError(f"failed to bracket tau = {target}")
 
 
 def _bracket_down(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
@@ -278,7 +278,7 @@ def _bracket_down(tau_of_theta, target: float, lo: float, hi: float) -> tuple[fl
         if tau_of_theta(lo) <= target:
             return lo, hi
         lo, hi = lo * 0.5, lo
-    raise RuntimeError(f"failed to bracket tau = {target}")
+    raise ParameterError(f"failed to bracket tau = {target}")
 
 
 # --------------------------------------------------------------- Clayton

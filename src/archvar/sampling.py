@@ -156,8 +156,8 @@ def _count_inversions(ranks: np.ndarray) -> int:
     return inv
 
 
-def write_sample(sample: Sample, path, *, full_precision: bool = True) -> None:
-    """Write a sample as headered comma-delimited text."""
+def write_sample(sample: Sample, path) -> None:
+    """Write a sample as headered comma-delimited text, rows at full precision."""
     spec = sample.spec
     header_cols = ",".join(f"u{i + 1}" for i in range(sample.dim))
     meta = [
@@ -168,8 +168,7 @@ def write_sample(sample: Sample, path, *, full_precision: bool = True) -> None:
         f"# seed = {sample.seed.value}",
         f"# stream_id = {sample.seed.stream_id}",
     ]
-    fmt = "%.17g" if full_precision else "%.6f"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(meta) + "\n")
         fh.write(header_cols + "\n")
-        np.savetxt(fh, sample.data, fmt=fmt, delimiter=",")
+        np.savetxt(fh, sample.data, fmt="%.17g", delimiter=",")

@@ -1,23 +1,31 @@
 """Bitwise guards: SHA-256 digests of outputs that a refactor must not move.
 
-The digests were captured from the implementation that dispatched on the
-family with if/elif chains and had one VaR routine per family.  A change
-that moves any of these bits on purpose must say why and record the new
-digest here.
+The library digests were captured from the implementation that dispatched
+on the family with if/elif chains and had one VaR routine per family; the
+``cli_*`` digests from the command line that parsed family names per study.
+A change that moves any of these bits on purpose must say why and record the
+new digest here.
 """
 import hashlib
 
 import numpy as np
+import pytest
 from scipy import special
+from test_cli import BASE_CONFIG, TABLE_CONFIG
 
 from archvar import (CopulaSpec, FamilyId, FunctionMargin, McConfig, Seed, UniformMargin,
                      empirical_kendall_tau, run_study, sample_copula, var_for_spec)
+from archvar.cli import main
 
 DIGESTS = {
     "var_for_spec": "f489cf1a8aaa07de75e3ece4b3a04df6e8429bd6cbb1e7888aba4433dd141651",
     "sample_copula": "cfcdbeba3dfd7ed9a7f7a526c4ddd30b33a24be30e7797c7ed12ab6a8d013349",
     "run_study": "67559c6febfd76fa34d1e72e4865423369d0db2be22e8ae50d85e2ebb33ad938",
     "empirical_kendall_tau": "44951c1839fd5fc51176dc4b1e862065eb053429e5744dfe55c391f448eb9f93",
+    "cli_var": "ab77a97e17dc123ae46f6f90f944210142330073b179418c8268c2d2bb46eaf5",
+    "cli_mc": "36d3080f286a092e8b11d66d176b69fbe8e0e5b8122b5cf53504472513ed98e7",
+    "cli_table1": "5f57a42879dfad452e9ee6b095ab38eb3e5e18d88dd23a3da95cead17400ac44",
+    "cli_sample": "cf7df035920ca5a84b44398f5428441b3f855e6a9342ed5c8e198351c99a9770",
 }
 
 GRID_THETAS = {
@@ -106,3 +114,23 @@ def test_run_study_bits():
 
 def test_empirical_kendall_tau_bits():
     assert sha256(kendall_chunks()) == DIGESTS["empirical_kendall_tau"]
+
+
+# (command, config, flags): each run's exit code, stdout, stderr and output file
+CLI_RUNS = {
+    "cli_var": ("var", BASE_CONFIG, ["--no-timestamp", "--full-precision"]),
+    "cli_mc": ("mc", BASE_CONFIG, ["--no-timestamp", "--full-precision"]),
+    "cli_table1": ("table1", TABLE_CONFIG, ["--no-timestamp", "--full-precision"]),
+    "cli_sample": ("sample", BASE_CONFIG, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_report_bits(name, tmp_path, monkeypatch, capsys):
+    command, config, flags = CLI_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(config)
+    code = main([command, "--config", "run.ini", "--out", "report.csv", *flags])
+    captured = capsys.readouterr()
+    chunks = [code, captured.out, captured.err, (tmp_path / "report.csv").read_bytes()]
+    assert sha256(chunks) == DIGESTS[name]

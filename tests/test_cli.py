@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour."""
 import numpy as np
+import pytest
 
 from archvar import CopulaSpec, FamilyId, UniformMargin, var_for_spec
 from archvar.cli import main
@@ -16,6 +17,12 @@ n = 4000
 replications = 3
 h = 1e-3
 seed = 11
+"""
+
+TABLE_CONFIG = BASE_CONFIG + """
+[table1]
+families = clayton frank gumbel joe
+n = 4000 8000
 """
 
 
@@ -102,6 +109,29 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("d = 3", "d = three"))
+        assert main(["var", "--config", cfg]) == 2
+        assert "config error: [model] d = 'three'" in capsys.readouterr().err
+
+    def test_percent_sign_is_a_plain_character(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("alpha = 0.05", "alpha = 5%"))
+        assert main(["var", "--config", cfg]) == 2
+        assert "[model] alpha = '5%'" in capsys.readouterr().err
+
+    def test_malformed_margins_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "margins.csv").write_text("0.1,0.2\n0.5,abc\n0.9,1.0\n")
+        text = BASE_CONFIG + "\n[margins]\nkind = file\npath = margins.csv\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["var", "--config", cfg]) == 2
+        assert "cannot read margins file" in capsys.readouterr().err
+
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["var", "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestCalibrateCommand:
     def test_clayton(self, capsys):
@@ -120,6 +150,11 @@ class TestCalibrateCommand:
         assert main(["calibrate", "gumbel", "1.5"]) == 2
         assert "attainable" in capsys.readouterr().err
 
+    def test_unbracketable_tau_exit_2(self, capsys):
+        # theta/9 stays above tau = 1e-62 down to the smallest bracket tried
+        assert main(["calibrate", "frank", "1e-62"]) == 2
+        assert "bracket" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     def test_deterministic_output(self, tmp_path):
@@ -134,6 +169,11 @@ class TestSampleCommand:
     def test_invalid_n_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("n = 4000", "n = 0"))
         assert main(["sample", "--config", cfg]) == 2
+
+    def test_empty_n_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n = 4000", "n ="))
+        assert main(["sample", "--config", cfg]) == 2
+        assert "at least one sample size" in capsys.readouterr().err
 
 
 class TestMcCommand:
@@ -154,14 +194,8 @@ class TestMcCommand:
 
 
 class TestTable1Command:
-    TABLE_CONFIG = BASE_CONFIG + """
-[table1]
-families = clayton frank gumbel joe
-n = 4000 8000
-"""
-
     def test_theoretical_column_and_notes(self, tmp_path):
-        cfg = write_config(tmp_path, self.TABLE_CONFIG)
+        cfg = write_config(tmp_path, TABLE_CONFIG)
         out = tmp_path / "t1.csv"
         assert main(["table1", "--config", cfg, "--out", str(out),
                      "--no-timestamp", "--full-precision"]) == 0
@@ -178,7 +212,7 @@ n = 4000 8000
         assert abs(theo["joe"] - 0.317353) <= 5e-6
 
     def test_byte_identical_across_jobs(self, tmp_path):
-        cfg = write_config(tmp_path, self.TABLE_CONFIG)
+        cfg = write_config(tmp_path, TABLE_CONFIG)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["table1", "--config", cfg, "--out", str(a),
                      "--no-timestamp", "--jobs", "1"]) == 0
@@ -187,7 +221,7 @@ n = 4000 8000
         assert a.read_bytes() == b.read_bytes()
 
     def test_single_replication_rows_have_zero_sd(self, tmp_path):
-        text = self.TABLE_CONFIG.replace("replications = 3", "replications = 1")
+        text = TABLE_CONFIG.replace("replications = 3", "replications = 1")
         text = text.replace("n = 4000 8000", "n = 4000")
         cfg = write_config(tmp_path, text)
         out = tmp_path / "t1.csv"
@@ -196,3 +230,32 @@ n = 4000 8000
         rows = [l.split(",") for l in out.read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("n,")]
         assert all(float(r[3]) == 0.0 for r in rows)
+
+    def test_family_aliases_take_default_thetas(self, tmp_path):
+        text = TABLE_CONFIG.replace("clayton frank gumbel joe", "clayton gumbel-hougaard")
+        text = text.replace("n = 4000 8000", "n = 4000")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "t1.csv"
+        assert main(["table1", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("n,")]
+        assert [r[1] for r in rows] == ["clayton", "gumbel"]
+        assert abs(float(rows[1][6]) - 0.251829) <= 5e-6
+
+    def test_unknown_family_exits_before_any_study(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TABLE_CONFIG.replace(
+            "clayton frank gumbel joe", "clayton frank claytn"))
+        assert main(["table1", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "claytn" in captured.err
+
+    def test_joe_note_only_for_joe_at_caption_theta(self, tmp_path):
+        text = TABLE_CONFIG.replace("clayton frank gumbel joe", "joe clayton\nthetas = 1.5 3")
+        text = text.replace("n = 4000 8000", "n = 4000")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "t1.csv"
+        assert main(["table1", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        text = out.read_text()
+        assert "# note" not in text
+        assert [l.split(",")[1] for l in text.splitlines()[-2:]] == ["joe", "clayton"]

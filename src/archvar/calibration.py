@@ -6,8 +6,8 @@ for Frank and Joe, and bracketed bisection where no closed inverse exists.
 """
 from __future__ import annotations
 
-from .errors import ParameterError, RangeError
-from .families import FAMILIES, CopulaSpec, FamilyId
+from .errors import RangeError
+from .families import FAMILIES, CopulaSpec, FamilyId, family_record
 
 __all__ = ["kendall_tau", "theta_from_tau", "tau_range"]
 
@@ -24,7 +24,7 @@ def tau_range(family: FamilyId) -> tuple[float, float]:
     attain 0 (theta = 1); Ali-Mikhail-Haq attains its minimum (theta = -1).
     Frank attains any tau except 0.
     """
-    return FAMILIES[family].tau_range
+    return family_record(family).tau_range
 
 
 def theta_from_tau(family: FamilyId, tau: float) -> float:
@@ -35,10 +35,8 @@ def theta_from_tau(family: FamilyId, tau: float) -> float:
     Frank, Joe and Ali-Mikhail-Haq.  Raises :class:`RangeError` naming the
     attainable interval when ``tau`` cannot be reached by the family.
     """
-    if not isinstance(family, FamilyId):
-        raise ParameterError(f"family must be a FamilyId, got {family!r}")
+    rec = family_record(family)
     tau = float(tau)
-    rec = FAMILIES[family]
     if not rec.tau_ok(tau):
         lo, hi = rec.tau_range
         raise RangeError(

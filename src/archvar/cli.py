@@ -192,12 +192,19 @@ def _stats_line(row, full: bool) -> str:
     return ",".join([str(x) for x in row[:-5]] + [_fmt(x, full) for x in row[-5:]])
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work if ``--out`` names no writable file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ParameterError(f"cannot write --out {path}: not a file in a writable directory")
+
+
 def _write_report(args, header: list[str], columns: str, rows: list[str]) -> None:
     """Header, optional timestamp, column line and rows, to ``--out`` or stdout."""
     if not args.no_timestamp:
         header = header + [f"# generated = {datetime.now().isoformat(timespec='seconds')}"]
     text = "\n".join(header + [columns] + rows) + "\n"
-    if args.out is None:
+    if not args.out:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -301,16 +308,19 @@ _FLAGS = {
     "--no-timestamp": dict(action="store_true", help="omit the timestamp header line"),
     "--full-precision": dict(action="store_true",
                              help="print full float precision instead of 6 decimals"),
+    "family": {},
+    "tau": dict(type=float),
 }
 _REPORT_FLAGS = ("--config", "--out", "--no-timestamp", "--full-precision")
+_STUDY_FLAGS = ("--config", "--seed", "--jobs", "--out", "--no-timestamp", "--full-precision")
 
-# name, handler, help, flags read by the handler
+# name, handler, help, arguments read by the handler
 _COMMANDS = (
     ("var", cmd_var, "analytical VaR", _REPORT_FLAGS),
-    ("calibrate", cmd_calibrate, "theta from Kendall tau", ("--out",)),
+    ("calibrate", cmd_calibrate, "theta from Kendall tau", ("family", "tau", "--out")),
     ("sample", cmd_sample, "draw a seeded copula sample", ("--config", "--seed", "--out")),
-    ("mc", cmd_mc, "one Monte Carlo study", tuple(_FLAGS)),
-    ("table1", cmd_table1, "convergence table report", tuple(_FLAGS)),
+    ("mc", cmd_mc, "one Monte Carlo study", _STUDY_FLAGS),
+    ("table1", cmd_table1, "convergence table report", _STUDY_FLAGS),
 )
 
 
@@ -322,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if fn is cmd_calibrate:
-            p.add_argument("family")
-            p.add_argument("tau", type=float)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
@@ -337,6 +344,8 @@ def main(argv=None) -> int:
         print("error: --config is required for this command", file=sys.stderr)
         return 2
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ParameterError, RangeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

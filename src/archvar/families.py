@@ -21,8 +21,8 @@ from . import rng
 from .errors import DomainError, GeneratorInfinityError, ParameterError
 from .quadrature import QuadConfig, graded_breakpoints, integrate
 
-__all__ = ["FamilyId", "Family", "FAMILIES", "CopulaSpec", "phi", "phi_prime",
-           "phi_inverse", "copula_cdf", "beta_kernel"]
+__all__ = ["FamilyId", "Family", "FAMILIES", "family_record", "CopulaSpec", "phi",
+           "phi_prime", "phi_inverse", "copula_cdf", "beta_kernel"]
 
 
 class FamilyId(enum.Enum):
@@ -61,6 +61,8 @@ class Family:
     ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u)``: the VaR of a
     margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``.  ``tau_ok`` tells
     whether a Kendall tau is attainable, and ``tau_range`` is its interval.
+    ``bivariate_only(theta)`` is true where the generator gives a copula in
+    ``d = 2`` only.
     """
 
     name: str
@@ -81,7 +83,14 @@ class Family:
     theta_from_tau: Callable[[float], float]
     latent_scale: Callable[[float], float] = lambda theta: 1.0
     conditional_rows: Optional[Callable] = None
-    bivariate_only: bool = False
+    bivariate_only: Callable[[float], bool] = lambda theta: False
+
+
+def family_record(family) -> Family:
+    """``family``'s record; :class:`ParameterError` unless it is a :class:`FamilyId`."""
+    if not isinstance(family, FamilyId):
+        raise ParameterError(f"family must be a FamilyId, got {family!r}")
+    return FAMILIES[family]
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,8 @@ class CopulaSpec:
     """A fully specified copula: family tag, dependence parameter, dimension.
 
     ``theta`` must satisfy the family record's ``theta_domain``, and ``d``
-    must be 2 for a bivariate-only family (Ali-Mikhail-Haq).  Boundary values
+    must be 2 where the record is bivariate only (Ali-Mikhail-Haq, and Frank
+    with ``theta < 0``).  Boundary values
     that only arise as limits (Clayton ``theta = 0``, Frank ``theta = 0``)
     are rejected, not clamped.
     """
@@ -99,8 +109,7 @@ class CopulaSpec:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.family, FamilyId):
-            raise ParameterError(f"family must be a FamilyId, got {self.family!r}")
+        rec = family_record(self.family)
         if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool):
             raise ParameterError(f"dimension d must be an integer, got {self.d!r}")
         if self.d < 2:
@@ -108,20 +117,25 @@ class CopulaSpec:
         th = self.theta
         if not math.isfinite(th):
             raise ParameterError(f"theta must be finite, got {th}")
-        rec = FAMILIES[self.family]
         if not rec.theta_ok(th):
             raise ParameterError(f"{rec.name} requires {rec.theta_domain}, got {th}")
-        if rec.bivariate_only and self.d != 2:
+        if rec.bivariate_only(th) and self.d != 2:
             raise ParameterError(
-                f"{rec.name} is bivariate only (no genuine Archimedean "
-                f"extension to d >= 3); got d = {self.d}"
+                f"{rec.name} at theta = {th} is bivariate only (no genuine "
+                f"Archimedean extension to d >= 3); got d = {self.d}"
             )
         object.__setattr__(self, "theta", float(th))
         object.__setattr__(self, "d", int(self.d))
 
 
-def _as_result(x: np.ndarray, scalar: bool):
-    return float(x) if scalar else x
+def _elementwise(spec: CopulaSpec, fn, x, check, *check_args) -> float | np.ndarray:
+    """``fn(theta, x)`` on ``x`` as a 1-D float array once ``check(x, *check_args)``
+    passes; a float for a scalar ``x``."""
+    arr = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(arr)
+    check(flat, *check_args)
+    out = fn(spec.theta, flat)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _check_t_unit(t: np.ndarray, include_one: bool) -> None:
@@ -143,40 +157,29 @@ def phi(spec: CopulaSpec, t) -> float | np.ndarray:
     :class:`GeneratorInfinityError` at ``t = 0``, where all five generators
     diverge, and :class:`DomainError` outside ``[0, 1]``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    _check_t_unit(t_arr, include_one=True)
-    out = FAMILIES[spec.family].phi(spec.theta, t_arr)
-    return _as_result(out if not scalar else out[0], scalar)
+    return _elementwise(spec, FAMILIES[spec.family].phi, t, _check_t_unit, True)
 
 
 def phi_prime(spec: CopulaSpec, t) -> float | np.ndarray:
     """Generator derivative ``phi'_theta(t)`` on ``t in (0, 1)``; always < 0."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    _check_t_unit(t_arr, include_one=False)
-    out = FAMILIES[spec.family].phi_prime(spec.theta, t_arr)
-    return _as_result(out if not scalar else out[0], scalar)
+    return _elementwise(spec, FAMILIES[spec.family].phi_prime, t, _check_t_unit, False)
+
+
+def _check_s(s: np.ndarray) -> None:
+    if np.any(s < 0.0) or np.any(np.isnan(s)):
+        raise DomainError("generator inverse argument must be >= 0")
 
 
 def phi_inverse(spec: CopulaSpec, s) -> float | np.ndarray:
     """Generator inverse on ``s >= 0``; ``phi_inverse(0) = 1`` exactly."""
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    if np.any(s_arr < 0.0) or np.any(np.isnan(s_arr)):
-        raise DomainError("generator inverse argument must be >= 0")
-    out = FAMILIES[spec.family].phi_inverse(spec.theta, s_arr)
-    return _as_result(out if not scalar else out[0], scalar)
+    return _elementwise(spec, FAMILIES[spec.family].phi_inverse, s, _check_s)
 
 
 def copula_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
     """Copula CDF at one point of shape ``(d,)`` or a batch ``(..., d)``.
 
-    Coordinates must lie in ``[0, 1]``; any zero coordinate forces the value
-    to 0.  Equals ``phi_inverse(sum_i phi(u_i))`` wherever both are defined.
+    Coordinates must lie in ``[0, 1]``; any zero coordinate gives ``+0.0``.
+    Equals ``phi_inverse(sum_i phi(u_i))`` wherever both are defined.
     """
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim == 0 or u_arr.shape[-1] != spec.d:
@@ -186,13 +189,12 @@ def copula_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
         )
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0) or np.any(np.isnan(u_arr)):
         raise DomainError("copula arguments must lie in [0, 1]")
-    scalar = u_arr.ndim == 1
-    pts = u_arr.reshape(-1, spec.d)
-    out = np.zeros(pts.shape[0])
-    ok = ~np.any(pts == 0.0, axis=1)
-    if np.any(ok):
-        out[ok] = FAMILIES[spec.family].cdf(spec.theta, spec.d, pts[ok])
-    if scalar:
+    # a zero coordinate reaches 0 through an exact infinity (Clayton, Gumbel,
+    # Joe) or an exact zero product (Frank, Ali-Mikhail-Haq); no row needs a
+    # path of its own
+    with np.errstate(divide="ignore", over="ignore"):
+        out = FAMILIES[spec.family].cdf(spec.theta, spec.d, u_arr.reshape(-1, spec.d))
+    if u_arr.ndim == 1:
         return float(out[0])
     return out.reshape(u_arr.shape[:-1])
 
@@ -207,14 +209,17 @@ def beta_kernel(spec: CopulaSpec, u, alpha: float) -> float | np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    if np.any(u_arr < alpha) or np.any(u_arr >= 1.0) or np.any(np.isnan(u_arr)):
+
+    def kernel(_theta, u_arr):
+        bracket = phi(spec, alpha) - phi(spec, u_arr)
+        return -phi_prime(spec, u_arr) * bracket ** (spec.d - 2)
+
+    return _elementwise(spec, kernel, u, _check_kernel_arg, alpha)
+
+
+def _check_kernel_arg(u: np.ndarray, alpha: float) -> None:
+    if np.any(u < alpha) or np.any(u >= 1.0) or np.any(np.isnan(u)):
         raise DomainError(f"kernel argument must lie in [alpha, 1) = [{alpha}, 1)")
-    bracket = phi(spec, alpha) - phi(spec, u_arr)
-    out = -phi_prime(spec, u_arr) * bracket ** (spec.d - 2)
-    return _as_result(out if not scalar else out[0], scalar)
 
 
 # ------------------------------------------------------ shared by the records
@@ -227,19 +232,24 @@ def _identity(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _log1m_pow(th: float, t: np.ndarray) -> np.ndarray:
-    """``ln(1 - (1-t)^th)`` for ``t in (0, 1]`` at full relative precision.
+def _log1m_exp(x: np.ndarray) -> np.ndarray:
+    """``ln(1 - e^x)`` for ``x <= 0`` at full relative precision.
 
-    Uses the expm1 route while ``(1-t)^th`` is large and the log1p route
-    once it is small; ``t = 1`` flows through to exactly 0.
+    Uses the expm1 route while ``e^x`` is near 1 and the log1p route once it
+    is at most 1/2 (both agree at ``x = -ln 2``); ``x = 0`` gives ``-inf``.
     """
     with np.errstate(divide="ignore"):
-        inner = th * np.log1p(-t)
-    return np.where(
-        inner > -0.6931471805599453,
-        np.log(-np.expm1(inner)),
-        np.log1p(-np.exp(inner)),
-    )
+        return np.where(
+            x > -0.6931471805599453,
+            np.log(-np.expm1(x)),
+            np.log1p(-np.exp(x)),
+        )
+
+
+def _log1m_pow(th: float, t: np.ndarray) -> np.ndarray:
+    """``ln(1 - (1-t)^th)`` for ``t in [0, 1]``; ``t = 1`` flows through to exactly 0."""
+    with np.errstate(divide="ignore"):
+        return _log1m_exp(th * np.log1p(-t))
 
 
 _TAU_QUAD = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
@@ -295,11 +305,6 @@ def _clayton_phi_prime(th: float, t: np.ndarray) -> np.ndarray:
         return -(t ** (-th - 1.0))
 
 
-def _clayton_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return (np.sum(pts ** -th, axis=1) - d + 1.0) ** (-1.0 / th)
-
-
 def _clayton_var_form(spec: CopulaSpec, alpha: float):
     """Reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``."""
     th, d = spec.theta, spec.d
@@ -319,7 +324,7 @@ _CLAYTON = Family(
     phi=_clayton_phi,
     phi_prime=_clayton_phi_prime,
     phi_inverse=lambda th, s: np.exp(np.log1p(th * s) * (-1.0 / th)),
-    cdf=_clayton_cdf,
+    cdf=lambda th, d, pts: (np.sum(pts ** -th, axis=1) - d + 1.0) ** (-1.0 / th),
     frailty=lambda keys, th: rng.gammas(keys, 1.0 / th),
     frailty_ok=lambda th: th > 0, frailty_domain="theta > 0",
     # the frailty is Gamma(1/theta, 1); the implemented generator carries a
@@ -383,6 +388,9 @@ def _frank_theta(tau: float) -> float:
 _FRANK = Family(
     name="Frank", aliases=("frank",),
     theta_ok=lambda th: th != 0, theta_domain="theta != 0",
+    # theta < 0 gives a copula in d = 2 only: in d = 3 at theta = -5 the box
+    # [0.30, 0.32] x [0.98, 1]^2 has C-volume -2.46e-5
+    bivariate_only=lambda th: th < 0,
     # -ln[(e^(-theta t) - 1)/(e^(-theta) - 1)]; the ratio is positive
     # for either sign of theta
     phi=lambda th, t: -np.log(np.expm1(-th * t) / np.expm1(-th)),
@@ -433,27 +441,15 @@ _GUMBEL = Family(
 
 # ------------------------------------------------------------------- Joe
 
-def _joe_phi_inverse(th: float, s: np.ndarray) -> np.ndarray:
-    # 1 - (1 - e^-s)^(1/theta); ln(1 - e^-s) needs the log1p route for
-    # large s and the expm1 route for small s to keep full precision
-    with np.errstate(divide="ignore"):
-        log1m = np.where(
-            s > 0.6931471805599453,
-            np.log1p(-np.exp(-s)),
-            np.log(-np.expm1(-s)),
-        )
-        return np.where(s == 0.0, 1.0, -np.expm1(log1m / th))
-
-
 def _joe_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
-    # 1 - [1 - prod_i (1 - (1-u_i)^theta)]^(1/theta)
+    # 1 - [1 - prod_i (1 - (1-u_i)^theta)]^(1/theta); ``0.0 -`` turns the
+    # -0.0 that a zero coordinate leaves into +0.0 and is exact elsewhere
     log_prod = np.sum(_log1m_pow(th, pts), axis=1)
-    with np.errstate(divide="ignore"):
-        return np.where(
-            log_prod == 0.0,
-            1.0,
-            -np.expm1(np.log(-np.expm1(log_prod)) / th),
-        )
+    return np.where(
+        log_prod == 0.0,
+        1.0,
+        0.0 - np.expm1(np.log(-np.expm1(log_prod)) / th),
+    )
 
 
 def _joe_var_form(spec: CopulaSpec, alpha: float):
@@ -504,7 +500,8 @@ _JOE = Family(
     theta_ok=lambda th: th >= 1, theta_domain="theta >= 1",
     phi=lambda th, t: -_log1m_pow(th, t),
     phi_prime=lambda th, t: -th * (1.0 - t) ** (th - 1.0) / (-np.expm1(th * np.log1p(-t))),
-    phi_inverse=_joe_phi_inverse,
+    # 1 - (1 - e^-s)^(1/theta)
+    phi_inverse=lambda th, s: np.where(s == 0.0, 1.0, -np.expm1(_log1m_exp(-s) / th)),
     cdf=_joe_cdf,
     frailty=lambda keys, th: rng.sibuyas(keys, 1.0 / th),
     frailty_ok=lambda th: th >= 1, frailty_domain="theta >= 1",
@@ -569,7 +566,7 @@ _AMH = Family(
     name="Ali-Mikhail-Haq", aliases=("amh", "ali-mikhail-haq"),
     theta_ok=lambda th: -1.0 <= th < 1.0,
     theta_domain="-1 <= theta < 1 (the generator degenerates at theta = 1)",
-    bivariate_only=True,
+    bivariate_only=lambda th: True,
     phi=lambda th, t: np.log1p(-th * (1.0 - t)) - np.log(t),
     # simplifies to -(1-theta)/(t (1 - theta(1-t)))
     phi_prime=lambda th, t: -(1.0 - th) / (t * (1.0 - th * (1.0 - t))),

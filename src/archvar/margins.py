@@ -12,9 +12,21 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["UniformMargin", "ConstantMargin", "TabulatedMargin", "FunctionMargin"]
+__all__ = ["UniformMargin", "ConstantMargin", "TabulatedMargin", "FunctionMargin",
+           "checked_margins"]
 
 _CHECK_GRID = np.linspace(1e-6, 1.0 - 1e-6, 513)
+
+
+def checked_margins(margins, d: int) -> tuple:
+    """``margins`` as a tuple, once it holds ``d`` callables."""
+    margins = tuple(margins)
+    if len(margins) != d:
+        raise ParameterError(f"expected {d} margins, got {len(margins)}")
+    for m in margins:
+        if not callable(m):
+            raise ParameterError(f"margin {m!r} is not callable")
+    return margins
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptyLevelSetError, ParameterError, StudyError
 from .families import CopulaSpec, copula_cdf
+from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
 from .rng import Seed
 from .sampling import Sample, sample_copula
@@ -37,21 +38,21 @@ class McConfig:
     quad: QuadConfig = field(default=DEFAULT_QUAD)
 
     def __post_init__(self):
-        object.__setattr__(self, "margins", tuple(self.margins))
-        if len(self.margins) != self.spec.d:
-            raise ParameterError(
-                f"expected {self.spec.d} margins, got {len(self.margins)}"
-            )
+        object.__setattr__(self, "margins", checked_margins(self.margins, self.spec.d))
         if self.n < 1:
             raise ParameterError(f"sample size must be >= 1, got {self.n}")
         if self.replications < 1:
             raise ParameterError(
                 f"replication count must be >= 1, got {self.replications}"
             )
-        if not self.h > 0:
-            raise ParameterError(f"level-set tolerance h must be > 0, got {self.h}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_level_set(self.alpha, self.h)
+
+
+def _check_level_set(alpha: float, h: float) -> None:
+    if not h > 0:
+        raise ParameterError(f"level-set tolerance h must be > 0, got {h}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,8 @@ def estimate_var_once(sample: Sample, spec: CopulaSpec, alpha: float, h: float,
     :class:`EmptyLevelSetError` instead of returning a silent zero when no
     row qualifies.
     """
-    if not h > 0:
-        raise ParameterError(f"level-set tolerance h must be > 0, got {h}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    margins = tuple(margins)
-    if len(margins) != spec.d:
-        raise ParameterError(f"expected {spec.d} margins, got {len(margins)}")
+    _check_level_set(alpha, h)
+    margins = checked_margins(margins, spec.d)
     values = copula_cdf(spec, sample.data)
     selected = np.abs(values - alpha) <= h
     count = int(np.count_nonzero(selected))
@@ -129,8 +125,10 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     ``cfg.seed.stream_id + r``; results are reduced in replication order, so
     the outcome is identical for every ``jobs`` value.  Replications with an
     empty level-set neighborhood are counted in ``failed_replications`` and
-    excluded from the aggregates.
+    excluded from the aggregates.  ``jobs`` must be >= 1.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     m = cfg.replications
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

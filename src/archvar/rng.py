@@ -50,18 +50,15 @@ LABEL_EXPONENTIAL = 0x2545F491
 LABEL_CONDITIONAL = 0x9E3779B9
 
 
-def mix64_int(x: int) -> int:
-    """SplitMix64 finalizer on plain Python ints (for scalar key derivation)."""
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _M1
     z = (z ^ (z >> _S27)) * _M2
     return z ^ (z >> _S31)
+
+
+def mix64_int(x: int) -> int:
+    """SplitMix64 finalizer on a Python int taken mod 2^64 (for scalar key derivation)."""
+    return int(_mix64(np.array([x & _MASK64], dtype=np.uint64))[0])
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def exponentials(keys: np.ndarray, counter) -> np.ndarray:
     return -np.log(uniforms(keys, counter))
 
 
-def gammas(keys: np.ndarray, shape: float, first_counter: int = 0) -> np.ndarray:
+def gammas(keys: np.ndarray, shape: float) -> np.ndarray:
     """Gamma(shape, rate 1) via Marsaglia-Tsang squeeze with shape boost.
 
     Consumes a variable number of counters per key (3 per rejection trial,
@@ -124,7 +121,7 @@ def gammas(keys: np.ndarray, shape: float, first_counter: int = 0) -> np.ndarray
     if shape <= 0:
         raise ParameterError(f"gamma shape must be positive, got {shape}")
     n = keys.shape[0]
-    j = np.full(n, first_counter, dtype=np.uint64)
+    j = np.zeros(n, dtype=np.uint64)
     boost = None
     a = shape
     if a < 1.0:

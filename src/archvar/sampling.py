@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import DomainError, ParameterError
-from .families import FAMILIES, CopulaSpec, FamilyId, phi_inverse
+from .families import FAMILIES, CopulaSpec, FamilyId, family_record, phi_inverse
 from .rng import Seed
 
 __all__ = ["Sample", "sample_copula", "sample_frailty", "empirical_kendall_tau",
@@ -57,9 +57,7 @@ def sample_frailty(family: FamilyId, theta: float, seed: Seed, n: int) -> np.nda
     """
     if n < 1:
         raise ParameterError(f"frailty count must be >= 1, got {n}")
-    if not isinstance(family, FamilyId):
-        raise ParameterError(f"unknown family {family!r}")
-    rec = FAMILIES[family]
+    rec = family_record(family)
     if not rec.frailty_ok(theta):
         raise DomainError(
             f"{rec.name} frailty sampling requires {rec.frailty_domain}, got {theta}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, QuadratureError
 from .families import FAMILIES, CopulaSpec, FamilyId, phi, phi_prime
-from .margins import UniformMargin
+from .margins import ConstantMargin, UniformMargin, checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig, graded_breakpoints, integrate
 
 __all__ = ["VarResult", "var_generic", "var_clayton", "var_clayton_uniform", "var_frank",
@@ -43,21 +43,6 @@ class VarResult:
         )
         self.components.flags.writeable = False
         self.abs_error_estimate.flags.writeable = False
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
-
-
-def _check_margins(margins, d: int):
-    margins = tuple(margins)
-    if len(margins) != d:
-        raise ParameterError(f"expected {d} margins, got {len(margins)}")
-    for m in margins:
-        if not callable(m):
-            raise ParameterError(f"margin {m!r} is not callable")
-    return margins
 
 
 def _generic_form(spec: CopulaSpec, alpha: float):
@@ -96,8 +81,9 @@ def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarR
     The integral runs once per distinct margin, so components sharing a
     margin receive bitwise-identical values.
     """
-    _check_alpha(alpha)
-    margins = _check_margins(margins, spec.d)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
+    margins = checked_margins(margins, spec.d)
     weight, lo, hi, to_u = _kernel(form, spec, alpha)
     breaks = graded_breakpoints(lo, hi)
     values = np.empty(len(margins))
@@ -193,12 +179,11 @@ def kernel_mass(spec: CopulaSpec, alpha: float,
 
     Analytically exactly 1 for every family, theta, d and alpha; a
     diagnostic of the quadrature and kernel implementation.  It integrates
-    :func:`var_generic`'s weight.
+    :func:`var_generic`'s weight, as the VaR of a unit margin (``1.0 * w``
+    is exactly ``w``).
     """
-    _check_alpha(alpha)
-    weight, lo, hi, _to_u = _kernel(_generic_form, spec, alpha)
-    value, _err = integrate(weight, lo, hi, cfg, graded_breakpoints(lo, hi))
-    return value
+    unit = [ConstantMargin(1.0)] * spec.d
+    return float(_var(spec, unit, alpha, cfg, _generic_form).components[0])
 
 
 def var_for_spec(spec: CopulaSpec, margins, alpha: float,

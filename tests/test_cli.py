@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from archvar import CopulaSpec, FamilyId, UniformMargin, var_for_spec
+from archvar import cli
 from archvar.cli import main
 
 BASE_CONFIG = """\
@@ -259,3 +260,40 @@ class TestTable1Command:
         text = out.read_text()
         assert "# note" not in text
         assert [l.split(",")[1] for l in text.splitlines()[-2:]] == ["joe", "clayton"]
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["sample", "mc", "table1", "var"])
+    def test_missing_directory_exits_2_before_any_work(self, command, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_study", no_work)
+        monkeypatch.setattr(cli, "sample_copula", no_work)
+        monkeypatch.setattr(cli, "var_for_spec", no_work)
+        cfg = write_config(tmp_path, TABLE_CONFIG if command == "table1" else BASE_CONFIG)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "missing_dir" in captured.err
+        assert not out.parent.exists()
+
+    def test_calibrate_checks_before_solving(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["calibrate", "frank", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_directory_as_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_2(jobs, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["mc", "--config", cfg, "--jobs", jobs]) == 2
+    assert "jobs" in capsys.readouterr().err

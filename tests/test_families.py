@@ -1,5 +1,6 @@
 """Generator, CDF and kernel behaviour for the five families."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ class TestSpecValidation:
     def test_frank_negative_theta_is_a_valid_spec(self):
         spec = CopulaSpec(FamilyId.FRANK, -3.0, 2)
         assert spec.theta == -3.0
+        assert CopulaSpec(FamilyId.FRANK, -5.0, 2).theta == -5.0
+
+    def test_frank_negative_theta_is_bivariate_only(self):
+        # not a copula at d = 3: the box [0.30, 0.32] x [0.98, 1]^2 has
+        # negative C-volume at theta = -5
+        with pytest.raises(ParameterError, match="bivariate"):
+            CopulaSpec(FamilyId.FRANK, -5.0, 3)
+        assert CopulaSpec(FamilyId.FRANK, 5.0, 3).d == 3
 
     def test_family_parsing(self):
         assert FamilyId.from_string("Gumbel-Hougaard") is FamilyId.GUMBEL_HOUGAARD
@@ -218,6 +227,25 @@ class TestCopulaCdf:
     def test_zero_coordinate_forces_zero(self):
         spec = CopulaSpec(FamilyId.FRANK, 5.74, 3)
         assert copula_cdf(spec, [0.0, 0.5, 0.9]) == 0.0
+
+    @pytest.mark.parametrize("family,theta", [
+        (FamilyId.CLAYTON, 50.0), (FamilyId.FRANK, 40.0), (FamilyId.FRANK, -40.0),
+        (FamilyId.GUMBEL_HOUGAARD, 30.0), (FamilyId.JOE, 30.0),
+        (FamilyId.ALI_MIKHAIL_HAQ, -1.0), (FamilyId.ALI_MIKHAIL_HAQ, 0.99),
+    ])
+    def test_zero_coordinate_is_plus_zero_without_warnings(self, family, theta):
+        bivariate = family is FamilyId.ALI_MIKHAIL_HAQ or theta < 0
+        for d in ((2,) if bivariate else (2, 3, 4)):
+            spec = CopulaSpec(family, theta, d)
+            others = np.array([1.0, 0.5, 1e-300, 0.0, 1.0 - 1e-16])
+            rows = np.stack(np.meshgrid(*[others] * (d - 1), indexing="ij"), -1).reshape(-1, d - 1)
+            pts = np.concatenate([np.insert(rows, j, 0.0, axis=1) for j in range(d)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = copula_cdf(spec, pts)
+                one = copula_cdf(spec, pts[0])
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+            assert one == 0.0 and math.copysign(1.0, one) == 1.0
 
     def test_clayton_bivariate_value(self):
         # (4 + 4 - 1)^(-1/2)

@@ -157,6 +157,16 @@ class TestRunStudy:
         with pytest.raises(ParameterError):
             McConfig(spec=CLAYTON3, margins=U3, n=10, replications=1,
                      h=0.0, alpha=0.05, seed=Seed(0))
+        with pytest.raises(ParameterError, match="callable"):
+            McConfig(spec=CLAYTON3, margins=(U3[0], U3[1], 0.5), n=10, replications=1,
+                     h=1e-4, alpha=0.05, seed=Seed(0))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=10, replications=1,
+                       h=1e-4, alpha=0.05, seed=Seed(0))
+        with pytest.raises(ParameterError, match="jobs"):
+            run_study(cfg, jobs=jobs)
 
 
 class TestSerialization:

@@ -1,8 +1,8 @@
 """Kendall-tau calibration: theta -> tau and its inverse for every family.
 
 The formulas live in the family records of :mod:`archvar.families`: closed
-forms for Clayton, Gumbel-Hougaard and Ali-Mikhail-Haq, adaptive quadrature
-for Frank and Joe, and bracketed bisection where no closed inverse exists.
+forms for every family (``scipy.special`` Debye and digamma forms for Frank
+and Joe), and bracketed bisection where no closed inverse exists.
 """
 from __future__ import annotations
 

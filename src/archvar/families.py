@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import polygamma, psi, spence
 
 from . import rng
 from .errors import DomainError, GeneratorInfinityError, ParameterError
-from .quadrature import QuadConfig, graded_breakpoints, integrate
 
 __all__ = ["FamilyId", "Family", "FAMILIES", "family_record", "CopulaSpec", "phi",
            "phi_prime", "phi_inverse", "copula_cdf", "beta_kernel"]
@@ -224,9 +224,9 @@ def _check_kernel_arg(u: np.ndarray, alpha: float) -> None:
 
 # ------------------------------------------------------ shared by the records
 #
-# Records call rng samplers and ``integrate`` through module attributes at
-# call time, never through references captured at import, so that wrapping
-# those attributes (as a profiler or tracer does) sees every call.
+# Records call rng samplers through module attributes at call time, never
+# through references captured at import, so that wrapping those attributes
+# (as a profiler or tracer does) sees every call.
 
 def _identity(u: np.ndarray) -> np.ndarray:
     return u
@@ -252,7 +252,6 @@ def _log1m_pow(th: float, t: np.ndarray) -> np.ndarray:
         return _log1m_exp(th * np.log1p(-t))
 
 
-_TAU_QUAD = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
 _BISECT_TOL = 1e-10
 _BISECT_CAP = 200
 
@@ -273,21 +272,15 @@ def _bisect_tau(tau_of_theta, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bracket_up(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Grow ``hi`` geometrically until tau(hi) exceeds the target."""
+def _bracket(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
+    """Double ``hi`` while tau(hi) < target, then halve ``lo`` while tau(lo) > target."""
     for _ in range(200):
-        if tau_of_theta(hi) >= target:
+        if tau_of_theta(hi) < target:
+            lo, hi = hi, hi * 2.0
+        elif tau_of_theta(lo) > target:
+            lo, hi = lo * 0.5, lo
+        else:
             return lo, hi
-        lo, hi = hi, hi * 2.0
-    raise ParameterError(f"failed to bracket tau = {target}")
-
-
-def _bracket_down(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink ``lo`` geometrically toward 0 until tau(lo) drops below the target."""
-    for _ in range(200):
-        if tau_of_theta(lo) <= target:
-            return lo, hi
-        lo, hi = lo * 0.5, lo
     raise ParameterError(f"failed to bracket tau = {target}")
 
 
@@ -360,29 +353,26 @@ def _frank_var_form(spec: CopulaSpec, alpha: float):
 
 
 def _frank_tau(theta: float) -> float:
-    """``1 - 4/theta (1 - D1(theta))`` with the Debye integral ``int_0^theta t/(e^t - 1) dt``.
+    """``sign(theta) [1 - 4/a (1 - D/a)]`` with ``a = |theta|`` and the Debye integral
+    ``D = int_0^a t/(e^t - 1) dt = pi^2/6 - Li2(e^-a) + a ln(1 - e^-a)`` (Genest 1987).
 
-    The quadrature nodes stay strictly inside, away from the removable point
-    at t = 0.  The form cancels as theta -> 0 (11 % off at 1e-6), so below
+    ``Li2(z) = spence(1 - z)``.  The form cancels as theta -> 0, so below
     ``|theta| = 0.1`` its Taylor series is used, within 8e-16 relative there.
     """
     if abs(theta) < 0.1:
         return (theta / 9.0 - theta ** 3 / 900.0 + theta ** 5 / 52920.0
                 - theta ** 7 / 2721600.0)
-    a, b = (0.0, theta) if theta > 0 else (theta, 0.0)
-    val, _ = integrate(lambda t: t / np.expm1(t), a, b, _TAU_QUAD)
-    debye = val if theta > 0 else -val
-    return 1.0 - 4.0 / theta * (1.0 - debye / theta)
+    a = abs(theta)
+    em = -math.expm1(-a)
+    debye = math.pi ** 2 / 6.0 - float(spence(em)) + a * math.log(em)
+    return math.copysign(1.0 - 4.0 / a * (1.0 - debye / a), theta)
 
 
 def _frank_theta(tau: float) -> float:
-    # tau is increasing in theta on either sign; solve on |tau| and
-    # mirror, using tau(sign*th)*sign which is increasing for th > 0
-    sign = 1.0 if tau > 0 else -1.0
-    g = lambda th: sign * _frank_tau(sign * th)
-    lo, hi = _bracket_up(g, abs(tau), 0.5, 1.0)
-    lo, hi = _bracket_down(g, abs(tau), lo, hi)
-    return sign * _bisect_tau(g, abs(tau), lo, hi)
+    # tau is odd and increasing in theta: solve for |tau| on theta > 0
+    target = abs(tau)
+    return math.copysign(
+        _bisect_tau(_frank_tau, target, *_bracket(_frank_tau, target, 0.5, 1.0)), tau)
 
 
 _FRANK = Family(
@@ -467,32 +457,23 @@ def _joe_var_form(spec: CopulaSpec, alpha: float):
 
 
 def _joe_tau(theta: float) -> float:
-    """Joe tau through the reflected integrand on (0, 1).
+    """``1 - a [psi(1 + a) - psi(2)]/(a - 1)`` with ``a = 2/theta``.
 
-    With ``s = 1 - t`` the integrand is
-    ``(1 - s^theta) ln(1 - s^theta) s^(1-theta)``; factoring ``s^theta`` out
-    of the logarithm ratio keeps it finite for any theta:
-    ``f(s) = s (1 - s^theta) ln(1 - s^theta)/s^theta``.
+    The divided difference takes ``a - 1`` as ``(1 + a) - 2``, which is exact,
+    so it matches the argument psi sees.  Within 1e-4 of ``a = 1`` (theta = 2)
+    it is the cubic Taylor polynomial of ``psi(1 + a) - psi(2)`` divided by
+    ``a - 1``, where the difference would cancel.
     """
     if theta == 1.0:
         return 0.0
-    th = theta
-
-    def f(s: np.ndarray) -> np.ndarray:
-        sth = np.exp(th * np.log(s))
-        one_m = -np.expm1(th * np.log(s))
-        ratio = np.where(sth > 0.0, np.log1p(-sth) / np.where(sth > 0, sth, 1.0), -1.0)
-        return s * one_m * ratio
-
-    val, _ = integrate(f, 0.0, 1.0, _TAU_QUAD, graded_breakpoints(0.0, 1.0))
-    return 1.0 + 4.0 / th * val
-
-
-def _joe_theta(tau: float) -> float:
-    if tau == 0.0:
-        return 1.0
-    lo, hi = _bracket_up(_joe_tau, tau, 1.0, 2.0)
-    return _bisect_tau(_joe_tau, tau, lo, hi)
+    a = 2.0 / theta
+    x = (1.0 + a) - 2.0
+    if abs(x) < 1e-4:
+        c1, c2, c3 = polygamma([1, 2, 3], 2.0) / [1.0, 2.0, 6.0]
+        slope = c1 + x * (c2 + x * c3)
+    else:
+        slope = (psi(1.0 + a) - psi(2.0)) / x
+    return float(1.0 - a * slope)
 
 
 _JOE = Family(
@@ -508,7 +489,8 @@ _JOE = Family(
     var_form=_joe_var_form,
     tau=_joe_tau,
     tau_range=(0.0, 1.0), tau_ok=lambda tau: 0.0 <= tau < 1.0,
-    theta_from_tau=_joe_theta,
+    theta_from_tau=lambda tau: (
+        1.0 if tau == 0.0 else _bisect_tau(_joe_tau, tau, *_bracket(_joe_tau, tau, 1.0, 2.0))),
 )
 
 

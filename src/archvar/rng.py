@@ -115,18 +115,19 @@ def gammas(keys: np.ndarray, shape: float) -> np.ndarray:
     """Gamma(shape, rate 1) via Marsaglia-Tsang squeeze with shape boost.
 
     Consumes a variable number of counters per key (3 per rejection trial,
-    plus 1 for the boost uniform when ``shape < 1``); each key advances its
-    own counter, so results do not depend on batching.
+    plus 1 for the boost uniform when ``shape < 1``).  Every key still
+    rejecting after ``k`` trials is at the same counter, so one scalar counter
+    serves all of them, and results do not depend on batching.
     """
-    if shape <= 0:
-        raise ParameterError(f"gamma shape must be positive, got {shape}")
+    if not 0.0 < shape < np.inf:
+        raise ParameterError(f"gamma shape must be positive and finite, got {shape}")
     n = keys.shape[0]
-    j = np.zeros(n, dtype=np.uint64)
+    counter = 0
     boost = None
     a = shape
     if a < 1.0:
-        boost = uniforms(keys, j) ** (1.0 / a)
-        j += _ONE
+        boost = uniforms(keys, counter) ** (1.0 / a)
+        counter += 1
         a += 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
@@ -137,19 +138,17 @@ def gammas(keys: np.ndarray, shape: float) -> np.ndarray:
         guard += 1
         if guard > 512:
             raise RuntimeError("gamma rejection sampler failed to terminate")
-        k = keys[todo]
-        jj = j[todo]
-        u1 = uniforms(k, jj)
-        u2 = uniforms(k, jj + _ONE)
-        u3 = uniforms(k, jj + np.uint64(2))
-        j[todo] = jj + np.uint64(3)
+        u1 = uniforms(keys, counter)
+        u2 = uniforms(keys, counter + 1)
+        u3 = uniforms(keys, counter + 2)
+        counter += 3
         x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         v = (1.0 + c * x) ** 3
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
         accept = ok & (np.log(u3) < 0.5 * x * x + d * (1.0 - v + logv))
         out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
+        todo, keys = todo[~accept], keys[~accept]
     return out * boost if boost is not None else out
 
 

@@ -1,4 +1,6 @@
 """Kendall tau <-> theta mapping."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,9 +69,44 @@ class TestKendallTau:
             th = mpmath.mpf(theta)
             debye = mpmath.quad(lambda t: t / mpmath.expm1(t), [0, th])
             want = float(1 - 4 / th * (1 - debye / th))
-        # the Taylor series below |theta| = 0.1, the Debye quadrature at 0.1
+        # the Taylor series below |theta| = 0.1, the spence closed form at 0.1
         rtol = 1e-15 if abs(theta) < 0.1 else 2e-11
         assert tau_of(FamilyId.FRANK, theta) == pytest.approx(want, rel=rtol, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.1, -0.1, 0.5, -0.5, 1.0, 5.74, 40.0, 709.0,
+                                       710.0, 1e6, -1e6])
+    def test_frank_closed_form_against_mpmath(self, theta):
+        # independent oracle: the Debye integral by mpmath quadrature at 40
+        # digits, split where the integrand's scale changes
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(abs(theta))
+            nodes = [0] + [t for t in (1, 10, 100) if t < a] + [a]
+            debye = mpmath.quad(lambda t: t / mpmath.expm1(t), nodes)
+            want = float(mpmath.sign(theta) * (1 - 4 / a * (1 - debye / a)))
+        # the closed form cancels as |theta| -> 0.1, where the series takes over
+        rtol = 2e-11 if abs(theta) < 0.2 else 5e-13
+        assert tau_of(FamilyId.FRANK, theta) == pytest.approx(want, rel=rtol, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [1.0 + 1e-9, 1.2, 2.0 - 1e-5, 2.0 + 1e-5, 2.0 - 2e-4,
+                                       2.0 + 2e-4, 2.4, 60.0, 1000.0])
+    def test_joe_closed_form_against_mpmath(self, theta):
+        # independent oracle: tau = 1 - 4 sum_k 1/(k (theta k + 2) (theta (k-1) + 2));
+        # theta = 2 -+ 2e-4 lies on either side of the Taylor switch at |2/theta - 1| = 1e-4
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            series = mpmath.nsum(
+                lambda k: 1 / (k * (th * k + 2) * (th * (k - 1) + 2)), [1, mpmath.inf])
+            want = float(1 - 4 * series)
+        assert tau_of(FamilyId.JOE, theta) == pytest.approx(want, rel=0.0, abs=2e-13)
+
+    @pytest.mark.parametrize("theta", [710.0, 1e6])
+    def test_frank_large_theta_no_warning(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = tau_of(FamilyId.FRANK, theta)
+        assert 0.99 < tau < 1.0
 
     def test_amh_series_joins_closed_form(self):
         # values straddling the series switch at |theta| = 1e-3

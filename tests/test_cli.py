@@ -262,6 +262,17 @@ class TestTable1Command:
         assert [l.split(",")[1] for l in text.splitlines()[-2:]] == ["joe", "clayton"]
 
 
+@pytest.mark.parametrize("command", ["sample", "mc", "table1"])
+def test_denormal_clayton_theta_exit_2(command, tmp_path, capsys):
+    # CopulaSpec accepts theta = 1e-310, but its gamma frailty shape 1/theta
+    # overflows to inf
+    text = BASE_CONFIG.replace("theta = 2.0", "theta = 1e-310") + (
+        "\n[table1]\nfamilies = clayton\nthetas = 1e-310\nn = 4000\n")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg]) == 2
+    assert "error: gamma shape must be positive and finite" in capsys.readouterr().err
+
+
 class TestOutPath:
     @pytest.mark.parametrize("command", ["sample", "mc", "table1", "var"])
     def test_missing_directory_exits_2_before_any_work(self, command, tmp_path, capsys,

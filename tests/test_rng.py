@@ -119,6 +119,13 @@ class TestDistributions:
         assert np.mean(v == 1.0) == pytest.approx(0.3, abs=5e-3)
         np.testing.assert_array_equal(rng.geometrics(keys_for(10), 1.0), 1.0)
 
+    @pytest.mark.parametrize("shape", [np.inf, np.nan])
+    def test_gamma_rejects_non_finite_shape(self, shape):
+        # Clayton at a denormal theta asks for shape 1/theta = inf; no draw
+        # is ever accepted there (d (1 - v + log v) is inf * 0 = nan)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            rng.gammas(keys_for(4), shape)
+
     def test_parameter_validation(self):
         keys = keys_for(4)
         with pytest.raises(ParameterError):

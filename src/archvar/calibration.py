@@ -22,7 +22,8 @@ def tau_range(family: FamilyId) -> tuple[float, float]:
 
     Interval endpoints attained by a valid theta: Gumbel-Hougaard and Joe
     attain 0 (theta = 1); Ali-Mikhail-Haq attains its minimum (theta = -1).
-    Frank attains any tau except 0.
+    Frank attains any tau from its value at theta = -709.78 (about -0.99438)
+    up to 1, except 0.
     """
     return family_record(family).tau_range
 

@@ -375,9 +375,22 @@ def _frank_theta(tau: float) -> float:
         _bisect_tau(_frank_tau, target, *_bracket(_frank_tau, target, 0.5, 1.0)), tau)
 
 
+def _frank_theta_ok(th: float) -> bool:
+    # every Frank value divides by expm1(-theta); below theta = -709.7827 it
+    # overflows, and the copula and generator turn to nan and inf
+    with np.errstate(over="ignore"):
+        return th != 0 and bool(np.isfinite(np.expm1(-th)))
+
+
+# tau at theta = -709.78: lower taus would calibrate to a theta the domain
+# rejects (the bisection's 1e-10 in tau moves theta by about 1e-5)
+_FRANK_TAU_MIN = _frank_tau(-709.78)
+
+
 _FRANK = Family(
     name="Frank", aliases=("frank",),
-    theta_ok=lambda th: th != 0, theta_domain="theta != 0",
+    theta_ok=_frank_theta_ok,
+    theta_domain="theta != 0 and theta >= -709.7827 (expm1(-theta) must be finite)",
     # theta < 0 gives a copula in d = 2 only: in d = 3 at theta = -5 the box
     # [0.30, 0.32] x [0.98, 1]^2 has C-volume -2.46e-5
     bivariate_only=lambda th: th < 0,
@@ -393,7 +406,8 @@ _FRANK = Family(
     frailty_ok=lambda th: th > 0, frailty_domain="theta > 0",
     var_form=_frank_var_form,
     tau=_frank_tau,
-    tau_range=(-1.0, 1.0), tau_ok=lambda tau: -1.0 < tau < 1.0 and tau != 0.0,
+    tau_range=(_FRANK_TAU_MIN, 1.0),
+    tau_ok=lambda tau: _FRANK_TAU_MIN <= tau < 1.0 and tau != 0.0,
     theta_from_tau=_frank_theta,
 )
 

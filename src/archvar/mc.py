@@ -5,6 +5,16 @@ copula value lies within ``h`` of the target level ``alpha``, maps the kept
 pseudo-observations through the marginal quantile functions and averages
 them componentwise.  A study repeats this over independent seed streams and
 aggregates mean / SD / bias / RMSE against the quadrature value.
+
+A study's replication selects radially.  Under the frailty construction a
+row has ``C(U) = phi_inverse(R)`` with ``R = sum_i E_i / V``, so
+``|C(U) - alpha| <= h`` is ``R in [phi(alpha + h), phi(alpha - h)]``.  The
+rows are drawn in blocks of ``_BLOCK_ROWS``; a block keeps the ``E_i / V`` of
+its selected rows and drops the rest, and only the kept rows are mapped to
+``U``.  Memory is therefore a few blocks whatever ``n`` is.  Families without
+a frailty law at their theta draw blocks by conditional inversion and select
+them on the copula CDF.  :func:`estimate_var_once` selects a whole sample on
+the copula CDF and is the independent u-space check of the radial selection.
 """
 from __future__ import annotations
 
@@ -14,14 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLevelSetError, ParameterError, StudyError
-from .families import CopulaSpec, copula_cdf
+from .families import FAMILIES, CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
 from .rng import Seed
-from .sampling import Sample, sample_copula
+from .sampling import _OPEN_HI, _OPEN_LO, Sample, _has_frailty, _ratios
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
+
+# Rows per block of a replication: a block's S columns stay in cache, and a
+# replication's memory is a few blocks whatever its n.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,8 @@ class McStats:
     replication), ``bias`` the absolute gap between the replication mean and
     the quadrature value, and ``rmse = sqrt(bias^2 + std_dev^2)``, so that
     ``rmse^2 - bias^2`` recovers the across-replication variance exactly.
+    ``estimates`` ``(kept, d)`` and ``counts`` ``(kept,)`` hold each kept
+    replication's estimate and selection count, in replication order.
     """
 
     mean: np.ndarray
@@ -71,13 +87,17 @@ class McStats:
     bias: np.ndarray
     rmse: np.ndarray
     theoretical: np.ndarray
+    estimates: np.ndarray
+    counts: np.ndarray
     mean_selected_count: float
     failed_replications: int
     config: McConfig
 
     def __post_init__(self):
-        for name in ("mean", "std_dev", "bias", "rmse", "theoretical"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, dtype in (("mean", float), ("std_dev", float), ("bias", float),
+                            ("rmse", float), ("theoretical", float),
+                            ("estimates", float), ("counts", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -90,7 +110,8 @@ def estimate_var_once(sample: Sample, spec: CopulaSpec, alpha: float, h: float,
     copula, maps selected rows through the margins and returns their
     componentwise mean together with the selection count.  Raises
     :class:`EmptyLevelSetError` instead of returning a silent zero when no
-    row qualifies.
+    row qualifies.  This is the u-space check of the radial selection that
+    :func:`run_study` makes.
     """
     _check_level_set(alpha, h)
     margins = checked_margins(margins, spec.d)
@@ -102,20 +123,52 @@ def estimate_var_once(sample: Sample, spec: CopulaSpec, alpha: float, h: float,
             f"no sample point fell within h = {h} of the copula level "
             f"alpha = {alpha}; increase the sample size or the tolerance h"
         )
-    rows = sample.data[selected]
-    est = np.empty(spec.d)
-    for i, margin in enumerate(margins):
-        est[i] = float(np.mean(margin(rows[:, i])))
-    return est, count
+    return _margin_means(sample.data[selected], margins), count
+
+
+def _margin_means(rows: np.ndarray, margins) -> np.ndarray:
+    """Each column of the ``(count, d)`` selected rows mapped by its margin and averaged."""
+    return np.array([float(np.mean(margin(rows[:, i]))) for i, margin in enumerate(margins)])
 
 
 def _one_replication(cfg: McConfig, r: int):
-    seed_r = cfg.seed.with_stream(cfg.seed.stream_id + r)
-    sample = sample_copula(cfg.spec, cfg.n, seed_r)
-    try:
-        return estimate_var_once(sample, cfg.spec, cfg.alpha, cfg.h, cfg.margins)
-    except EmptyLevelSetError:
+    """Replication ``r``'s estimate and count, or ``None`` when no row is selected.
+
+    Equal bit for bit to ``estimate_var_once(sample_copula(cfg.spec, cfg.n,
+    seed_r), ...)``: the same rows are kept, in the same order, and go
+    through the same ``phi_inverse``, clip and margins.  Only the kept rows
+    are ever mapped to ``U``.
+    """
+    spec, alpha, h = cfg.spec, cfg.alpha, cfg.h
+    base = cfg.seed.with_stream(cfg.seed.stream_id + r).base_key()
+    radial = _has_frailty(spec)
+    if radial:
+        # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
+        # bounds nothing
+        r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
+        r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
+    kept = []                               # (d, m) blocks of kept S or U
+    for start in range(0, cfg.n, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, cfg.n), dtype=np.uint64)
+        if radial:
+            s = np.stack(list(_ratios(spec, base, rows)))
+            total = s.sum(axis=0)
+            kept.append(s[:, (total >= r_lo) & (total <= r_hi)])
+        else:
+            u = FAMILIES[spec.family].conditional_rows(spec.theta, base, rows)
+            np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
+            kept.append(u[np.abs(copula_cdf(spec, u) - alpha) <= h].T)
+    cols = np.concatenate(kept, axis=1)
+    count = cols.shape[1]
+    if count == 0:
         return None
+    data = np.empty((count, spec.d))
+    for i in range(spec.d):
+        # a contiguous column, as sample_copula passes: numpy's vector loops
+        # for exp and log may round a strided one differently
+        data[:, i] = phi_inverse(spec, cols[i]) if radial else cols[i]
+    np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
+    return _margin_means(data, cfg.margins), count
 
 
 def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
@@ -143,7 +196,7 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
             f"(n = {cfg.n}, h = {cfg.h})"
         )
     estimates = np.stack([est for est, _ in kept])
-    counts = np.array([cnt for _, cnt in kept], dtype=float)
+    counts = np.array([cnt for _, cnt in kept], dtype=np.int64)
     theo = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad).components
     mean = estimates.mean(axis=0)
     if estimates.shape[0] > 1:
@@ -158,6 +211,8 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
         bias=bias,
         rmse=rmse,
         theoretical=theo,
+        estimates=estimates,
+        counts=counts,
         mean_selected_count=float(counts.mean()),
         failed_replications=failed,
         config=cfg,

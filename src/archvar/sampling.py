@@ -67,29 +67,49 @@ def sample_frailty(family: FamilyId, theta: float, seed: Seed, n: int) -> np.nda
     return rec.frailty(keys, theta)
 
 
+def _has_frailty(spec: CopulaSpec) -> bool:
+    """Whether ``spec`` samples by the frailty construction (else by its record's
+    ``conditional_rows``); :class:`DomainError` where neither route exists."""
+    rec = FAMILIES[spec.family]
+    if rec.frailty_ok(spec.theta):
+        return True
+    if rec.conditional_rows is None:
+        raise DomainError(
+            f"sampling the {rec.name} family is supported for "
+            f"{rec.frailty_domain} only (the frailty construction needs it)"
+        )
+    return False
+
+
+def _ratios(spec: CopulaSpec, base: int, rows: np.ndarray):
+    """The generator values ``S_i = E_i / V`` of ``rows``, one column at a time.
+
+    ``V`` is the frailty times the record's ``latent_scale``, so that
+    ``U_i = phi_inverse(S_i)`` and the row's copula value is
+    ``phi_inverse(sum_i S_i)``.  Every draw is keyed by its row, so a block
+    of rows gets the bits it would get inside a larger sample.
+    """
+    rec = FAMILIES[spec.family]
+    ekeys = rng.substream_keys(base, rng.LABEL_EXPONENTIAL, rows)
+    v = rec.frailty(rng.substream_keys(base, rng.LABEL_FRAILTY, rows), spec.theta)
+    v *= rec.latent_scale(spec.theta)
+    return (rng.exponentials(ekeys, i) / v for i in range(spec.d))
+
+
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
     """Draw ``n`` i.i.d. rows from the copula with uniform margins."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"sample size must be an integer >= 1, got {n!r}")
     n = int(n)
-    rec = FAMILIES[spec.family]
     base = seed.base_key()
     rows = np.arange(n, dtype=np.uint64)
-    if rec.frailty_ok(spec.theta):
-        ekeys = rng.substream_keys(base, rng.LABEL_EXPONENTIAL, rows)
-        v = sample_frailty(spec.family, spec.theta, seed, n)
-        v *= rec.latent_scale(spec.theta)
+    if _has_frailty(spec):
+        ratios = _ratios(spec, base, rows)      # draws V before data exists
         data = np.empty((n, spec.d))
-        for i in range(spec.d):
-            e = rng.exponentials(ekeys, i)
-            data[:, i] = phi_inverse(spec, e / v)
-    elif rec.conditional_rows is not None:
-        data = rec.conditional_rows(spec.theta, base, rows)
+        for i, s in enumerate(ratios):
+            data[:, i] = phi_inverse(spec, s)
     else:
-        raise DomainError(
-            f"sampling the {rec.name} family is supported for "
-            f"{rec.frailty_domain} only (the frailty construction needs it)"
-        )
+        data = FAMILIES[spec.family].conditional_rows(spec.theta, base, rows)
     np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
     return Sample(data, seed, spec)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from archvar import CopulaSpec, FamilyId, RangeError, kendall_tau, tau_range, theta_from_tau
+from archvar.families import FAMILIES
 
 # high-resolution Simpson value of the reflected Joe tau integrand at
 # theta = 2.4, cross-checked against the rank statistic of a large sample
@@ -86,7 +87,10 @@ class TestKendallTau:
             want = float(mpmath.sign(theta) * (1 - 4 / a * (1 - debye / a)))
         # the closed form cancels as |theta| -> 0.1, where the series takes over
         rtol = 2e-11 if abs(theta) < 0.2 else 5e-13
-        assert tau_of(FamilyId.FRANK, theta) == pytest.approx(want, rel=rtol, abs=0.0)
+        # the record's tau: CopulaSpec rejects theta = -1e6, where expm1(-theta)
+        # overflows, but the closed form holds there
+        got = FAMILIES[FamilyId.FRANK].tau(theta)
+        assert got == pytest.approx(want, rel=rtol, abs=0.0)
 
     @pytest.mark.parametrize("theta", [1.0 + 1e-9, 1.2, 2.0 - 1e-5, 2.0 + 1e-5, 2.0 - 2e-4,
                                        2.0 + 2e-4, 2.4, 60.0, 1000.0])
@@ -170,6 +174,16 @@ class TestThetaFromTau:
             theta_from_tau(FamilyId.ALI_MIKHAIL_HAQ, 0.4)
         with pytest.raises(RangeError):
             theta_from_tau(FamilyId.FRANK, 0.0)
+
+    def test_frank_tau_range_ends_where_the_theta_domain_does(self):
+        # below theta = -709.7827 expm1(-theta) overflows and CopulaSpec
+        # rejects theta, so the tau range stops at tau(-709.78)
+        lo, hi = tau_range(FamilyId.FRANK)
+        assert (lo, hi) == (tau_of(FamilyId.FRANK, -709.78), 1.0)
+        assert lo == pytest.approx(-0.9943775, abs=1e-7)
+        assert CopulaSpec(FamilyId.FRANK, theta_from_tau(FamilyId.FRANK, lo), 2).theta < -709
+        with pytest.raises(RangeError):
+            theta_from_tau(FamilyId.FRANK, -0.999)
 
     @pytest.mark.parametrize("family,taus", [
         (FamilyId.CLAYTON, np.linspace(0.02, 0.9, 12)),

@@ -92,6 +92,14 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 3
         assert "underflows" in capsys.readouterr().err
 
+    def test_frank_theta_where_expm1_overflows_exit_2(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
+            "theta = 2.0", "theta = -720").replace("d = 3", "d = 2").replace(
+            "alpha = 0.05", "alpha = 0.5")
+        cfg = write_config(tmp_path, text)
+        assert main(["var", "--config", cfg]) == 2
+        assert "expm1(-theta) must be finite" in capsys.readouterr().err
+
     def test_tabulated_margins_file(self, tmp_path):
         # a dense tabulation of the identity behaves like uniform margins
         levels = np.linspace(0.001, 0.999, 400)

@@ -95,6 +95,14 @@ class TestSpecValidation:
             CopulaSpec(FamilyId.FRANK, -5.0, 3)
         assert CopulaSpec(FamilyId.FRANK, 5.0, 3).d == 3
 
+    def test_frank_theta_where_expm1_overflows_rejected(self):
+        # expm1(-theta) overflows below theta = -709.7827: the copula turned
+        # to nan and var_generic returned [0, 0] without an error
+        assert CopulaSpec(FamilyId.FRANK, -709.78, 2).theta == -709.78
+        for theta in (-709.79, -720.0, -1e300):
+            with pytest.raises(ParameterError, match="expm1"):
+                CopulaSpec(FamilyId.FRANK, theta, 2)
+
     def test_family_parsing(self):
         assert FamilyId.from_string("Gumbel-Hougaard") is FamilyId.GUMBEL_HOUGAARD
         assert FamilyId.from_string("AMH") is FamilyId.ALI_MIKHAIL_HAQ

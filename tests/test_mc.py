@@ -1,4 +1,6 @@
 """Level-set estimator and replication studies."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from archvar import (
     sample_copula,
     stats_table_rows,
 )
+from archvar import mc
 
 U3 = tuple([UniformMargin()] * 3)
 U2 = tuple([UniformMargin()] * 2)
@@ -167,6 +170,113 @@ class TestRunStudy:
                        h=1e-4, alpha=0.05, seed=Seed(0))
         with pytest.raises(ParameterError, match="jobs"):
             run_study(cfg, jobs=jobs)
+
+
+# Table-1 thetas and AMH at 0.3, each at every dimension it allows, and AMH at
+# -0.7, which has no frailty law and samples by conditional inversion
+RADIAL_SPECS = [CopulaSpec(family, theta, d)
+                for family, theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
+                                      (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4))
+                for d in (2, 3, 10)]
+RADIAL_SPECS += [CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2) for theta in (0.3, -0.7)]
+# (alpha, h): the acceptance window, an interior one, and windows that reach
+# past 1 and below 0
+WINDOWS = [(0.05, 1e-4), (0.5, 1e-2), (0.8, 0.25), (0.03, 0.05)]
+
+
+def u_space_replications(cfg):
+    """Each replication's (estimate, count) from a whole sample and copula_cdf."""
+    out = []
+    for r in range(cfg.replications):
+        seed_r = cfg.seed.with_stream(cfg.seed.stream_id + r)
+        try:
+            out.append(estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r), cfg.spec,
+                                         cfg.alpha, cfg.h, cfg.margins))
+        except EmptyLevelSetError:
+            pass
+    return out
+
+
+class TestRadialSelection:
+    """run_study's streamed radial selection against the u-space oracle."""
+
+    # several blocks, the last one partial
+    N = 2 * mc._BLOCK_ROWS + 1234
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"a{w[0]}-h{w[1]}")
+    @pytest.mark.parametrize("spec", RADIAL_SPECS,
+                             ids=lambda s: f"{s.family.value}{s.theta}-d{s.d}")
+    def test_same_rows_as_u_space_selection(self, spec, window):
+        alpha, h = window
+        cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d, n=self.N,
+                       replications=2, h=h, alpha=alpha, seed=Seed(8))
+        stats = run_study(cfg)
+        want = u_space_replications(cfg)
+        assert stats.failed_replications == cfg.replications - len(want)
+        assert stats.counts.tolist() == [count for _, count in want]
+        assert stats.estimates.tobytes() == np.stack([est for est, _ in want]).tobytes()
+
+    def test_margins_map_the_same_rows(self):
+        from scipy import special
+
+        from archvar import FunctionMargin
+
+        margins = (UniformMargin(), FunctionMargin(lambda u: np.exp(0.5 * special.ndtri(u))),
+                   FunctionMargin(lambda u: u ** 2))
+        cfg = McConfig(spec=CLAYTON3, margins=margins, n=self.N, replications=3,
+                       h=1e-3, alpha=0.05, seed=Seed(8, 3))
+        stats = run_study(cfg)
+        want = u_space_replications(cfg)
+        assert stats.estimates.tobytes() == np.stack([est for est, _ in want]).tobytes()
+
+    def test_frailty_families_map_only_selected_rows(self, monkeypatch):
+        mapped = []
+
+        def no_cdf(*args):
+            raise AssertionError("copula_cdf called by a frailty-family study")
+
+        def counting_phi_inverse(spec, s):
+            mapped.append(np.size(s))
+            return phi_inverse(spec, s)
+
+        monkeypatch.setattr(mc, "copula_cdf", no_cdf)
+        monkeypatch.setattr(mc, "phi_inverse", counting_phi_inverse)
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=self.N, replications=2,
+                       h=1e-3, alpha=0.05, seed=Seed(8))
+        stats = run_study(cfg)
+        assert sum(mapped) == 3 * int(stats.counts.sum())
+
+    def test_memory_is_a_few_blocks(self):
+        # n = 1e6, d = 3: the whole-sample path allocated about 115 MB here;
+        # the streamed study peaks at 4.8 MB (Clayton, whose gamma frailty
+        # has the most temporaries), about 19 columns of one block
+        block_bytes = 8 * mc._BLOCK_ROWS
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=1_000_000, replications=1,
+                       h=1e-4, alpha=0.05, seed=Seed(8))
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * block_bytes
+
+
+class TestStudyRecords:
+    def test_per_replication_records(self):
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=300, replications=40,
+                       h=2e-5, alpha=0.05, seed=Seed(2))
+        stats = run_study(cfg)
+        kept = cfg.replications - stats.failed_replications
+        assert stats.estimates.shape == (kept, 3)
+        assert stats.counts.shape == (kept,)
+        assert stats.counts.dtype == np.int64
+        assert np.all(stats.counts > 0)
+        assert stats.mean.tobytes() == stats.estimates.mean(axis=0).tobytes()
+        assert stats.mean_selected_count == float(stats.counts.mean())
+        for name in ("estimates", "counts"):
+            with pytest.raises(ValueError):
+                getattr(stats, name)[0] = 0
 
 
 class TestSerialization:

@@ -58,8 +58,9 @@ class Family:
     Marshall-Olkin latent ``V`` where ``frailty_ok(theta)``; ``latent_scale(theta)
     * V`` matches the generator as implemented, and ``conditional_rows(theta,
     base_key, rows)``, if set, samples where no frailty law exists.
-    ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u)``: the VaR of a
-    margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``.  ``tau_ok`` tells
+    ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u, from_u)``: the
+    VaR of a margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``, and
+    ``from_u`` is the inverse of ``to_u``.  ``tau_ok`` tells
     whether a Kendall tau is attainable, and ``tau_range`` is its interval.
     ``bivariate_only(theta)`` is true where the generator gives a copula in
     ``d = 2`` only.
@@ -308,7 +309,7 @@ def _clayton_var_form(spec: CopulaSpec, alpha: float):
         ratio = (alpha ** -th - u ** -th) / denom
         return u ** (-th - 1.0) * ratio ** (d - 2) * scale
 
-    return weight, alpha, 1.0, _identity
+    return weight, alpha, 1.0, _identity, _identity
 
 
 _CLAYTON = Family(
@@ -349,7 +350,7 @@ def _frank_var_form(spec: CopulaSpec, alpha: float):
         ratio = np.log(np.expm1(-th * u) / ea) / phi_a
         return th / np.expm1(th * u) * ratio ** (d - 2) * scale
 
-    return weight, alpha, 1.0, _identity
+    return weight, alpha, 1.0, _identity, _identity
 
 
 def _frank_tau(theta: float) -> float:
@@ -424,7 +425,7 @@ def _gumbel_var_form(spec: CopulaSpec, alpha: float):
         ratio = 1.0 - (t / la) ** th
         return t ** (th - 1.0) * ratio ** (d - 2) * scale
 
-    return weight, 0.0, la, lambda t: np.exp(-t)
+    return weight, 0.0, la, lambda t: np.exp(-t), lambda u: -np.log(u)
 
 
 _GUMBEL = Family(
@@ -467,7 +468,7 @@ def _joe_var_form(spec: CopulaSpec, alpha: float):
         ratio = (np.log1p(-(t ** th)) + phi_a) / phi_a
         return t ** (th - 1.0) / one_minus_tth * ratio ** (d - 2) * scale
 
-    return weight, 0.0, 1.0 - alpha, lambda t: 1.0 - t
+    return weight, 0.0, 1.0 - alpha, lambda t: 1.0 - t, lambda u: 1.0 - u
 
 
 def _joe_tau(theta: float) -> float:
@@ -540,7 +541,7 @@ def _amh_var_form(spec: CopulaSpec, alpha: float):
     def weight(u: np.ndarray) -> np.ndarray:
         return pre / (u * (1.0 - theta * (1.0 - u)))
 
-    return weight, alpha, 1.0, _identity
+    return weight, alpha, 1.0, _identity, _identity
 
 
 _AMH_TAU_MIN = (5.0 - 8.0 * np.log(2.0)) / 3.0  # tau at theta = -1

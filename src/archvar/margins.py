@@ -2,7 +2,9 @@
 
 A margin is any callable mapping levels ``u in (0, 1)`` (scalar or array) to
 marginal quantiles.  The VaR integrals only ever evaluate margins strictly
-inside ``(0, 1)``.  Constructors validate monotonicity on a fixed grid.
+inside ``(0, 1)``.  A margin whose quantile function has kinks may list
+their levels as ``knots``; the VaR integrals split there.  Constructors
+validate monotonicity on a fixed grid.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ class TabulatedMargin:
 
     Both columns must be strictly increasing with levels inside (0, 1);
     levels outside the tabulated range evaluate to the nearest end quantile.
+    ``knots`` are the levels, where the quantile function has its kinks.
     """
 
     def __init__(self, levels, quantiles):
@@ -67,6 +70,10 @@ class TabulatedMargin:
             raise ParameterError("tabulated margin columns must be strictly increasing")
         self.levels = levels
         self.quantiles = quantiles
+
+    @property
+    def knots(self) -> np.ndarray:
+        return self.levels
 
     def __call__(self, u):
         return np.interp(np.asarray(u, dtype=float), self.levels, self.quantiles)

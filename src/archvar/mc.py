@@ -147,26 +147,31 @@ def _one_replication(cfg: McConfig, r: int):
         # bounds nothing
         r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
         r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
-    kept = []                               # (d, m) blocks of kept S or U
+    kept = []                               # per block, its d kept S or U columns
     for start in range(0, cfg.n, _BLOCK_ROWS):
         rows = np.arange(start, min(start + _BLOCK_ROWS, cfg.n), dtype=np.uint64)
         if radial:
-            s = np.stack(list(_ratios(spec, base, rows)))
-            total = s.sum(axis=0)
-            kept.append(s[:, (total >= r_lo) & (total <= r_hi)])
+            cols = list(_ratios(spec, base, rows))
+            # adds the columns in order, as np.stack(cols).sum(axis=0) does
+            total = cols[0] + cols[1]
+            for s in cols[2:]:
+                total += s
+            sel = (total >= r_lo) & (total <= r_hi)
         else:
             u = FAMILIES[spec.family].conditional_rows(spec.theta, base, rows)
             np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
-            kept.append(u[np.abs(copula_cdf(spec, u) - alpha) <= h].T)
-    cols = np.concatenate(kept, axis=1)
-    count = cols.shape[1]
+            sel = np.abs(copula_cdf(spec, u) - alpha) <= h
+            cols = u.T
+        kept.append([c[sel] for c in cols])
+    count = sum(block[0].size for block in kept)
     if count == 0:
         return None
     data = np.empty((count, spec.d))
     for i in range(spec.d):
         # a contiguous column, as sample_copula passes: numpy's vector loops
         # for exp and log may round a strided one differently
-        data[:, i] = phi_inverse(spec, cols[i]) if radial else cols[i]
+        col = np.concatenate([block[i] for block in kept])
+        data[:, i] = phi_inverse(spec, col) if radial else col
     np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
     return _margin_means(data, cfg.margins), count
 

@@ -86,9 +86,15 @@ class Seed:
         return Seed(self.value, stream_id)
 
 
-def substream_keys(base_key: int, label: int, rows: np.ndarray) -> np.ndarray:
-    """Per-row substream keys for a purpose label; ``rows`` is a uint64 array."""
+def substream_keys(base_key: int, label: int | tuple, rows: np.ndarray):
+    """Per-row substream keys for a purpose label; ``rows`` is a uint64 array.
+
+    A tuple of labels gives a tuple of key arrays, one per label, from one
+    pass of the row hash.
+    """
     rk = _mix64(np.uint64(base_key) ^ _mix64(rows + _ONE))
+    if isinstance(label, tuple):
+        return tuple(_mix64(rk ^ np.uint64(mix64_int(lab))) for lab in label)
     return _mix64(rk ^ np.uint64(mix64_int(label)))
 
 

@@ -90,8 +90,8 @@ def _ratios(spec: CopulaSpec, base: int, rows: np.ndarray):
     of rows gets the bits it would get inside a larger sample.
     """
     rec = FAMILIES[spec.family]
-    ekeys = rng.substream_keys(base, rng.LABEL_EXPONENTIAL, rows)
-    v = rec.frailty(rng.substream_keys(base, rng.LABEL_FRAILTY, rows), spec.theta)
+    ekeys, vkeys = rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows)
+    v = rec.frailty(vkeys, spec.theta)
     v *= rec.latent_scale(spec.theta)
     return (rng.exponentials(ekeys, i) / v for i in range(spec.d))
 

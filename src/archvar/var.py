@@ -11,6 +11,13 @@ reduced integrands of their :class:`~archvar.families.Family` records (for
 Gumbel and Joe in substituted variables that map the integration onto a
 finite interval with tame endpoint behaviour).  One driver, ``_var``, runs
 every one of these integrands.
+
+Each form also returns ``from_u``, the inverse of its substitution: the
+identity, ``-log u`` for Gumbel and ``1 - u`` for Joe.  A margin with
+``knots`` (a tabulated one) has a kink at each; ``_var`` maps them through
+``from_u`` and adds them to the initial mesh, so that every panel's
+integrand is smooth and the first batched pass of the quadrature converges.
+Each knot inside the interval costs about 15 integrand evaluations.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, QuadratureError
-from .families import FAMILIES, CopulaSpec, FamilyId, phi, phi_prime
+from .families import FAMILIES, CopulaSpec, FamilyId, _identity, phi, phi_prime
 from .margins import ConstantMargin, UniformMargin, checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig, graded_breakpoints, integrate
 
@@ -55,7 +62,7 @@ def _generic_form(spec: CopulaSpec, alpha: float):
         ratio = 1.0 - phi(spec, u) / phi_a
         return -phi_prime(spec, u) * ratio ** (d - 2) * scale
 
-    return weight, alpha, 1.0, lambda u: u
+    return weight, alpha, 1.0, _identity, _identity
 
 
 def _kernel(form, spec: CopulaSpec, alpha: float):
@@ -84,14 +91,16 @@ def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarR
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
     margins = checked_margins(margins, spec.d)
-    weight, lo, hi, to_u = _kernel(form, spec, alpha)
-    breaks = graded_breakpoints(lo, hi)
+    weight, lo, hi, to_u, from_u = _kernel(form, spec, alpha)
+    graded = graded_breakpoints(lo, hi)
     values = np.empty(len(margins))
     errors = np.empty(len(margins))
     seen: list[tuple[object, float, float]] = []
     for i, m in enumerate(margins):
         hit = next(((v, e) for obj, v, e in seen if obj is m or obj == m), None)
         if hit is None:
+            knots = getattr(m, "knots", None)
+            breaks = graded if knots is None else np.concatenate([graded, from_u(knots)])
             hit = integrate(lambda x: m(to_u(x)) * weight(x), lo, hi, cfg, breaks)
             seen.append((m, hit[0], hit[1]))
         values[i], errors[i] = hit

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from archvar import ParameterError, QuadConfig, QuadratureError, graded_breakpoints, integrate
+from archvar import quadrature
 
 
 class TestRule:
@@ -52,6 +53,24 @@ class TestControl:
     def test_invalid_bounds(self):
         with pytest.raises(ParameterError):
             integrate(np.exp, 1.0, 0.0)
+
+    def test_first_pass_runs_in_chunks(self, monkeypatch):
+        sizes = []
+        rule = quadrature._rule
+
+        def counting(f, lefts, rights):
+            sizes.append(lefts.size)
+            return rule(f, lefts, rights)
+
+        monkeypatch.setattr(quadrature, "_rule", counting)
+        integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0, breakpoints=graded_breakpoints(0.0, 1.0))
+        assert sizes == [11]
+        sizes.clear()
+        value, _ = integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0,
+                             breakpoints=np.linspace(0.0, 1.0, 3001))
+        chunk = quadrature._CHUNK_INTERVALS
+        assert sizes == [chunk] * (3000 // chunk) + [3000 % chunk]
+        assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

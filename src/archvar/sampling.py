@@ -115,62 +115,86 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
 
 
 def empirical_kendall_tau(sample, pair: tuple[int, int] = (0, 1)) -> float:
-    """Concordance-based Kendall tau of one column pair.
+    """Kendall tau-b of one column pair, by Knight's O(n log n) merge count.
 
-    Merge-count (Knight) with tie corrections; raises
-    :class:`DomainError` on a degenerate (constant) column.
+    Each column is replaced by its min-ranks, the count of entries strictly
+    below each entry, whose sum is the column's number of untied pairs.  One
+    sort of the codes ``rx * n + ry`` orders the rows by x, and by y within
+    x ties; the min-ranks of the sorted codes count the pairs that differ
+    in x or in y, and the inversions of its y ranks the discordant pairs.
+    Every count is an exact integer, so the result does not depend on the
+    order of the rows.
+
+    Raises :class:`ParameterError` on a NaN in either column or a column
+    index outside ``[0, d)``, and :class:`DomainError` on a constant column.
     """
     data = sample.data if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ParameterError("need an (n, d) array with n >= 2")
-    i, j = pair
-    x = data[:, i]
-    y = data[:, j]
+    d = data.shape[1]
+    if len(pair) != 2 or not all(isinstance(k, (int, np.integer)) and 0 <= k < d
+                                 for k in pair):
+        raise ParameterError(f"pair must be two column indices in [0, {d}), got {pair!r}")
+    x = data[:, pair[0]]
+    y = data[:, pair[1]]
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ParameterError("Kendall tau of a column with NaN entries is undefined")
     n = x.shape[0]
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    y_sorted = np.sort(y)
-    n0 = n * (n - 1) // 2
-    tie_x = _tie_pairs(xs)
-    tie_y = _tie_pairs(y_sorted)
-    if tie_x == n0 or tie_y == n0:
+    rx, ry = _min_ranks(x), _min_ranks(y)
+    untied_x, untied_y = int(rx.sum()), int(ry.sum())
+    if untied_x == 0 or untied_y == 0:
         raise DomainError("degenerate column: all pairs tied, tau undefined")
-    tie_xy = _tie_pairs(xs, ys)
-    discordant = _count_inversions(np.searchsorted(y_sorted, ys, side="left"))
-    concordant_minus = n0 - tie_x - tie_y + tie_xy - 2 * discordant
-    return concordant_minus / np.sqrt(float(n0 - tie_x) * float(n0 - tie_y))
+    code = np.sort(rx * n + ry)
+    untied_xy = int(_sorted_min_ranks(code).sum())
+    discordant = _count_inversions(code % n)
+    # the pairs untied in both columns, less twice the discordant ones
+    concordant_minus = untied_x + untied_y - untied_xy - 2 * discordant
+    return concordant_minus / np.sqrt(float(untied_x) * float(untied_y))
 
 
-def _tie_pairs(*sorted_cols: np.ndarray) -> int:
-    """Pairs of rows equal in every column; equal rows must be adjacent."""
-    same = np.ones(sorted_cols[0].shape[0] - 1, dtype=bool)
-    for col in sorted_cols:
-        same &= col[1:] == col[:-1]
-    # run boundaries, with one past the end: their gaps are the run lengths
-    lengths = np.diff(np.flatnonzero(np.concatenate([[True], ~same, [True]])))
-    return int(np.sum(lengths * (lengths - 1) // 2))
+def _min_ranks(col: np.ndarray) -> np.ndarray:
+    """Each entry's count of strictly smaller entries, from one ``argsort``."""
+    order = np.argsort(col)
+    ranks = np.empty(col.shape[0], dtype=np.int64)
+    ranks[order] = _sorted_min_ranks(col[order])
+    return ranks
+
+
+def _sorted_min_ranks(s: np.ndarray) -> np.ndarray:
+    """The min-ranks of the sorted array ``s``: each entry's index, except
+    that a run of ties takes the index of its first element."""
+    first = np.arange(s.shape[0], dtype=np.int64)
+    first[1:][s[1:] == s[:-1]] = 0
+    return np.maximum.accumulate(first, out=first)
 
 
 def _count_inversions(ranks: np.ndarray) -> int:
     """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
 
     A bottom-up merge count: at width ``w`` the positions form blocks of
-    ``2w``, and each block's left half is paired with its right half.  Keying
-    ranks by ``block * n + rank`` lets one sort of all right halves and one
-    ``searchsorted`` of all left halves count every block's cross pairs.
+    ``2w``, and each block's left half is paired with its right half.  One
+    sort of the tagged keys ``((block * n + rank) << 1) | is_right`` orders
+    every block's ranks at once, left before right on equal ranks, so that
+    ties are not counted.  A left element's count of right elements before
+    it in its block is then its sorted index, less the left elements and
+    the full right halves of earlier blocks before it.
     """
     n = ranks.shape[0]
     pos = np.arange(n)
+    tagged = ranks << 1
     inv = 0
-    w = 1
+    w, level = 1, 0                             # w == 2 ** level
     while w < n:
-        block = pos // (2 * w)
-        key = block * n + ranks
-        right = (pos & w) != 0
-        below = np.searchsorted(np.sort(key[right]), key[~right], side="left")
-        # the right halves of all earlier blocks are full: block * w keys
-        inv += int(np.sum(below - block[~right] * w))
-        w *= 2
+        key = (pos >> (level + 1)) * (2 * n)    # block, shifted past the tag
+        key += tagged
+        key |= (pos >> level) & 1               # is_right
+        key.sort()
+        at = np.flatnonzero((key & 1) == 0)
+        # the m-th left element (from 0) lies in block m // w, whose sorted
+        # keys start at 2w * (m // w) and hold m % w left elements before it
+        m = pos[:at.shape[0]]
+        inv += int(np.sum(at)) - int(np.sum(m + m // w * w))
+        w, level = 2 * w, level + 1
     return inv
 
 

@@ -17,6 +17,7 @@ from archvar import (
     sample_frailty,
     write_sample,
 )
+from archvar.sampling import _count_inversions
 
 TABLE_PARAMS = [
     (FamilyId.CLAYTON, 2.0),
@@ -190,6 +191,62 @@ class TestEmpiricalKendallTau:
         data = rng_.uniform(size=(500, 3))
         data[:, 2] = data[:, 0]
         assert empirical_kendall_tau(data, (0, 2)) == 1.0
+
+    def test_matches_scipy_large_ragged(self):
+        # 2^17 + 3 rows: 18 merge levels, the last block three rows long
+        rng_ = np.random.default_rng(4)
+        data = rng_.integers(0, 12, size=(2 ** 17 + 3, 2)).astype(float)
+        expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
+        assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
+
+    def test_symmetric_and_free_of_row_order(self):
+        data = sample_copula(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), 5000, Seed(6)).data
+        tau = empirical_kendall_tau(data)
+        assert empirical_kendall_tau(data, (1, 0)) == tau
+        assert empirical_kendall_tau(data[::-1]) == tau
+        perm = np.random.default_rng(6).permutation(data.shape[0])
+        assert empirical_kendall_tau(data[perm]) == tau
+
+    def test_infinities_are_ordered_values(self):
+        rng_ = np.random.default_rng(7)
+        data = rng_.normal(size=(300, 2))
+        tau = empirical_kendall_tau(data)
+        data[np.argmax(data[:, 0]), 0] = np.inf
+        data[np.argmin(data[:, 1]), 1] = -np.inf
+        assert empirical_kendall_tau(data) == tau
+
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_nan_rejected(self, col):
+        data = np.random.default_rng(8).uniform(size=(50, 2))
+        data[17, col] = np.nan
+        with pytest.raises(ParameterError, match="NaN"):
+            empirical_kendall_tau(data)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
+    def test_pair_outside_columns_rejected(self, pair):
+        data = np.random.default_rng(9).uniform(size=(50, 2))
+        with pytest.raises(ParameterError, match="column indices"):
+            empirical_kendall_tau(data, pair)
+
+
+def _brute_inversions(ranks):
+    i, j = np.triu_indices(ranks.shape[0], 1)
+    return int(np.sum(ranks[i] > ranks[j]))
+
+
+class TestCountInversions:
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 1000])
+    def test_sorted_reversed_and_equal(self, n):
+        up = np.arange(n)
+        assert _count_inversions(up) == 0
+        assert _count_inversions(up[::-1].copy()) == n * (n - 1) // 2
+        assert _count_inversions(np.zeros(n, dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_tie_heavy_matches_brute_force(self, n, levels):
+        ranks = np.random.default_rng(10 * n + levels).integers(0, levels, size=n)
+        assert _count_inversions(ranks) == _brute_inversions(ranks)
 
 
 class TestExport:

@@ -25,15 +25,25 @@ class RangeError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within the subdivision budget.
+    """Adaptive quadrature could not meet its tolerance.
 
-    ``estimate`` and ``error_bound`` hold the partial result.
+    Raised when the integrand returns a non-finite value, when
+    ``max_subdivisions`` interval splits do not meet the tolerance, and when
+    roundoff stalls the refinement before that.  ``estimate`` and
+    ``error_bound`` hold the partial result; the read-only ``splits`` is the
+    number of interval splits made before the error.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float, error_bound: float,
+                 splits: int = 0):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self._splits = splits
+
+    @property
+    def splits(self) -> int:
+        return self._splits
 
 
 class EmptyLevelSetError(RuntimeError):

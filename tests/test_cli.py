@@ -84,6 +84,15 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 3
         assert "converge" in capsys.readouterr().err
 
+    def test_roundoff_limited_quadrature_exit_3(self, tmp_path, capsys):
+        # Frank theta = 40, d = 3, alpha = 0.5: roundoff keeps the integral
+        # from meeting its tolerance, and the quadrature stops early
+        text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
+            "theta = 2.0", "theta = 40.0").replace("alpha = 0.05", "alpha = 0.5")
+        cfg = write_config(tmp_path, text)
+        assert main(["var", "--config", cfg]) == 3
+        assert "roundoff" in capsys.readouterr().err
+
     def test_underflowed_phi_alpha_exit_3(self, tmp_path, capsys):
         # Frank phi(1 - 1e-6) at theta = 40 rounds to 0 in double precision
         text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from test_quadrature import count_rule_calls
 
 from archvar import (
     ConstantMargin,
@@ -17,7 +18,6 @@ from archvar import (
     TabulatedMargin,
     UniformMargin,
     kernel_mass,
-    quadrature,
     var_amh,
     var_clayton,
     var_clayton_uniform,
@@ -233,6 +233,27 @@ class TestDomainHandling:
                 with pytest.raises(QuadratureError, match="underflows"):
                     call()
 
+    @pytest.mark.parametrize("family, theta, d, alpha, call", [
+        (FamilyId.FRANK, 40.0, 3, 0.5, "var"),
+        (FamilyId.CLAYTON, 0.01, 10, 1.0 - 1e-6, "var"),
+        (FamilyId.FRANK, 20.0, 3, 0.95, "var"),
+        (FamilyId.FRANK, 40.0, 10, 0.5, "mass"),
+    ])
+    def test_roundoff_limited_integral_stops_early(self, monkeypatch, family, theta,
+                                                   d, alpha, call):
+        # these integrands lose their digits to cancellation (see ROADMAP's
+        # carry-over defects); the quadrature stops once roundoff stalls it
+        # instead of making all 2000 splits
+        calls = count_rule_calls(monkeypatch)
+        spec = CopulaSpec(family, theta, d)
+        with pytest.raises(QuadratureError, match="roundoff") as excinfo:
+            if call == "var":
+                var_for_spec(spec, [U] * d, alpha)
+            else:
+                kernel_mass(spec, alpha)
+        assert len(calls) <= 25
+        assert excinfo.value.splits == len(calls) - 1
+
     def test_family_mismatch_rejected(self):
         spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)
         with pytest.raises(ParameterError):
@@ -339,14 +360,7 @@ class TestTabulatedMargins:
                     assert np.all(np.isfinite(res.components)), (family, d, alpha)
 
     def test_first_pass_converges(self, monkeypatch):
-        calls = []
-        rule = quadrature._rule
-
-        def counting(f, lefts, rights):
-            calls.append(lefts.size)
-            return rule(f, lefts, rights)
-
-        monkeypatch.setattr(quadrature, "_rule", counting)
+        calls = count_rule_calls(monkeypatch)
         margin = _lognormal_table(seed=11)
         var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [margin] * 2, 0.95)
         assert len(calls) <= 3

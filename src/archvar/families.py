@@ -55,9 +55,11 @@ class Family:
     Functions take ``theta`` first; ``phi``, ``phi_prime``, ``phi_inverse``
     and ``cdf(theta, d, pts)`` get 1-D arrays (``(n, d)`` points for ``cdf``)
     already checked for their domain.  ``frailty(keys, theta)`` draws the
-    Marshall-Olkin latent ``V`` where ``frailty_ok(theta)``; ``latent_scale(theta)
-    * V`` matches the generator as implemented, and ``conditional_rows(theta,
-    base_key, rows)``, if set, samples where no frailty law exists.
+    Marshall-Olkin latent ``V`` where ``frailty_ok(theta)``; the keywords
+    ``out`` and ``ws`` pass its sampler an output array and an
+    ``rng.Workspace``.  ``latent_scale(theta) * V`` matches the generator as
+    implemented, and ``conditional_rows(theta, base_key, rows)``, if set,
+    samples where no frailty law exists.
     ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u, from_u)``: the
     VaR of a margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``, and
     ``from_u`` is the inverse of ``to_u``.  ``tau_ok`` tells
@@ -319,7 +321,7 @@ _CLAYTON = Family(
     phi_prime=_clayton_phi_prime,
     phi_inverse=lambda th, s: np.exp(np.log1p(th * s) * (-1.0 / th)),
     cdf=lambda th, d, pts: (np.sum(pts ** -th, axis=1) - d + 1.0) ** (-1.0 / th),
-    frailty=lambda keys, th: rng.gammas(keys, 1.0 / th),
+    frailty=lambda keys, th, **buf: rng.gammas(keys, 1.0 / th, **buf),
     frailty_ok=lambda th: th > 0, frailty_domain="theta > 0",
     # the frailty is Gamma(1/theta, 1); the implemented generator carries a
     # 1/theta factor, so the matching latent scale is theta * V
@@ -387,6 +389,11 @@ def _frank_theta_ok(th: float) -> bool:
 # rejects (the bisection's 1e-10 in tau moves theta by about 1e-5)
 _FRANK_TAU_MIN = _frank_tau(-709.78)
 
+# the largest theta whose log-series frailty parameter 1 - e^-theta rounds
+# below 1 (just under 54 ln 2); above it the parameter is 1.0 and the law
+# degenerates
+_FRANK_FRAILTY_MAX = 37.42994775023704
+
 
 _FRANK = Family(
     name="Frank", aliases=("frank",),
@@ -403,8 +410,9 @@ _FRANK = Family(
         s == 0.0, 1.0, -np.log1p(np.exp(-s) * np.expm1(-th)) / th),
     cdf=lambda th, d, pts: -np.log1p(
         np.prod(np.expm1(-th * pts), axis=1) / np.expm1(-th) ** (d - 1)) / th,
-    frailty=lambda keys, th: rng.log_series(keys, -np.expm1(-th)),
-    frailty_ok=lambda th: th > 0, frailty_domain="theta > 0",
+    frailty=lambda keys, th, **buf: rng.log_series(keys, -np.expm1(-th), **buf),
+    frailty_ok=lambda th: 0 < th <= _FRANK_FRAILTY_MAX,
+    frailty_domain=f"0 < theta <= {_FRANK_FRAILTY_MAX!r} (1 - e^-theta must round below 1)",
     var_form=_frank_var_form,
     tau=_frank_tau,
     tau_range=(_FRANK_TAU_MIN, 1.0),
@@ -435,7 +443,7 @@ _GUMBEL = Family(
     phi_prime=lambda th, t: -th * (-np.log(t)) ** (th - 1.0) / t,
     phi_inverse=lambda th, s: np.exp(-(s ** (1.0 / th))),
     cdf=lambda th, d, pts: np.exp(-(np.sum((-np.log(pts)) ** th, axis=1) ** (1.0 / th))),
-    frailty=lambda keys, th: rng.positive_stables(keys, 1.0 / th),
+    frailty=lambda keys, th, **buf: rng.positive_stables(keys, 1.0 / th, **buf),
     frailty_ok=lambda th: th >= 1, frailty_domain="theta >= 1",
     var_form=_gumbel_var_form,
     tau=lambda th: 1.0 - 1.0 / th,
@@ -499,7 +507,7 @@ _JOE = Family(
     # 1 - (1 - e^-s)^(1/theta)
     phi_inverse=lambda th, s: np.where(s == 0.0, 1.0, -np.expm1(_log1m_exp(-s) / th)),
     cdf=_joe_cdf,
-    frailty=lambda keys, th: rng.sibuyas(keys, 1.0 / th),
+    frailty=lambda keys, th, **buf: rng.sibuyas(keys, 1.0 / th, **buf),
     frailty_ok=lambda th: th >= 1, frailty_domain="theta >= 1",
     var_form=_joe_var_form,
     tau=_joe_tau,
@@ -570,7 +578,7 @@ _AMH = Family(
     phi_inverse=_amh_phi_inverse,
     cdf=lambda th, d, pts: (pts[:, 0] * pts[:, 1]
                             / (1.0 - th * (1.0 - pts[:, 0]) * (1.0 - pts[:, 1]))),
-    frailty=lambda keys, th: rng.geometrics(keys, 1.0 - th),
+    frailty=lambda keys, th, **buf: rng.geometrics(keys, 1.0 - th, **buf),
     frailty_ok=lambda th: 0.0 <= th < 1.0,
     frailty_domain="theta in [0, 1); negative theta uses conditional inversion instead",
     conditional_rows=_amh_conditional_rows,

@@ -9,12 +9,15 @@ aggregates mean / SD / bias / RMSE against the quadrature value.
 A study's replication selects radially.  Under the frailty construction a
 row has ``C(U) = phi_inverse(R)`` with ``R = sum_i E_i / V``, so
 ``|C(U) - alpha| <= h`` is ``R in [phi(alpha + h), phi(alpha - h)]``.  The
-rows are drawn in blocks of ``_BLOCK_ROWS``; a block keeps the ``E_i / V`` of
-its selected rows and drops the rest, and only the kept rows are mapped to
-``U``.  Memory is therefore a few blocks whatever ``n`` is.  Families without
-a frailty law at their theta draw blocks by conditional inversion and select
-them on the copula CDF.  :func:`estimate_var_once` selects a whole sample on
-the copula CDF and is the independent u-space check of the radial selection.
+rows are drawn in blocks of ``_BLOCK_ROWS``, as :func:`sample_copula` draws
+them; a block keeps the ``E_i / V`` of its selected rows and drops the rest,
+and only the kept rows are mapped to ``U``.  Each worker of a study draws its
+replications through one workspace of block-sized buffers, reused from block
+to block, so memory is a few blocks whatever ``n`` is and no block faults in
+fresh pages.  Families without a frailty law at their theta draw blocks by
+conditional inversion and select them on the copula CDF.
+:func:`estimate_var_once` selects a whole sample on the copula CDF and is the
+independent u-space check of the radial selection.
 """
 from __future__ import annotations
 
@@ -24,18 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLevelSetError, ParameterError, StudyError
-from .families import FAMILIES, CopulaSpec, copula_cdf, phi, phi_inverse
+from .families import CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .rng import Seed
-from .sampling import _OPEN_HI, _OPEN_LO, Sample, _has_frailty, _ratios
+from .rng import Seed, Workspace
+from .sampling import _BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _has_frailty
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
-
-# Rows per block of a replication: a block's S columns stay in cache, and a
-# replication's memory is a few blocks whatever its n.
-_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -131,13 +130,13 @@ def _margin_means(rows: np.ndarray, margins) -> np.ndarray:
     return np.array([float(np.mean(margin(rows[:, i]))) for i, margin in enumerate(margins)])
 
 
-def _one_replication(cfg: McConfig, r: int):
+def _one_replication(cfg: McConfig, r: int, ws: Workspace):
     """Replication ``r``'s estimate and count, or ``None`` when no row is selected.
 
     Equal bit for bit to ``estimate_var_once(sample_copula(cfg.spec, cfg.n,
     seed_r), ...)``: the same rows are kept, in the same order, and go
     through the same ``phi_inverse``, clip and margins.  Only the kept rows
-    are ever mapped to ``U``.
+    are ever mapped to ``U``.  ``ws`` holds the block buffers.
     """
     spec, alpha, h = cfg.spec, cfg.alpha, cfg.h
     base = cfg.seed.with_stream(cfg.seed.stream_id + r).base_key()
@@ -148,20 +147,17 @@ def _one_replication(cfg: McConfig, r: int):
         r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
         r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
     kept = []                               # per block, its d kept S or U columns
-    for start in range(0, cfg.n, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, cfg.n), dtype=np.uint64)
+    for _, cols in _blocks(spec, base, cfg.n, ws):
         if radial:
-            cols = list(_ratios(spec, base, rows))
+            m = cols[0].shape[0]
             # adds the columns in order, as np.stack(cols).sum(axis=0) does
-            total = cols[0] + cols[1]
+            total = np.add(cols[0], cols[1], out=ws.take("total", m))
             for s in cols[2:]:
                 total += s
-            sel = (total >= r_lo) & (total <= r_hi)
+            sel = np.greater_equal(total, r_lo, out=ws.take("sel", m, np.bool_))
+            sel &= np.less_equal(total, r_hi, out=ws.take("sel.hi", m, np.bool_))
         else:
-            u = FAMILIES[spec.family].conditional_rows(spec.theta, base, rows)
-            np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
-            sel = np.abs(copula_cdf(spec, u) - alpha) <= h
-            cols = u.T
+            sel = np.abs(copula_cdf(spec, cols.T) - alpha) <= h
         kept.append([c[sel] for c in cols])
     count = sum(block[0].size for block in kept)
     if count == 0:
@@ -176,23 +172,34 @@ def _one_replication(cfg: McConfig, r: int):
     return _margin_means(data, cfg.margins), count
 
 
+def _replications(cfg: McConfig, reps: range) -> list:
+    """The outcomes of replications ``reps``, drawn through one workspace."""
+    ws = Workspace(min(cfg.n, _BLOCK_ROWS))
+    return [_one_replication(cfg, r, ws) for r in reps]
+
+
 def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     """Run ``cfg.replications`` independent replications and aggregate.
 
     Replication ``r`` draws its sample from seed stream
-    ``cfg.seed.stream_id + r``; results are reduced in replication order, so
-    the outcome is identical for every ``jobs`` value.  Replications with an
-    empty level-set neighborhood are counted in ``failed_replications`` and
-    excluded from the aggregates.  ``jobs`` must be >= 1.
+    ``cfg.seed.stream_id + r``.  Each of the ``jobs`` workers takes a
+    contiguous chunk of replications; results are reduced in replication
+    order, so the outcome is identical for every ``jobs`` value.
+    Replications with an empty level-set neighborhood are counted in
+    ``failed_replications`` and excluded from the aggregates.  ``jobs`` must
+    be >= 1.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     m = cfg.replications
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda r: _one_replication(cfg, r), range(m)))
+    workers = min(jobs, m)
+    chunks = [range(m * j // workers, m * (j + 1) // workers) for j in range(workers)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda reps: _replications(cfg, reps), chunks))
     else:
-        outcomes = [_one_replication(cfg, r) for r in range(m)]
+        parts = [_replications(cfg, chunks[0])]
+    outcomes = [out for part in parts for out in part]
     kept = [out for out in outcomes if out is not None]
     failed = m - len(kept)
     if not kept:

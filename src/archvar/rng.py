@@ -22,6 +22,12 @@ parallelism, and row blocks can be generated independently.
 
 Uniform doubles are ``((word >> 11) + 0.5) * 2^-53``, strictly inside
 ``(0, 1)``.
+
+The samplers write in place, into an ``out`` array and the buffers of a
+:class:`Workspace` that a block-by-block caller reuses, so that no block
+faults in fresh pages.  Each step keeps its expression's association on
+contiguous arrays, and powers use ``**=`` (numpy's ``**`` fast paths), so a
+reused workspace moves no bit.
 """
 from __future__ import annotations
 
@@ -50,15 +56,61 @@ LABEL_EXPONENTIAL = 0x2545F491
 LABEL_CONDITIONAL = 0x9E3779B9
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+class Workspace:
+    """Named buffers that a block draw reuses from block to block.
+
+    ``take(name, n, dtype)`` returns the first ``n`` entries of the buffer
+    called ``name``, allocated at its first use with ``max(n, rows)``
+    entries.  A buffer keeps its contents until its name is taken and
+    written again, so each user keeps to names of its own; ``"mix"`` is the
+    hash's scratch and is free again whenever a call returns.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._bufs = {}
+        self._index = np.empty(0, dtype=np.uint64)
+
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape[0] < n:
+            buf = self._bufs[name] = np.empty(max(n, self.rows), dtype=dtype)
+        return buf[:n]
+
+    def row_range(self, start: int, n: int) -> np.ndarray:
+        """The uint64 row indices ``start, ..., start + n - 1``."""
+        if self._index.shape[0] < n:
+            self._index = np.arange(max(n, self.rows), dtype=np.uint64)
+        return np.add(self._index[:n], np.uint64(start),
+                      out=self.take("rows", n, np.uint64))
+
+
+def _buffers(keys: np.ndarray, out, ws):
+    """``keys``' count, ``out`` or a new array for the draw, and ``ws`` or a
+    new workspace, which allocates only what is taken from it."""
+    n = keys.shape[0]
+    return n, np.empty(n) if out is None else out, Workspace(0) if ws is None else ws
+
+
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The finalizer applied to ``z`` in place; ``tmp`` is a scratch of its shape."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    z ^= np.right_shift(z, _S30, out=tmp)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=tmp)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=tmp)
+    return z
 
 
 def mix64_int(x: int) -> int:
     """SplitMix64 finalizer on a Python int taken mod 2^64 (for scalar key derivation)."""
     return int(_mix64(np.array([x & _MASK64], dtype=np.uint64))[0])
+
+
+# each label's mixed key, the value substream_keys folds into the row key
+_LABEL_KEYS = {label: np.uint64(mix64_int(label))
+               for label in (LABEL_FRAILTY, LABEL_EXPONENTIAL, LABEL_CONDITIONAL)}
 
 
 @dataclass(frozen=True)
@@ -86,38 +138,59 @@ class Seed:
         return Seed(self.value, stream_id)
 
 
-def substream_keys(base_key: int, label: int | tuple, rows: np.ndarray):
+def substream_keys(base_key: int, label: int | tuple, rows: np.ndarray, out=None,
+                   ws: Workspace | None = None):
     """Per-row substream keys for a purpose label; ``rows`` is a uint64 array.
 
     A tuple of labels gives a tuple of key arrays, one per label, from one
-    pass of the row hash.
+    pass of the row hash; ``out``, a tuple of arrays, one per label,
+    receives them.
     """
-    rk = _mix64(np.uint64(base_key) ^ _mix64(rows + _ONE))
-    if isinstance(label, tuple):
-        return tuple(_mix64(rk ^ np.uint64(mix64_int(lab))) for lab in label)
-    return _mix64(rk ^ np.uint64(mix64_int(label)))
+    labels = label if isinstance(label, tuple) else (label,)
+    keys = out or tuple(np.empty(rows.shape[0], dtype=np.uint64) for _ in labels)
+    tmp = (Workspace(0) if ws is None else ws).take("mix", rows.shape[0], np.uint64)
+    # the row key goes in the last output, which takes the last label
+    row_key = np.add(rows, _ONE, out=keys[-1])
+    _mix64(row_key, tmp)
+    row_key ^= np.uint64(base_key)
+    _mix64(row_key, tmp)
+    for lab, key in zip(labels, keys):
+        lab_key = _LABEL_KEYS[lab] if lab in _LABEL_KEYS else np.uint64(mix64_int(lab))
+        _mix64(np.bitwise_xor(row_key, lab_key, out=key), tmp)
+    return keys if isinstance(label, tuple) else keys[0]
 
 
-def _words(keys: np.ndarray, counter) -> np.ndarray:
+def _words(keys: np.ndarray, counter, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
     if isinstance(counter, np.ndarray):
-        return _mix64(keys + (counter + _ONE) * _GOLDEN)
-    # scalar counters: form the offset in exact Python ints (numpy scalar
-    # multiplies warn on wraparound, array ops do not)
-    offset = ((int(counter) + 1) * _GOLDEN_INT) & _MASK64
-    return _mix64(keys + np.uint64(offset))
+        offset = (counter + _ONE) * _GOLDEN
+    else:
+        # scalar counters: form the offset in exact Python ints (numpy scalar
+        # multiplies warn on wraparound, array ops do not)
+        offset = np.uint64(((int(counter) + 1) * _GOLDEN_INT) & _MASK64)
+    return _mix64(np.add(keys, offset, out=out), tmp)
 
 
-def uniforms(keys: np.ndarray, counter) -> np.ndarray:
+def uniforms(keys: np.ndarray, counter, out: np.ndarray | None = None,
+             ws: Workspace | None = None) -> np.ndarray:
     """One double in (0, 1) per key at the given counter (scalar or array)."""
-    return ((_words(keys, counter) >> _S11).astype(np.float64) + 0.5) * _INV53
+    n, out, ws = _buffers(keys, out, ws)
+    tmp = ws.take("mix", n, np.uint64)
+    words = _words(keys, counter, out.view(np.uint64), tmp)
+    np.add(np.right_shift(words, _S11, out=tmp), 0.5, out=out)
+    out *= _INV53
+    return out
 
 
-def exponentials(keys: np.ndarray, counter) -> np.ndarray:
+def exponentials(keys: np.ndarray, counter, out: np.ndarray | None = None,
+                 ws: Workspace | None = None) -> np.ndarray:
     """Unit exponentials by inversion; one counter per draw."""
-    return -np.log(uniforms(keys, counter))
+    out = uniforms(keys, counter, out, ws)
+    return np.negative(np.log(out, out=out), out=out)
 
 
-def gammas(keys: np.ndarray, shape: float) -> np.ndarray:
+def gammas(keys: np.ndarray, shape: float, out: np.ndarray | None = None,
+           ws: Workspace | None = None) -> np.ndarray:
     """Gamma(shape, rate 1) via Marsaglia-Tsang squeeze with shape boost.
 
     Consumes a variable number of counters per key (3 per rejection trial,
@@ -127,38 +200,69 @@ def gammas(keys: np.ndarray, shape: float) -> np.ndarray:
     """
     if not 0.0 < shape < np.inf:
         raise ParameterError(f"gamma shape must be positive and finite, got {shape}")
-    n = keys.shape[0]
+    n, out, ws = _buffers(keys, out, ws)
     counter = 0
     boost = None
     a = shape
     if a < 1.0:
-        boost = uniforms(keys, counter) ** (1.0 / a)
+        boost = uniforms(keys, counter, ws.take("gamma.boost", n), ws)
+        boost **= 1.0 / a
         counter += 1
         a += 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(n)
-    todo = np.arange(n)
+    todo, trial_keys = None, keys           # None: every key, at its own index
     guard = 0
-    while todo.size:
+    while trial_keys.size:
         guard += 1
         if guard > 512:
             raise RuntimeError("gamma rejection sampler failed to terminate")
-        u1 = uniforms(keys, counter)
-        u2 = uniforms(keys, counter + 1)
-        u3 = uniforms(keys, counter + 2)
+        m = trial_keys.shape[0]
+        x, v, bound, tmp = (ws.take(f"gamma.{i}", m) for i in range(4))
+        ok, accept = (ws.take(name, m, np.bool_) for name in ("gamma.ok", "gamma.accept"))
+        # x = sqrt(-2 log u1) cos(2 pi u2), v = (1 + c x)^3
+        uniforms(trial_keys, counter, x, ws)
+        np.log(x, out=x)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        uniforms(trial_keys, counter + 1, tmp, ws)
+        tmp *= 2.0 * np.pi
+        np.cos(tmp, out=tmp)
+        x *= tmp
+        np.multiply(x, c, out=v)
+        v += 1.0
+        v **= 3
+        # accept where v > 0 and log u3 < 0.5 x x + d (1 - v + log v)
+        np.greater(v, 0.0, out=ok)
+        bound.fill(1.0)
+        np.copyto(bound, v, where=ok)
+        np.log(bound, out=bound)
+        bound += np.subtract(1.0, v, out=tmp)
+        bound *= d
+        np.multiply(x, 0.5, out=tmp)
+        tmp *= x
+        bound += tmp
+        uniforms(trial_keys, counter + 2, tmp, ws)
+        np.log(tmp, out=tmp)
+        np.less(tmp, bound, out=accept)
+        accept &= ok
         counter += 3
-        x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        v = (1.0 + c * x) ** 3
-        ok = v > 0.0
-        logv = np.log(np.where(ok, v, 1.0))
-        accept = ok & (np.log(u3) < 0.5 * x * x + d * (1.0 - v + logv))
-        out[todo[accept]] = d * v[accept]
-        todo, keys = todo[~accept], keys[~accept]
-    return out * boost if boost is not None else out
+        v *= d
+        rejected = np.logical_not(accept, out=ok)
+        if todo is None:
+            np.copyto(out, v, where=accept)
+            todo = np.flatnonzero(rejected)
+        else:
+            out[todo[accept]] = v[accept]
+            todo = todo[rejected]
+        trial_keys = np.take(keys, todo, out=ws.take("gamma.keys", todo.shape[0], np.uint64))
+    if boost is not None:
+        out *= boost
+    return out
 
 
-def positive_stables(keys: np.ndarray, alpha: float) -> np.ndarray:
+def positive_stables(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
+                     ws: Workspace | None = None) -> np.ndarray:
     """Positive stable variates with Laplace transform ``exp(-s^alpha)``.
 
     Kanter/Chambers-Mallows-Stuck representation for ``0 < alpha < 1``:
@@ -171,16 +275,30 @@ def positive_stables(keys: np.ndarray, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"stable index must lie in (0, 1], got {alpha}")
-    n = keys.shape[0]
+    n, out, ws = _buffers(keys, out, ws)
     if alpha == 1.0:
-        return np.ones(n)
-    t = np.pi * uniforms(keys, 0)
-    e = -np.log(uniforms(keys, 1))
-    return (np.sin(alpha * t) / np.sin(t) ** (1.0 / alpha)
-            * (np.sin((1.0 - alpha) * t) / e) ** ((1.0 - alpha) / alpha))
+        out.fill(1.0)
+        return out
+    t, e, tmp = (ws.take(f"stable.{i}", n) for i in range(3))
+    uniforms(keys, 0, t, ws)
+    t *= np.pi
+    np.negative(np.log(uniforms(keys, 1, e, ws), out=e), out=e)
+    # sin(alpha t) / sin(t)^(1/alpha) * (sin((1-alpha) t) / e)^((1-alpha)/alpha)
+    np.multiply(t, alpha, out=out)
+    np.sin(out, out=out)
+    np.sin(t, out=tmp)
+    tmp **= 1.0 / alpha
+    out /= tmp
+    np.multiply(t, 1.0 - alpha, out=tmp)
+    np.sin(tmp, out=tmp)
+    tmp /= e
+    tmp **= (1.0 - alpha) / alpha
+    out *= tmp
+    return out
 
 
-def sibuyas(keys: np.ndarray, alpha: float) -> np.ndarray:
+def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
+            ws: Workspace | None = None) -> np.ndarray:
     """Sibuya(alpha) variates (pgf ``1 - (1-z)^alpha``), one uniform each.
 
     Inversion of the exact survival function ``P(V > n) = 1/(n B(n, 1-alpha))``
@@ -189,50 +307,79 @@ def sibuyas(keys: np.ndarray, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"Sibuya index must lie in (0, 1], got {alpha}")
-    n = keys.shape[0]
+    n, out, ws = _buffers(keys, out, ws)
+    out.fill(1.0)
     if alpha == 1.0:
-        return np.ones(n)
-    u = uniforms(keys, 0)
-    out = np.ones(n)
-    big = u > alpha
-    if np.any(big):
-        ub = u[big]
-        ginv = ((1.0 - ub) * np.exp(gammaln(1.0 - alpha))) ** (-1.0 / alpha)
-        fl = np.floor(ginv)
+        return out
+    u = uniforms(keys, 0, ws.take("sibuya.u", n), ws)
+    big = np.greater(u, alpha, out=ws.take("sibuya.big", n, np.bool_))
+    k = int(np.count_nonzero(big))
+    if k:
+        ub, ginv, fl, log_surv, tmp = (ws.take(f"sibuya.{i}", k) for i in range(5))
+        np.compress(big, u, out=ub)
+        np.subtract(1.0, ub, out=ginv)
+        ginv *= np.exp(gammaln(1.0 - alpha))
+        ginv **= -1.0 / alpha
+        np.floor(ginv, out=fl)
         # survival at floor(ginv): 1/(fl * B(fl, 1-alpha))
-        log_surv = -(np.log(fl) + gammaln(fl) + gammaln(1.0 - alpha)
-                     - gammaln(fl + 1.0 - alpha))
-        out[big] = np.where(np.log1p(-ub) < log_surv, np.ceil(ginv), fl)
+        np.log(fl, out=log_surv)
+        log_surv += gammaln(fl, out=tmp)
+        log_surv += gammaln(1.0 - alpha)
+        np.add(fl, 1.0, out=tmp)
+        tmp -= alpha
+        log_surv -= gammaln(tmp, out=tmp)
+        np.negative(log_surv, out=log_surv)
+        np.log1p(np.negative(ub, out=tmp), out=tmp)
+        np.ceil(ginv, out=ginv)
+        np.copyto(fl, ginv, where=np.less(tmp, log_surv, out=ws.take("sibuya.up", k, np.bool_)))
+        out[big] = fl
     return out
 
 
-def log_series(keys: np.ndarray, p: float) -> np.ndarray:
+def log_series(keys: np.ndarray, p: float, out: np.ndarray | None = None,
+               ws: Workspace | None = None) -> np.ndarray:
     """Logarithmic-series variates on {1, 2, ...} with parameter ``p in (0, 1)``.
 
     Kemp's second accelerated (LK) inversion; two counters per draw.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"log-series parameter must lie in (0, 1), got {p}")
-    n = keys.shape[0]
+    n, out, ws = _buffers(keys, out, ws)
     h = np.log1p(-p)
-    u2 = uniforms(keys, 0)
-    out = np.ones(n)
-    low = u2 <= p
-    if np.any(low):
-        u1 = uniforms(keys[low], 1)
-        q = -np.expm1(u1 * h)
-        u2l = u2[low]
-        big_k = np.floor(1.0 + np.log(u2l) / np.log(q))
-        out[low] = np.where(u2l < q * q, big_k, np.where(u2l > q, 1.0, 2.0))
+    u2 = uniforms(keys, 0, ws.take("logser.u2", n), ws)
+    out.fill(1.0)
+    low = np.less_equal(u2, p, out=ws.take("logser.low", n, np.bool_))
+    k = int(np.count_nonzero(low))
+    if k:
+        low_keys = np.compress(low, keys, out=ws.take("logser.keys", k, np.uint64))
+        q, u2l, big_k, tmp = (ws.take(f"logser.{i}", k) for i in range(4))
+        uniforms(low_keys, 1, q, ws)
+        q *= h
+        np.negative(np.expm1(q, out=q), out=q)
+        np.compress(low, u2, out=u2l)
+        np.log(u2l, out=big_k)
+        big_k /= np.log(q, out=tmp)
+        big_k += 1.0
+        np.floor(big_k, out=big_k)
+        # big_k where u2l < q q; elsewhere 1 where u2l > q (>= q q) and 2 otherwise
+        cmp = ws.take("logser.cmp", k, np.bool_)
+        np.copyto(big_k, 2.0, where=np.greater_equal(u2l, np.multiply(q, q, out=tmp), out=cmp))
+        np.copyto(big_k, 1.0, where=np.greater(u2l, q, out=cmp))
+        out[low] = big_k
     return out
 
 
-def geometrics(keys: np.ndarray, success_p: float) -> np.ndarray:
+def geometrics(keys: np.ndarray, success_p: float, out: np.ndarray | None = None,
+               ws: Workspace | None = None) -> np.ndarray:
     """Geometric variates on {1, 2, ...} with success probability ``success_p``."""
     if not 0.0 < success_p <= 1.0:
         raise ParameterError(f"geometric parameter must lie in (0, 1], got {success_p}")
-    n = keys.shape[0]
+    _, out, ws = _buffers(keys, out, ws)
     if success_p == 1.0:
-        return np.ones(n)
-    u = uniforms(keys, 0)
-    return 1.0 + np.floor(np.log(u) / np.log1p(-success_p))
+        out.fill(1.0)
+        return out
+    np.log(uniforms(keys, 0, out, ws), out=out)
+    out /= np.log1p(-success_p)
+    np.floor(out, out=out)
+    out += 1.0
+    return out

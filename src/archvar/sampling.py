@@ -4,8 +4,9 @@ Sampling uses the Marshall-Olkin frailty construction
 ``U_i = phi_inverse(E_i / V)`` with i.i.d. unit exponentials ``E_i`` and a
 latent variable ``V`` whose Laplace transform equals the generator inverse.
 Every draw is keyed by (seed, row, purpose, counter) through
-:mod:`archvar.rng`, so a sample is a pure function of its seed and may be
-produced in independently generated row blocks.
+:mod:`archvar.rng`, so a sample is a pure function of its seed.  It is drawn
+in row blocks through one workspace of block-sized buffers, the path the
+Monte Carlo study takes too.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ __all__ = ["Sample", "sample_copula", "sample_frailty", "empirical_kendall_tau",
 
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
+
+# Rows per block of a draw: a block's columns stay in cache, and a draw's
+# temporaries are a few blocks whatever its n.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,19 +86,36 @@ def _has_frailty(spec: CopulaSpec) -> bool:
     return False
 
 
-def _ratios(spec: CopulaSpec, base: int, rows: np.ndarray):
-    """The generator values ``S_i = E_i / V`` of ``rows``, one column at a time.
+def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
+    """The ``n``-row sample keyed by ``base``, block by block, as ``(start, cols)``.
 
-    ``V`` is the frailty times the record's ``latent_scale``, so that
-    ``U_i = phi_inverse(S_i)`` and the row's copula value is
-    ``phi_inverse(sum_i S_i)``.  Every draw is keyed by its row, so a block
-    of rows gets the bits it would get inside a larger sample.
+    Where ``spec`` has a frailty law, ``cols`` holds the generator values
+    ``S_i = E_i / V`` of rows ``start, start + 1, ...``: ``V`` is the frailty
+    times the record's ``latent_scale``, so that ``U_i = phi_inverse(S_i)``
+    and the row's copula value is ``phi_inverse(sum_i S_i)``.  The columns
+    are buffers of ``ws``, which the next block overwrites.  Elsewhere
+    ``cols`` holds the clipped ``U`` columns drawn by conditional inversion.
+    Every draw is keyed by its row, so a block gets the bits it would get
+    inside a larger sample.
     """
     rec = FAMILIES[spec.family]
-    ekeys, vkeys = rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows)
-    v = rec.frailty(vkeys, spec.theta)
-    v *= rec.latent_scale(spec.theta)
-    return (rng.exponentials(ekeys, i) / v for i in range(spec.d))
+    radial = _has_frailty(spec)
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        rows = ws.row_range(start, m)
+        if not radial:
+            u = rec.conditional_rows(spec.theta, base, rows)
+            yield start, np.clip(u, _OPEN_LO, _OPEN_HI, out=u).T
+            continue
+        ekeys, vkeys = (ws.take(name, m, np.uint64) for name in ("ekeys", "vkeys"))
+        rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows,
+                           (ekeys, vkeys), ws)
+        v = rec.frailty(vkeys, spec.theta, out=ws.take("v", m), ws=ws)
+        v *= rec.latent_scale(spec.theta)
+        cols = [rng.exponentials(ekeys, i, ws.take(f"s{i}", m), ws) for i in range(spec.d)]
+        for s in cols:
+            s /= v
+        yield start, cols
 
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
@@ -101,15 +123,19 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ParameterError(f"sample size must be an integer >= 1, got {n!r}")
     n = int(n)
-    base = seed.base_key()
-    rows = np.arange(n, dtype=np.uint64)
-    if _has_frailty(spec):
-        ratios = _ratios(spec, base, rows)      # draws V before data exists
-        data = np.empty((n, spec.d))
-        for i, s in enumerate(ratios):
-            data[:, i] = phi_inverse(spec, s)
-    else:
-        data = FAMILIES[spec.family].conditional_rows(spec.theta, base, rows)
+    radial = _has_frailty(spec)
+    ws = rng.Workspace(min(n, _BLOCK_ROWS))
+    data = None
+    for start, cols in _blocks(spec, seed.base_key(), n, ws):
+        if data is None:
+            # after the workspace's buffers: freed, they leave a hole below
+            # the sample that the allocator keeps, not a free heap top that
+            # it trims, so the caller's next large arrays (a Kendall tau of
+            # the sample, say) reuse pages already faulted in
+            data = np.empty((n, spec.d))
+        block = data[start:start + len(cols[0])]
+        for i, col in enumerate(cols):
+            block[:, i] = phi_inverse(spec, col) if radial else col
     np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
     return Sample(data, seed, spec)
 

@@ -5,7 +5,10 @@ on the family with if/elif chains and had one VaR routine per family; the
 ``cli_*`` digests from the command line that parsed family names per study;
 the ``kernel_mass``, ``generator``, ``copula_cdf``, ``base_key`` and
 ``sample_frailty`` digests from the implementation whose ``copula_cdf``
-masked out rows with a zero coordinate.
+masked out rows with a zero coordinate; the ``rng_words`` digest from the
+hash that allocated a new array at each step.  ``base_key`` and
+``rng_words`` use integer operations only and hold on any CPU; the others
+are pinned to one numpy build and CPU.
 A change that moves any of these bits on purpose must say why and record the
 new digest here.
 """
@@ -20,6 +23,7 @@ from archvar import (CopulaSpec, FamilyId, FunctionMargin, McConfig, Seed, Unifo
                      beta_kernel, copula_cdf, empirical_kendall_tau, kernel_mass, phi,
                      phi_inverse, phi_prime, run_study, sample_copula, sample_frailty,
                      var_for_spec)
+from archvar import rng
 from archvar.cli import main
 from archvar.rng import mix64_int
 
@@ -37,6 +41,7 @@ DIGESTS = {
     "copula_cdf": "636cf605fa60d32834a95f69cab3c0e40253abec6f9885d00e7a4f61e1d4cef9",
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",
     "sample_frailty": "f2674f7d9ee5f00d55ca6ffa865820a75b3b9797865744b691dfe490a23fd5a6",
+    "rng_words": "7e90b44c6fabf251d2e2cbe0fe4b294241e6baaa9aec6702a5542c0a4ecd61f7",
 }
 
 GRID_THETAS = {
@@ -125,6 +130,22 @@ def base_key_chunks():
         yield pin(mix64_int(x))
 
 
+def rng_words_chunks():
+    """Raw uint64 words of the row keys and of the counter hash.
+
+    Integer operations only, so that, unlike the float digests, this one
+    holds on any CPU and numpy build.
+    """
+    top = (1 << 64) - 1
+    rows = np.array([*range(40), *range(32760, 32780), 1 << 40, top - 1], dtype=np.uint64)
+    for value, stream in ((0, 0), (8, 0), (8, 3), (21, 4), (top, top)):
+        base = Seed(value, stream).base_key()
+        for keys in rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows):
+            yield pin(keys)
+            for counter in range(8):
+                yield pin(rng._words(keys, counter))
+
+
 FRAILTIES = [
     (FamilyId.CLAYTON, 0.5), (FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
     (FamilyId.GUMBEL_HOUGAARD, 1.0), (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 1.0),
@@ -197,7 +218,7 @@ def test_empirical_kendall_tau_bits():
 @pytest.mark.parametrize("name,chunks", [
     ("kernel_mass", kernel_mass_chunks), ("generator", generator_chunks),
     ("copula_cdf", copula_cdf_chunks), ("base_key", base_key_chunks),
-    ("sample_frailty", frailty_chunks),
+    ("sample_frailty", frailty_chunks), ("rng_words", rng_words_chunks),
 ])
 def test_component_bits(name, chunks):
     assert sha256(chunks()) == DIGESTS[name]

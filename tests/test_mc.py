@@ -22,6 +22,7 @@ from archvar import (
     stats_table_rows,
 )
 from archvar import mc
+from archvar.rng import Workspace
 
 U3 = tuple([UniformMargin()] * 3)
 U2 = tuple([UniformMargin()] * 2)
@@ -88,14 +89,18 @@ class TestRunStudy:
             stats.rmse ** 2 - stats.bias ** 2, stats.std_dev ** 2, rtol=1e-12
         )
 
-    def test_jobs_do_not_change_results(self):
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_jobs_do_not_change_results(self, jobs):
+        # 16 replications: equal chunks at 2 and 4 workers, unequal at 3
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=20_000, replications=16,
                        h=1e-3, alpha=0.05, seed=Seed(5))
         a = run_study(cfg, jobs=1)
-        b = run_study(cfg, jobs=4)
+        b = run_study(cfg, jobs=jobs)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.std_dev, b.std_dev)
         assert a.mean_selected_count == b.mean_selected_count
+        assert a.estimates.tobytes() == b.estimates.tobytes()
+        assert a.counts.tolist() == b.counts.tolist()
 
     def test_component_exchangeability(self):
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=50_000, replications=40,
@@ -245,6 +250,22 @@ class TestRadialSelection:
                        h=1e-3, alpha=0.05, seed=Seed(8))
         stats = run_study(cfg)
         assert sum(mapped) == 3 * int(stats.counts.sum())
+
+    def test_reused_workspace_keeps_no_stale_values(self):
+        # Clayton, then Gumbel in another dimension and size, then Clayton
+        # again, all through one workspace: the second Clayton repeats the first
+        ws = Workspace(mc._BLOCK_ROWS)
+        clayton = McConfig(spec=CLAYTON3, margins=U3, n=self.N, replications=2,
+                           h=1e-3, alpha=0.05, seed=Seed(8))
+        gumbel = McConfig(spec=CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 5),
+                          margins=[UniformMargin()] * 5, n=self.N - 5000, replications=2,
+                          h=1e-2, alpha=0.5, seed=Seed(8))
+        first, _, again = ([mc._one_replication(cfg, r, ws) for r in range(2)]
+                           for cfg in (clayton, gumbel, clayton))
+        assert [count for _, count in again] == [count for _, count in first]
+        assert all(a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(first, again))
+        study = run_study(clayton)
+        assert np.stack([est for est, _ in first]).tobytes() == study.estimates.tobytes()
 
     def test_memory_is_a_few_blocks(self):
         # n = 1e6, d = 3: the whole-sample path allocated about 115 MB here;

@@ -33,6 +33,9 @@ class TestCore:
         got = rng._words(np.full(5, key, dtype=np.uint64),
                          np.arange(5, dtype=np.uint64))
         assert [int(w) for w in got] == expect
+        # scalar counters, which every sampler uses, hash in place
+        keys = np.full(3, key, dtype=np.uint64)
+        assert [rng._words(keys, i).tolist() for i in range(5)] == [[w] * 3 for w in expect]
 
     def test_scalar_and_array_counters_agree(self):
         keys = keys_for(7)
@@ -138,3 +141,33 @@ class TestDistributions:
             rng.log_series(keys, 1.0)
         with pytest.raises(ParameterError):
             rng.geometrics(keys, 0.0)
+
+
+# Clayton's gamma shape below and at or above 1; the stable index at 1 and
+# below; Sibuya at 1 and near it (Joe theta = 1.001); Frank's log-series at
+# theta 0.5, 5.74 and 20; AMH's geometric, with its point mass at 1
+WORKSPACE_CASES = [
+    ("gammas", 0.5), ("gammas", 1.0), ("gammas", 2.5),
+    ("positive_stables", 1.0), ("positive_stables", 0.5),
+    ("sibuyas", 1.0), ("sibuyas", 1.0 / 1.001),
+    *[("log_series", -np.expm1(-theta)) for theta in (0.5, 5.74, 20.0)],
+    ("geometrics", 0.5), ("geometrics", 1.0),
+]
+
+
+def test_reused_workspace_gives_fresh_bits():
+    """Each sampler, ``uniforms`` and ``exponentials`` give the bits of a fresh
+    call when they draw into one workspace that every other call dirties,
+    at sizes below, at and past the workspace's rows."""
+    ws = rng.Workspace(1 << 15)
+    for n in (1, 7, 1 << 15, (1 << 15) + 1):
+        keys = keys_for(n)
+        for counter in (0, 5):
+            for draw in (rng.uniforms, rng.exponentials):
+                got = draw(keys, counter, ws.take("test.out", n), ws)
+                assert got.tobytes() == draw(keys, counter).tobytes()
+        for name, param in WORKSPACE_CASES + WORKSPACE_CASES[::-1]:
+            sampler = getattr(rng, name)
+            got = sampler(keys, param, ws.take("test.out", n), ws)
+            assert got.tobytes() == sampler(keys, param).tobytes(), (name, param, n)
+

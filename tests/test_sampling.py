@@ -7,17 +7,24 @@ from archvar import (
     CopulaSpec,
     DomainError,
     FamilyId,
+    McConfig,
     ParameterError,
     Sample,
     Seed,
+    UniformMargin,
     copula_cdf,
     empirical_kendall_tau,
     kendall_tau,
+    phi_inverse,
+    run_study,
     sample_copula,
     sample_frailty,
+    theta_from_tau,
     write_sample,
 )
-from archvar.sampling import _count_inversions
+from archvar import rng
+from archvar.families import _FRANK_FRAILTY_MAX, family_record
+from archvar.sampling import _BLOCK_ROWS, _OPEN_HI, _OPEN_LO, _count_inversions
 
 TABLE_PARAMS = [
     (FamilyId.CLAYTON, 2.0),
@@ -112,6 +119,35 @@ class TestSampleValidity:
             sample_copula(CopulaSpec(FamilyId.FRANK, -2.0, 2), 10, Seed(0))
 
 
+def whole_sample(spec, n, seed):
+    """All ``n`` rows in one pass of fresh sampler calls, with no blocks."""
+    rec = family_record(spec.family)
+    rows = np.arange(n, dtype=np.uint64)
+    if not rec.frailty_ok(spec.theta):
+        data = rec.conditional_rows(spec.theta, seed.base_key(), rows)
+    else:
+        ekeys, vkeys = rng.substream_keys(
+            seed.base_key(), (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows)
+        v = rec.frailty(vkeys, spec.theta) * rec.latent_scale(spec.theta)
+        data = np.column_stack([phi_inverse(spec, rng.exponentials(ekeys, i) / v)
+                                for i in range(spec.d)])
+    return np.clip(data, _OPEN_LO, _OPEN_HI)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("family,theta,d", [
+        (FamilyId.CLAYTON, 2.0, 3), (FamilyId.FRANK, 5.74, 3),
+        (FamilyId.GUMBEL_HOUGAARD, 2.0, 3), (FamilyId.JOE, 2.4, 3),
+        (FamilyId.ALI_MIKHAIL_HAQ, 0.5, 2), (FamilyId.ALI_MIKHAIL_HAQ, -0.7, 2),
+    ])
+    def test_blocks_keep_the_whole_sample_bits(self, family, theta, d):
+        # three blocks, the last one partial
+        spec = CopulaSpec(family, theta, d)
+        n = 2 * _BLOCK_ROWS + 7
+        got = sample_copula(spec, n, Seed(21, 4)).data
+        assert got.tobytes() == whole_sample(spec, n, Seed(21, 4)).tobytes()
+
+
 class TestFrailty:
     def test_clayton_gamma_mean(self):
         v = sample_frailty(FamilyId.CLAYTON, 2.0, Seed(11), 1_000_000)
@@ -130,6 +166,27 @@ class TestFrailty:
         assert v.mean() == pytest.approx(1.0 / 0.6, rel=0.02)
         with pytest.raises(DomainError):
             sample_frailty(FamilyId.ALI_MIKHAIL_HAQ, -0.4, Seed(5), 10)
+
+    def test_frank_frailty_domain_ends_where_its_parameter_rounds_to_one(self):
+        assert -np.expm1(-_FRANK_FRAILTY_MAX) < 1.0
+        assert -np.expm1(-np.nextafter(_FRANK_FRAILTY_MAX, np.inf)) == 1.0
+        v = sample_frailty(FamilyId.FRANK, _FRANK_FRAILTY_MAX, Seed(5), 1000)
+        assert np.all(v >= 1.0)
+        with pytest.raises(DomainError, match="Frank"):
+            sample_frailty(FamilyId.FRANK, np.nextafter(_FRANK_FRAILTY_MAX, np.inf), Seed(5), 10)
+
+    def test_frank_strong_dependence_raises_domain_error(self):
+        # tau = 0.9 calibrates to theta = 38.28, past the frailty domain:
+        # a typed error, not the log-series sampler's internal one
+        theta = theta_from_tau(FamilyId.FRANK, 0.9)
+        assert theta == pytest.approx(38.28, abs=0.01)
+        spec = CopulaSpec(FamilyId.FRANK, theta, 3)
+        with pytest.raises(DomainError, match="Frank"):
+            sample_copula(spec, 10, Seed(0))
+        cfg = McConfig(spec=spec, margins=[UniformMargin()] * 3, n=100, replications=2,
+                       h=1e-2, alpha=0.5, seed=Seed(0))
+        with pytest.raises(DomainError, match="Frank"):
+            run_study(cfg, jobs=2)
 
     def test_frank_log_series_positive_integers(self):
         v = sample_frailty(FamilyId.FRANK, 5.74, Seed(5), 10_000)

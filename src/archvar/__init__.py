@@ -15,9 +15,7 @@ from .mc import McConfig, McStats, estimate_var_once, run_study, stats_table_row
 from .quadrature import QuadConfig, graded_breakpoints, integrate
 from .rng import Seed
 from .sampling import Sample, empirical_kendall_tau, sample_copula, sample_frailty, write_sample
-from .var import (VarResult, kernel_mass, var_amh, var_clayton,
-                  var_clayton_uniform, var_for_spec, var_frank, var_generic,
-                  var_gumbel, var_joe)
+from .var import VarResult, kernel_mass, var_for_spec, var_generic
 
 __version__ = "1.0.0"
 
@@ -27,9 +25,7 @@ __all__ = [
     "kendall_tau", "theta_from_tau", "tau_range",
     "QuadConfig", "integrate", "graded_breakpoints",
     "UniformMargin", "ConstantMargin", "TabulatedMargin", "FunctionMargin",
-    "VarResult", "var_generic", "var_clayton", "var_clayton_uniform",
-    "var_frank", "var_gumbel", "var_joe", "var_amh", "kernel_mass",
-    "var_for_spec",
+    "VarResult", "var_generic", "kernel_mass", "var_for_spec",
     "Seed", "Sample", "sample_copula", "sample_frailty",
     "empirical_kendall_tau", "write_sample",
     "McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows",

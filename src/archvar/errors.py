@@ -1,8 +1,17 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one check of counts."""
+from numbers import Integral
 
 
 class ParameterError(ValueError):
     """A model or configuration parameter is invalid (bad family/theta/d/n...)."""
+
+
+def _check_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` as an ``int``; :class:`ParameterError` unless it is an integer,
+    not a bool, and at least ``minimum``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class DomainError(ValueError):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import polygamma, psi, spence
 
 from . import rng
-from .errors import DomainError, GeneratorInfinityError, ParameterError
+from .errors import DomainError, GeneratorInfinityError, ParameterError, _check_count
 
 __all__ = ["FamilyId", "Family", "FAMILIES", "family_record", "CopulaSpec", "phi",
            "phi_prime", "phi_inverse", "copula_cdf", "beta_kernel"]
@@ -113,10 +113,7 @@ class CopulaSpec:
 
     def __post_init__(self):
         rec = family_record(self.family)
-        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool):
-            raise ParameterError(f"dimension d must be an integer, got {self.d!r}")
-        if self.d < 2:
-            raise ParameterError(f"dimension d must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", _check_count(self.d, "dimension d", 2))
         th = self.theta
         if not math.isfinite(th):
             raise ParameterError(f"theta must be finite, got {th}")
@@ -128,7 +125,6 @@ class CopulaSpec:
                 f"Archimedean extension to d >= 3); got d = {self.d}"
             )
         object.__setattr__(self, "theta", float(th))
-        object.__setattr__(self, "d", int(self.d))
 
 
 def _elementwise(spec: CopulaSpec, fn, x, check, *check_args) -> float | np.ndarray:

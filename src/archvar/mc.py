@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyLevelSetError, ParameterError, StudyError
+from .errors import EmptyLevelSetError, ParameterError, StudyError, _check_count
 from .families import CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
@@ -52,12 +52,9 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "margins", checked_margins(self.margins, self.spec.d))
-        if self.n < 1:
-            raise ParameterError(f"sample size must be >= 1, got {self.n}")
-        if self.replications < 1:
-            raise ParameterError(
-                f"replication count must be >= 1, got {self.replications}"
-            )
+        object.__setattr__(self, "n", _check_count(self.n, "sample size"))
+        object.__setattr__(self, "replications",
+                           _check_count(self.replications, "replication count"))
         _check_level_set(self.alpha, self.h)
 
 
@@ -187,10 +184,9 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     order, so the outcome is identical for every ``jobs`` value.
     Replications with an empty level-set neighborhood are counted in
     ``failed_replications`` and excluded from the aggregates.  ``jobs`` must
-    be >= 1.
+    be an integer >= 1.
     """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    jobs = _check_count(jobs, "jobs")
     m = cfg.replications
     workers = min(jobs, m)
     chunks = [range(m * j // workers, m * (j + 1) // workers) for j in range(workers)]

@@ -42,7 +42,6 @@ __all__ = ["Seed", "mix64_int", "substream_keys", "uniforms"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-_GOLDEN = np.uint64(_GOLDEN_INT)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -140,7 +139,8 @@ class Seed:
 
 def substream_keys(base_key: int, label: int | tuple, rows: np.ndarray, out=None,
                    ws: Workspace | None = None):
-    """Per-row substream keys for a purpose label; ``rows`` is a uint64 array.
+    """Per-row substream keys for a purpose label, one of the ``LABEL_*``
+    constants; ``rows`` is a uint64 array.
 
     A tuple of labels gives a tuple of key arrays, one per label, from one
     pass of the row hash; ``out``, a tuple of arrays, one per label,
@@ -155,19 +155,15 @@ def substream_keys(base_key: int, label: int | tuple, rows: np.ndarray, out=None
     row_key ^= np.uint64(base_key)
     _mix64(row_key, tmp)
     for lab, key in zip(labels, keys):
-        lab_key = _LABEL_KEYS[lab] if lab in _LABEL_KEYS else np.uint64(mix64_int(lab))
-        _mix64(np.bitwise_xor(row_key, lab_key, out=key), tmp)
+        _mix64(np.bitwise_xor(row_key, _LABEL_KEYS[lab], out=key), tmp)
     return keys if isinstance(label, tuple) else keys[0]
 
 
 def _words(keys: np.ndarray, counter, out: np.ndarray | None = None,
            tmp: np.ndarray | None = None) -> np.ndarray:
-    if isinstance(counter, np.ndarray):
-        offset = (counter + _ONE) * _GOLDEN
-    else:
-        # scalar counters: form the offset in exact Python ints (numpy scalar
-        # multiplies warn on wraparound, array ops do not)
-        offset = np.uint64(((int(counter) + 1) * _GOLDEN_INT) & _MASK64)
+    # exact in Python ints for a scalar counter; a uint64 array wraps, as the
+    # mask does
+    offset = np.uint64(((counter + 1) * _GOLDEN_INT) & _MASK64)
     return _mix64(np.add(keys, offset, out=out), tmp)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _check_count
 from .families import FAMILIES, CopulaSpec, FamilyId, family_record, phi_inverse
 from .rng import Seed
 
@@ -60,8 +60,7 @@ def sample_frailty(family: FamilyId, theta: float, seed: Seed, n: int) -> np.nda
     index ``1/theta``; Joe -> Sibuya(1/theta); Ali-Mikhail-Haq with
     ``theta in [0, 1)`` -> geometric with success probability ``1 - theta``.
     """
-    if n < 1:
-        raise ParameterError(f"frailty count must be >= 1, got {n}")
+    n = _check_count(n, "frailty count")
     rec = family_record(family)
     if not rec.frailty_ok(theta):
         raise DomainError(
@@ -120,9 +119,7 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
     """Draw ``n`` i.i.d. rows from the copula with uniform margins."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"sample size must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "sample size")
     radial = _has_frailty(spec)
     ws = rng.Workspace(min(n, _BLOCK_ROWS))
     data = None
@@ -158,8 +155,8 @@ def empirical_kendall_tau(sample, pair: tuple[int, int] = (0, 1)) -> float:
     if data.ndim != 2 or data.shape[0] < 2:
         raise ParameterError("need an (n, d) array with n >= 2")
     d = data.shape[1]
-    if len(pair) != 2 or not all(isinstance(k, (int, np.integer)) and 0 <= k < d
-                                 for k in pair):
+    if len(pair) != 2 or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                                 and 0 <= k < d for k in pair):
         raise ParameterError(f"pair must be two column indices in [0, {d}), got {pair!r}")
     x = data[:, pair[0]]
     y = data[:, pair[1]]

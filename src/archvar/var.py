@@ -5,12 +5,12 @@ Every routine here evaluates the same conditional-expectation integral
     VaR_alpha^i = (d-1)/phi(alpha)^(d-1) * int_alpha^1 q_i(u) beta_d(u, alpha) du
 
 where ``q_i`` is the i-th marginal quantile function and ``beta_d`` the
-kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``.  ``var_generic`` works from
-the generator alone; the family-specific routines use the algebraically
-reduced integrands of their :class:`~archvar.families.Family` records (for
-Gumbel and Joe in substituted variables that map the integration onto a
-finite interval with tame endpoint behaviour).  One driver, ``_var``, runs
-every one of these integrands.
+kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``.  ``var_for_spec`` runs the
+reduced integrand of the spec's :class:`~archvar.families.Family` record, its
+``var_form`` (for Gumbel and Joe in substituted variables that map the
+integration onto a finite interval with tame endpoint behaviour).
+``var_generic`` works from the generator alone; ``kernel_mass`` integrates
+its weight alone.  One driver, ``_var``, runs every one of these integrands.
 
 Each form also returns ``from_u``, the inverse of its substitution: the
 identity, ``-log u`` for Gumbel and ``1 - u`` for Joe.  A margin with
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, QuadratureError
-from .families import FAMILIES, CopulaSpec, FamilyId, _identity, phi, phi_prime
-from .margins import ConstantMargin, UniformMargin, checked_margins
+from .errors import DomainError, QuadratureError
+from .families import FAMILIES, CopulaSpec, _identity, phi, phi_prime
+from .margins import ConstantMargin, checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig, graded_breakpoints, integrate
 
-__all__ = ["VarResult", "var_generic", "var_clayton", "var_clayton_uniform", "var_frank",
-           "var_gumbel", "var_joe", "var_amh", "kernel_mass", "var_for_spec"]
+__all__ = ["VarResult", "var_generic", "kernel_mass", "var_for_spec"]
 
 
 @dataclass(frozen=True)
@@ -119,69 +118,6 @@ def var_generic(spec: CopulaSpec, margins, alpha: float,
     return _var(spec, margins, alpha, cfg, _generic_form)
 
 
-def _family_var(family: FamilyId, name: str, spec: CopulaSpec, margins, alpha: float,
-                cfg: QuadConfig) -> VarResult:
-    """A family's public routine: check the spec's family, run its record's form."""
-    if spec.family is not family:
-        raise ParameterError(f"{name} requires a {family.value} spec, got {spec.family.value}")
-    return _var(spec, margins, alpha, cfg, FAMILIES[family].var_form)
-
-
-def var_clayton(spec: CopulaSpec, margins, alpha: float,
-                cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Clayton VaR via the reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``."""
-    return _family_var(FamilyId.CLAYTON, "var_clayton", spec, margins, alpha, cfg)
-
-
-def var_clayton_uniform(theta: float, d: int, alpha: float,
-                        cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Closed-form-integrand Clayton VaR with uniform margins (scalar).
-
-    All components coincide, so a single number summarizes the vector.
-    """
-    spec = CopulaSpec(FamilyId.CLAYTON, theta, d)
-    res = var_clayton(spec, [UniformMargin()] * d, alpha, cfg)
-    return float(res.components[0])
-
-
-def var_frank(spec: CopulaSpec, margins, alpha: float,
-              cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Frank VaR; restricted to ``theta > 0`` (the reduced form's domain)."""
-    return _family_var(FamilyId.FRANK, "var_frank", spec, margins, alpha, cfg)
-
-
-def var_gumbel(spec: CopulaSpec, margins, alpha: float,
-               cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Gumbel-Hougaard VaR on the log-substituted interval ``t in [0, -ln alpha]``.
-
-    The substitution ``t = -ln u`` maps the upper endpoint ``u -> 1`` to 0
-    and leaves a polynomial-type integrand.
-    """
-    return _family_var(FamilyId.GUMBEL_HOUGAARD, "var_gumbel", spec, margins, alpha, cfg)
-
-
-def var_joe(spec: CopulaSpec, margins, alpha: float,
-            cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Joe VaR on the reflected interval ``t in [0, 1 - alpha]`` (``t = 1 - u``)."""
-    return _family_var(FamilyId.JOE, "var_joe", spec, margins, alpha, cfg)
-
-
-def var_amh(theta: float, margins, alpha: float,
-            cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """Ali-Mikhail-Haq VaR (bivariate only).
-
-    ``VaR = (1-theta)/ln[(1-theta(1-alpha))/alpha] * int_alpha^1 q(u)/(u [1-theta(1-u)]) du``.
-    """
-    margins = tuple(margins)
-    if len(margins) != 2:
-        raise DomainError(
-            "Ali-Mikhail-Haq VaR is bivariate only (the family admits no "
-            f"genuine Archimedean extension beyond d = 2); got {len(margins)} margins"
-        )
-    spec = CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2)
-    return _family_var(FamilyId.ALI_MIKHAIL_HAQ, "var_amh", spec, margins, alpha, cfg)
-
-
 def kernel_mass(spec: CopulaSpec, alpha: float,
                 cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Total mass ``(d-1)/phi(alpha)^(d-1) int_alpha^1 beta_d(u, alpha) du``.
@@ -197,5 +133,5 @@ def kernel_mass(spec: CopulaSpec, alpha: float,
 
 def var_for_spec(spec: CopulaSpec, margins, alpha: float,
                  cfg: QuadConfig = DEFAULT_QUAD) -> VarResult:
-    """VaR through the reduced integrand of ``spec``'s family record."""
+    """VaR through the reduced integrand of ``spec``'s family record, its ``var_form``."""
     return _var(spec, margins, alpha, cfg, FAMILIES[spec.family].var_form)

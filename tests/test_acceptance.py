@@ -29,14 +29,8 @@ from archvar import (
     run_study,
     sample_copula,
     theta_from_tau,
-    var_amh,
-    var_clayton,
-    var_clayton_uniform,
     var_for_spec,
-    var_frank,
     var_generic,
-    var_gumbel,
-    var_joe,
 )
 
 U = UniformMargin()
@@ -74,11 +68,10 @@ def verdict(criterion, ok, detail):
 
 def test_criterion_1_theoretical_var_reproduction():
     start = time.monotonic()
-    results = {}
-    results["clayton"] = var_clayton_uniform(2.0, 3, 0.05)
-    results["frank"] = var_frank(CopulaSpec(FamilyId.FRANK, 5.74, 3), [U] * 3, 0.05).components[0]
-    results["gumbel"] = var_gumbel(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 3), [U] * 3, 0.05).components[0]
-    results["joe"] = var_joe(CopulaSpec(FamilyId.JOE, 2.4, 3), [U] * 3, 0.05).components[0]
+    results = {
+        name: var_for_spec(CopulaSpec(family, theta, 3), [U] * 3, 0.05).components[0]
+        for name, (family, theta, _) in TABLE1_THEORETICAL.items()
+    }
     elapsed = time.monotonic() - start
     deviations = {
         name: abs(results[name] - TABLE1_THEORETICAL[name][2])
@@ -104,21 +97,14 @@ def test_criterion_2_kernel_normalization_grid():
 
 
 def test_criterion_3_closed_form_vs_generic_oracle():
-    fn_for = {
-        FamilyId.CLAYTON: var_clayton,
-        FamilyId.FRANK: var_frank,
-        FamilyId.GUMBEL_HOUGAARD: var_gumbel,
-        FamilyId.JOE: var_joe,
-    }
+    # the record's reduced form against the generator form: two integrands
+    # that share no code
     worst = 0.0
     count = 0
     for spec in grid_specs():
         margins = [U] * spec.d
         for alpha in GRID_ALPHAS:
-            if spec.family is FamilyId.ALI_MIKHAIL_HAQ:
-                special = var_amh(spec.theta, margins, alpha)
-            else:
-                special = fn_for[spec.family](spec, margins, alpha)
+            special = var_for_spec(spec, margins, alpha)
             generic = var_generic(spec, margins, alpha)
             gap = abs(special.components[0] - generic.components[0])
             tol = max(1e-8, float(special.abs_error_estimate[0]
@@ -283,8 +269,8 @@ def test_criterion_8_property_suite():
     # scale equivariance of the VaR integral at 1e-10
     base = FunctionMargin(lambda v: v ** 1.5)
     scaled = FunctionMargin(lambda v: 4.0 * v ** 1.5)
-    a = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [base] * 2, 0.05).components[0]
-    b = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [scaled] * 2, 0.05).components[0]
+    a = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [base] * 2, 0.05).components[0]
+    b = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [scaled] * 2, 0.05).components[0]
     checks.append(("scale-equivariance", abs(b - 4.0 * a) <= 1e-10))
 
     # constant margins map to the constant

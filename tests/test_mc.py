@@ -169,12 +169,26 @@ class TestRunStudy:
             McConfig(spec=CLAYTON3, margins=(U3[0], U3[1], 0.5), n=10, replications=1,
                      h=1e-4, alpha=0.05, seed=Seed(0))
 
+    @pytest.mark.parametrize("counts", [dict(n=1e4), dict(replications=2.0), dict(n=True)],
+                             ids=("float-n", "float-replications", "bool-n"))
+    def test_counts_must_be_integers(self, counts):
+        # a float or bool count was accepted, and run_study then raised TypeError
+        with pytest.raises(ParameterError, match="integer"):
+            McConfig(**{**dict(spec=CLAYTON3, margins=U3, n=10, replications=1,
+                               h=1e-4, alpha=0.05, seed=Seed(0)), **counts})
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=10, replications=1,
                        h=1e-4, alpha=0.05, seed=Seed(0))
         with pytest.raises(ParameterError, match="jobs"):
             run_study(cfg, jobs=jobs)
+
+    def test_non_integer_jobs_rejected(self):
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=10, replications=5,
+                       h=1e-4, alpha=0.05, seed=Seed(0))
+        with pytest.raises(ParameterError, match="jobs"):
+            run_study(cfg, jobs=2.5)
 
 
 # Table-1 thetas and AMH at 0.3, each at every dimension it allows, and AMH at

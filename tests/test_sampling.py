@@ -167,6 +167,12 @@ class TestFrailty:
         with pytest.raises(DomainError):
             sample_frailty(FamilyId.ALI_MIKHAIL_HAQ, -0.4, Seed(5), 10)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_count_must_be_an_integer(self, n):
+        # 2.5 drew 3 variates and True drew 1
+        with pytest.raises(ParameterError, match="frailty count"):
+            sample_frailty(FamilyId.CLAYTON, 2.0, Seed(1), n)
+
     def test_frank_frailty_domain_ends_where_its_parameter_rounds_to_one(self):
         assert -np.expm1(-_FRANK_FRAILTY_MAX) < 1.0
         assert -np.expm1(-np.nextafter(_FRANK_FRAILTY_MAX, np.inf)) == 1.0
@@ -284,6 +290,12 @@ class TestEmpiricalKendallTau:
         data = np.random.default_rng(9).uniform(size=(50, 2))
         with pytest.raises(ParameterError, match="column indices"):
             empirical_kendall_tau(data, pair)
+
+    def test_bool_pair_rejected(self):
+        # a bool passed as column 0 and then indexed as a mask
+        data = np.random.default_rng(9).uniform(size=(50, 3))
+        with pytest.raises(ParameterError, match="column indices"):
+            empirical_kendall_tau(data, (False, 2))
 
 
 def _brute_inversions(ranks):

@@ -18,14 +18,8 @@ from archvar import (
     TabulatedMargin,
     UniformMargin,
     kernel_mass,
-    var_amh,
-    var_clayton,
-    var_clayton_uniform,
     var_for_spec,
-    var_frank,
     var_generic,
-    var_gumbel,
-    var_joe,
 )
 
 U = UniformMargin()
@@ -42,12 +36,9 @@ INDEPENDENCE_D2_A05 = 0.317117790661  # (1-a)/(-ln a) at a = 0.05
 AMH_09_A05 = 0.201517596331
 CLAYTON_D2_A999 = 0.999499749875
 
-FAMILY_FN = {
-    FamilyId.CLAYTON: var_clayton,
-    FamilyId.FRANK: var_frank,
-    FamilyId.GUMBEL_HOUGAARD: var_gumbel,
-    FamilyId.JOE: var_joe,
-}
+def _amh(theta: float) -> CopulaSpec:
+    return CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2)
+
 
 GRID_THETAS = {
     FamilyId.CLAYTON: (0.5, 2.0, 8.0),
@@ -64,40 +55,34 @@ class TestReferenceValues:
     def test_trivariate_uniform_values(self, key, expect):
         family, theta = key
         spec = CopulaSpec(family, theta, 3)
-        res = FAMILY_FN[family](spec, [U] * 3, 0.05)
+        res = var_for_spec(spec, [U] * 3, 0.05)
         assert res.components[0] == pytest.approx(expect, abs=1e-9)
 
     def test_clayton_uniform_scalar_matches_bivariate_antiderivative(self):
         # theta/(a^-theta - 1) * int_a^1 u^-theta du at theta=2, a=0.05 is 38/399
-        assert var_clayton_uniform(2.0, 2, 0.05) == pytest.approx(38.0 / 399.0, abs=1e-12)
+        got = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [U] * 2, 0.05).components[0]
+        assert got == pytest.approx(38.0 / 399.0, abs=1e-12)
 
     def test_clayton_uniform_near_one(self):
-        got = var_clayton_uniform(2.0, 2, 0.999)
+        got = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), [U] * 2, 0.999).components[0]
         assert abs(got - 0.9995) <= 1e-3
         assert got == pytest.approx(CLAYTON_D2_A999, abs=1e-9)
 
-    def test_clayton_uniform_equals_margin_form(self):
-        for alpha in (0.01, 0.05, 0.5, 0.9):
-            full = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U] * 3, alpha)
-            assert var_clayton_uniform(2.0, 3, alpha) == pytest.approx(
-                full.components[0], abs=1e-10
-            )
-
     def test_amh_independence_closed_form(self):
-        res = var_amh(0.0, [U, U], 0.05)
+        res = var_for_spec(_amh(0.0), [U, U], 0.05)
         expect = (1.0 - 0.05) / (-np.log(0.05))
         assert res.components[0] == pytest.approx(expect, abs=1e-10)
         assert res.components[0] == pytest.approx(INDEPENDENCE_D2_A05, abs=1e-9)
 
     def test_amh_strong_dependence_matches_generic(self):
-        res = var_amh(0.9, [U, U], 0.05)
+        res = var_for_spec(_amh(0.9), [U, U], 0.05)
         gen = var_generic(CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, 0.9, 2), [U, U], 0.05)
         assert res.components[0] == pytest.approx(gen.components[0], abs=1e-9)
         assert res.components[0] == pytest.approx(AMH_09_A05, abs=1e-9)
 
     def test_gumbel_and_joe_at_independence(self):
-        g = var_gumbel(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 1.0, 2), [U] * 2, 0.05)
-        j = var_joe(CopulaSpec(FamilyId.JOE, 1.0, 2), [U] * 2, 0.05)
+        g = var_for_spec(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 1.0, 2), [U] * 2, 0.05)
+        j = var_for_spec(CopulaSpec(FamilyId.JOE, 1.0, 2), [U] * 2, 0.05)
         assert g.components[0] == pytest.approx(INDEPENDENCE_D2_A05, abs=1e-9)
         assert j.components[0] == pytest.approx(INDEPENDENCE_D2_A05, abs=1e-9)
 
@@ -107,12 +92,7 @@ class TestConstantMarginIdentity:
         c = 3.7
         margins2 = [ConstantMargin(c)] * 2
         for family, thetas in GRID_THETAS.items():
-            theta = thetas[1]
-            if family is FamilyId.ALI_MIKHAIL_HAQ:
-                res = var_amh(theta, margins2, 0.05)
-            else:
-                spec = CopulaSpec(family, theta, 2)
-                res = FAMILY_FN[family](spec, margins2, 0.05)
+            res = var_for_spec(CopulaSpec(family, thetas[1], 2), margins2, 0.05)
             assert res.components[0] == pytest.approx(c, rel=1e-10)
 
     def test_generic_constant_margin(self):
@@ -121,13 +101,14 @@ class TestConstantMarginIdentity:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("family", list(FAMILY_FN), ids=lambda f: f.value)
+    @pytest.mark.parametrize("family", [f for f, _ in REFERENCE_UNIFORM_D3_A05],
+                             ids=lambda f: f.value)
     def test_specialized_matches_generic(self, family):
         for theta in GRID_THETAS[family]:
             for d in (2, 3):
                 for alpha in (0.05, 0.5):
                     spec = CopulaSpec(family, theta, d)
-                    a = FAMILY_FN[family](spec, [U] * d, alpha)
+                    a = var_for_spec(spec, [U] * d, alpha)
                     b = var_generic(spec, [U] * d, alpha)
                     tol = max(
                         1e-8,
@@ -138,8 +119,8 @@ class TestOracleEquivalence:
     def test_amh_matches_generic(self):
         for theta in GRID_THETAS[FamilyId.ALI_MIKHAIL_HAQ]:
             for alpha in (0.05, 0.5):
-                a = var_amh(theta, [U, U], alpha)
-                b = var_generic(CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2), [U, U], alpha)
+                a = var_for_spec(_amh(theta), [U, U], alpha)
+                b = var_generic(_amh(theta), [U, U], alpha)
                 assert a.components[0] == pytest.approx(b.components[0], abs=1e-8)
 
 
@@ -163,10 +144,10 @@ class TestStructuralProperties:
                     assert alpha <= res.components[0] <= 1.0
 
     def test_identical_margins_broadcast_bitwise(self):
-        res = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U, U, U], 0.05)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U, U, U], 0.05)
         assert res.components[0] == res.components[1] == res.components[2]
         # distinct-but-equal margin objects broadcast too
-        res2 = var_clayton(
+        res2 = var_for_spec(
             CopulaSpec(FamilyId.CLAYTON, 2.0, 3),
             [UniformMargin(), UniformMargin(), UniformMargin()],
             0.05,
@@ -176,12 +157,10 @@ class TestStructuralProperties:
     def test_scale_equivariance(self):
         base = FunctionMargin(lambda u: u ** 2)
         scaled = FunctionMargin(lambda u: 10.0 * u ** 2)
-        for fn, spec in [
-            (var_clayton, CopulaSpec(FamilyId.CLAYTON, 2.0, 2)),
-            (var_gumbel, CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 2)),
-        ]:
-            a = fn(spec, [base] * 2, 0.05).components[0]
-            b = fn(spec, [scaled] * 2, 0.05).components[0]
+        for spec in (CopulaSpec(FamilyId.CLAYTON, 2.0, 2),
+                     CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 2)):
+            a = var_for_spec(spec, [base] * 2, 0.05).components[0]
+            b = var_for_spec(spec, [scaled] * 2, 0.05).components[0]
             assert b == pytest.approx(10.0 * a, abs=1e-10)
 
     def test_monotone_in_alpha(self):
@@ -196,12 +175,12 @@ class TestStructuralProperties:
 
     def test_mixed_margins_distinct_components(self):
         margins = [UniformMargin(), ConstantMargin(0.4), FunctionMargin(lambda u: u ** 2)]
-        res = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), margins, 0.05)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), margins, 0.05)
         assert res.components[1] == pytest.approx(0.4, rel=1e-10)
         assert len(set(np.round(res.components, 12))) == 3
 
     def test_error_estimates_populated(self):
-        res = var_clayton(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U] * 3, 0.05)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U] * 3, 0.05)
         assert res.abs_error_estimate.shape == (3,)
         assert np.all(res.abs_error_estimate >= 0.0)
 
@@ -210,17 +189,13 @@ class TestDomainHandling:
     def test_frank_var_requires_positive_theta(self):
         spec = CopulaSpec(FamilyId.FRANK, -3.0, 2)
         with pytest.raises(DomainError, match=r"\(0, inf\)"):
-            var_frank(spec, [U] * 2, 0.05)
-
-    def test_amh_var_rejects_higher_dimension(self):
-        with pytest.raises(DomainError, match="bivariate"):
-            var_amh(0.5, [U] * 3, 0.05)
+            var_for_spec(spec, [U] * 2, 0.05)
 
     def test_alpha_domain(self):
         spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)
         for alpha in (0.0, 1.0, -0.2):
             with pytest.raises(DomainError):
-                var_clayton(spec, [U] * 2, alpha)
+                var_for_spec(spec, [U] * 2, alpha)
 
     def test_underflowed_phi_alpha_is_a_quadrature_error(self):
         # phi(alpha) rounds to 0: Frank theta = 40 at alpha = 1 - 1e-6, and
@@ -254,15 +229,10 @@ class TestDomainHandling:
         assert len(calls) <= 25
         assert excinfo.value.splits == len(calls) - 1
 
-    def test_family_mismatch_rejected(self):
-        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)
-        with pytest.raises(ParameterError):
-            var_frank(spec, [U] * 2, 0.05)
-
     def test_margin_count_mismatch(self):
         spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)
         with pytest.raises(ParameterError):
-            var_clayton(spec, [U] * 2, 0.05)
+            var_for_spec(spec, [U] * 2, 0.05)
 
 
 # ------------------------------------------------------------ tabulated margins

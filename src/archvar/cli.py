@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,14 @@ def _parse(section, key: str, default: str, kind=float, many: bool = False):
 
 
 def _count(text: str) -> int:
-    return int(float(text))
+    """An exact integer of magnitude at most 2^53, as ``5000`` or ``1e6``."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(text) from None
+    if not value.is_finite() or value != value.to_integral_value() or abs(value) > 2 ** 53:
+        raise ValueError(text)
+    return int(value)
 
 
 def _spec(family: FamilyId, theta: float, d: int) -> CopulaSpec:

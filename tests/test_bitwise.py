@@ -6,9 +6,11 @@ on the family with if/elif chains and had one VaR routine per family; the
 the ``kernel_mass``, ``generator``, ``copula_cdf``, ``base_key`` and
 ``sample_frailty`` digests from the implementation whose ``copula_cdf``
 masked out rows with a zero coordinate; the ``rng_words`` digest from the
-hash that allocated a new array at each step.  ``base_key`` and
-``rng_words`` use integer operations only and hold on any CPU; the others
-are pinned to one numpy build and CPU.
+hash that allocated a new array at each step; the ``kendall_ties`` digest
+from the merge count that built fresh arrays at each level.  ``base_key``,
+``rng_words`` and ``kendall_ties`` use integer operations only, besides one
+correctly rounded division and square root per tau, and hold on any CPU;
+the others are pinned to one numpy build and CPU.
 A change that moves any of these bits on purpose must say why and record the
 new digest here.
 """
@@ -42,6 +44,7 @@ DIGESTS = {
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",
     "sample_frailty": "f2674f7d9ee5f00d55ca6ffa865820a75b3b9797865744b691dfe490a23fd5a6",
     "rng_words": "7e90b44c6fabf251d2e2cbe0fe4b294241e6baaa9aec6702a5542c0a4ecd61f7",
+    "kendall_ties": "5053ca865ebd13217a68a8a250ae519678366b4afe26eea46180caa8d326127f",
 }
 
 GRID_THETAS = {
@@ -199,6 +202,28 @@ def kendall_chunks():
             yield empirical_kendall_tau(data)
 
 
+KENDALL_SIZES = ((1 << 16) - 1, (1 << 16) + 1, (1 << 17) + 3)
+
+
+def kendall_ties_chunks():
+    """Tie-heavy integer and uniform columns on both sides of 2^16 rows.
+
+    Integer-valued and ``default_rng().uniform`` columns, with no copula
+    samples: only integer counting, one division and one square root touch
+    them, so that, like ``base_key`` and ``rng_words``, this digest holds on
+    any CPU and numpy build.
+    """
+    gen = np.random.default_rng(13)
+    for n in KENDALL_SIZES:
+        for levels in (2, 5, 1000):
+            x = gen.integers(0, levels, size=n)
+            y = x + gen.integers(0, levels, size=n)
+            yield empirical_kendall_tau(np.column_stack([x, y]).astype(float))
+        u = gen.uniform(size=(n, 2))
+        yield empirical_kendall_tau(np.column_stack([u[:, 0], np.maximum(u[:, 0], u[:, 1])]))
+        yield empirical_kendall_tau(np.column_stack([u[:, 0], x % 7]).astype(float))
+
+
 def test_var_for_spec_bits():
     assert sha256(var_chunks()) == DIGESTS["var_for_spec"]
 
@@ -219,6 +244,7 @@ def test_empirical_kendall_tau_bits():
     ("kernel_mass", kernel_mass_chunks), ("generator", generator_chunks),
     ("copula_cdf", copula_cdf_chunks), ("base_key", base_key_chunks),
     ("sample_frailty", frailty_chunks), ("rng_words", rng_words_chunks),
+    ("kendall_ties", kendall_ties_chunks),
 ])
 def test_component_bits(name, chunks):
     assert sha256(chunks()) == DIGESTS[name]

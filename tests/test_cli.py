@@ -193,6 +193,21 @@ class TestSampleCommand:
         assert main(["sample", "--config", cfg]) == 2
         assert "at least one sample size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["5000.7", "1e30", "4000 5000.7", "9007199254740993", "inf"])
+    def test_count_that_is_not_an_exact_integer_exit_2(self, n, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n = 4000", f"n = {n}"))
+        assert main(["sample", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: [mc] n = {n!r} is not valid" in captured.err
+
+    def test_counts_in_float_notation(self, tmp_path):
+        text = BASE_CONFIG.replace("n = 4000", "n = 1e6, 5000.0, 9007199254740992")
+        cfg = cli.load_config(write_config(tmp_path, text + "\n[table1]\nn = 2e4\n"))
+        assert cfg.mc_n == (1_000_000, 5000, 2 ** 53)
+        assert cfg.table1_n == (20_000,)
+        assert all(type(n) is int for n in (*cfg.mc_n, *cfg.table1_n))
+
 
 class TestMcCommand:
     def test_study_report(self, tmp_path):

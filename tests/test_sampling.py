@@ -1,4 +1,6 @@
 """Copula sampling, frailty laws and the rank-correlation diagnostic."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -226,7 +228,7 @@ class TestEmpiricalKendallTau:
         expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
         assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 200])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 31, 32, 33, 64, 200, 1000])
     @pytest.mark.parametrize("levels", [3, 7, 0])
     def test_matches_brute_force_tau_b(self, n, levels):
         # O(n^2) oracle over all pairs; levels = 0 draws continuous columns
@@ -297,6 +299,27 @@ class TestEmpiricalKendallTau:
         with pytest.raises(ParameterError, match="column indices"):
             empirical_kendall_tau(data, (False, 2))
 
+    @pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 + 3])
+    def test_tie_heavy_columns_match_scipy_across_key_widths(self, n):
+        gen = np.random.default_rng(n)
+        x = gen.integers(0, 9, size=n)
+        data = np.column_stack([x, x + gen.integers(0, 9, size=n)]).astype(float)
+        expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
+        assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
+
+    def test_peak_allocation_of_one_tau(self):
+        # six int64 columns; the count that built fresh arrays at each level
+        # peaked at 8.8
+        n = 100_000
+        data = sample_copula(CopulaSpec(FamilyId.CLAYTON, 2.0, 2), n, Seed(3)).data
+        tracemalloc.start()
+        try:
+            empirical_kendall_tau(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * n
+
 
 def _brute_inversions(ranks):
     i, j = np.triu_indices(ranks.shape[0], 1)
@@ -316,6 +339,34 @@ class TestCountInversions:
     def test_tie_heavy_matches_brute_force(self, n, levels):
         ranks = np.random.default_rng(10 * n + levels).integers(0, levels, size=n)
         assert _count_inversions(ranks) == _brute_inversions(ranks)
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 1000])
+    def test_permutation_matches_brute_force(self, n):
+        ranks = np.random.default_rng(n).permutation(n)
+        assert _count_inversions(ranks) == _brute_inversions(ranks)
+
+    # the first merge level's keys fit in 32 bits up to 2^16 rows, not above
+    @pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 + 3])
+    @pytest.mark.parametrize("kind", ["sorted", "reversed", "equal", "ties"])
+    def test_matches_scipy_across_key_widths(self, n, kind):
+        gen = np.random.default_rng(n)
+        ranks = {"sorted": np.arange(n), "reversed": np.arange(n)[::-1].copy(),
+                 "equal": np.zeros(n, dtype=np.int64),
+                 "ties": gen.integers(0, 7, size=n)}[kind]
+        n0 = n * (n - 1) // 2
+        tied = sum(c * (c - 1) // 2 for c in np.unique(ranks, return_counts=True)[1].tolist())
+        found = _count_inversions(ranks)
+        if kind == "equal":
+            assert found == 0
+            return
+        # with x = row index untied, tau-b = (n0 - tied - 2 * discordant) / sqrt(n0 (n0 - tied))
+        data = np.column_stack([np.arange(n), ranks]).astype(float)
+        expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
+        assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
+        root = np.sqrt(float(n0) * float(n0 - tied))
+        assert found == round((n0 - tied - expect * root) / 2)
+        if kind != "ties":
+            assert found == (0 if kind == "sorted" else n0)
 
 
 class TestExport:

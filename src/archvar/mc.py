@@ -181,12 +181,15 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     Replication ``r`` draws its sample from seed stream
     ``cfg.seed.stream_id + r``.  Each of the ``jobs`` workers takes a
     contiguous chunk of replications; results are reduced in replication
-    order, so the outcome is identical for every ``jobs`` value.
+    order, so the outcome is identical for every ``jobs`` value.  The
+    sampler's parameter errors and the quadrature's come before any draw.
     Replications with an empty level-set neighborhood are counted in
     ``failed_replications`` and excluded from the aggregates.  ``jobs`` must
     be an integer >= 1.
     """
     jobs = _check_count(jobs, "jobs")
+    _has_frailty(cfg.spec)
+    theo = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad).components
     m = cfg.replications
     workers = min(jobs, m)
     chunks = [range(m * j // workers, m * (j + 1) // workers) for j in range(workers)]
@@ -205,7 +208,6 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
         )
     estimates = np.stack([est for est, _ in kept])
     counts = np.array([cnt for _, cnt in kept], dtype=np.int64)
-    theo = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad).components
     mean = estimates.mean(axis=0)
     if estimates.shape[0] > 1:
         std = estimates.std(axis=0, ddof=1)

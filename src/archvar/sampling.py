@@ -76,6 +76,7 @@ def _has_frailty(spec: CopulaSpec) -> bool:
     ``conditional_rows``); :class:`DomainError` where neither route exists."""
     rec = FAMILIES[spec.family]
     if rec.frailty_ok(spec.theta):
+        rec.frailty(np.empty(0, dtype=np.uint64), spec.theta)   # its parameter checks
         return True
     if rec.conditional_rows is None:
         raise DomainError(
@@ -118,7 +119,8 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
 
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
-    """Draw ``n`` i.i.d. rows from the copula with uniform margins."""
+    """Draw ``n`` i.i.d. rows from the copula with uniform margins; a
+    :class:`ParameterError` if they do not fit in memory."""
     n = _check_count(n, "sample size")
     radial = _has_frailty(spec)
     ws = rng.Workspace(min(n, _BLOCK_ROWS))
@@ -130,7 +132,10 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
             # it trims, so a Kendall tau of the sample next reuses pages
             # already faulted in (at 1e5 rows, 0 minor faults a tau call,
             # against about 500 with the sample allocated first)
-            data = np.empty((n, spec.d))
+            try:
+                data = np.empty((n, spec.d))
+            except (MemoryError, ValueError):   # ValueError: past the largest array
+                raise ParameterError(f"sample of n = {n}, d = {spec.d} does not fit in memory")
         block = data[start:start + len(cols[0])]
         for i, col in enumerate(cols):
             block[:, i] = phi_inverse(spec, col) if radial else col
@@ -146,17 +151,18 @@ def empirical_kendall_tau(sample, pair: tuple[int, int] = (0, 1)) -> float:
     sort of the codes ``rx << b | ry``, ``b`` bits a rank, orders the rows
     by x, and by y within x ties; the min-ranks of the sorted codes count
     the pairs that differ in x or in y, and the inversions of its y ranks
-    the discordant pairs.  The codes overwrite the x ranks, and the merge
-    count sorts ``uint32`` keys in buffers allocated once per call where
-    they fit.  Every count is an exact integer, so the result does not
-    depend on the order of the rows.
+    the discordant pairs.  The codes overwrite the x ranks.  Every count is
+    an exact integer, so the result does not depend on the order of the rows.
 
-    Raises :class:`ParameterError` on a NaN in either column or a column
-    index outside ``[0, d)``, and :class:`DomainError` on a constant column.
+    Raises :class:`ParameterError` on 2^31 rows or more (the merge count's
+    ``uint32`` keys would wrap), a NaN in either column or a column index
+    outside ``[0, d)``, and :class:`DomainError` on a constant column.
     """
     data = sample.data if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ParameterError("need an (n, d) array with n >= 2")
+    if data.shape[0] >= 1 << 31:
+        raise ParameterError(f"Kendall tau takes fewer than 2^31 rows, got {data.shape[0]}")
     d = data.shape[1]
     if len(pair) != 2 or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                                  and 0 <= k < d for k in pair):
@@ -203,52 +209,41 @@ def _sorted_min_ranks(s: np.ndarray) -> np.ndarray:
 
 
 def _count_inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n).
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n), n < 2^31.
 
-    A bottom-up merge count: at width ``w`` the positions form blocks of
-    ``2w``, and each block's left half is paired with its right half.  One
-    sort of the tagged keys ``((block * n + rank) << 1) | is_right`` orders
-    every block's ranks at once, left before right on equal ranks, so that
-    ties are not counted.  A left element's count of right elements before
-    it in its block is then its sorted index, less the left elements and
-    the full right halves of earlier blocks before it.
-
-    A call allocates its buffers once, and every level rewrites them in
-    place.  Keys below 2^32 (every level up to 2^16 rows, 15 of 17 at 1e5
-    rows) are built and sorted as ``uint32``, the others as ``int64``.
-    The left elements' sorted indices sum to ``n(n-1)/2`` less one integer
-    dot product of the sorted ``is_right`` bits with the positions, and the
-    term subtracted from them has a closed form in ``w`` and the left count.
+    A bottom-up merge count over the ``uint32`` keys ``2 * rank + is_right``.
+    At width ``w`` each block of ``2w`` keys is a row of a 2-D view, the short
+    last block a row of its own.  A sorted row puts left before right on equal
+    ranks, and a left key's index less the left keys before it counts the
+    right keys below it; over ``b`` rows of ``m`` keys these sum to
+    ``b (m(m-1)/2 - w(w-1)/2)`` less the column sums of the ``is_right`` bits
+    dotted with ``arange(m)``.  The next level's rows join two sorted rows.
     """
     n = ranks.shape[0]
-    pos = np.arange(n)
-    store = np.empty((3, n), dtype=np.int64)   # tagged ranks, keys, is_right bits
-    dtype = None
-    inv = 0
-    w, level = 1, 0                             # w == 2 ** level
+    # one chunk: freed, its size lifts glibc's mmap threshold past a tau's temps,
+    # so a repeated tau takes no minor faults (four buffers: 1,560 at 1e5 rows)
+    store = np.empty((3, n), dtype=np.int64)
+    pos, sums = store[0], store[1]
+    pos[:] = np.arange(n)
+    key, bit = store[2].view(np.uint32).reshape(2, n)
+    np.left_shift(ranks, 1, out=key, casting="unsafe")
+    inv, w = 0, 1
     while w < n:
-        wanted = np.uint32 if -(-n // (2 * w)) * 2 * n <= 1 << 32 else np.int64
-        if wanted is not dtype:                 # int64 on the first levels if need be
-            dtype = wanted
-            tagged, key, bit = (row.view(dtype)[:n] for row in store)
-            np.left_shift(ranks, 1, out=tagged, casting="unsafe")
-            at = pos.astype(dtype, copy=False)
-        np.right_shift(at, level + 1, out=key)
-        key *= 2 * n                            # block, past the rank and the tag
-        key += tagged
-        np.right_shift(at, level, out=bit)
-        bit &= 1                                # is_right
-        key |= bit
-        key.sort()
-        np.bitwise_and(key, 1, out=store[2])
-        left_sum = n * (n - 1) // 2 - int(np.dot(store[2], pos))
-        # the m-th left element (from 0) lies in block m // w, whose sorted
-        # keys start at 2w * (m // w) and hold m % w left elements before it;
-        # over the left elements m < left, m + m // w * w sums to this
-        left = n // (2 * w) * w + min(n % (2 * w), w)
-        q, r = divmod(left, w)
-        inv += left_sum - left * (left - 1) // 2 - w * (w * q * (q - 1) // 2 + r * q)
-        w, level = 2 * w, level + 1
+        full = n // (2 * w) * 2 * w
+        key &= 0xFFFFFFFE                           # clear the tags
+        for keys, bits in ((key[:full], bit[:full]), (key[full:], bit[full:])):
+            m = min(2 * w, keys.shape[0])
+            if m <= w:                              # no row, or no right half
+                continue
+            rows = keys.reshape(-1, m)
+            b = rows.shape[0]
+            rows[:, w:] |= 1
+            rows.sort(axis=1)
+            bits = np.bitwise_and(rows, 1, out=bits.reshape(b, m))
+            # int64 sums: uint64 ones dotted with int64 positions go through float64
+            col = bits.sum(axis=0, dtype=np.int64, out=sums[:m])
+            inv += b * (m * (m - 1) // 2 - w * (w - 1) // 2) - int(np.dot(col, pos[:m]))
+        w *= 2
     return inv
 
 

@@ -201,6 +201,13 @@ class TestSampleCommand:
         assert captured.out == ""
         assert f"config error: [mc] n = {n!r} is not valid" in captured.err
 
+    def test_sample_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("n = 4000", "n = 9007199254740992"))
+        assert main(["sample", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sample of n = 9007199254740992, d = 3 ")
+
     def test_counts_in_float_notation(self, tmp_path):
         text = BASE_CONFIG.replace("n = 4000", "n = 1e6, 5000.0, 9007199254740992")
         cfg = cli.load_config(write_config(tmp_path, text + "\n[table1]\nn = 2e4\n"))

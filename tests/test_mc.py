@@ -10,6 +10,7 @@ from archvar import (
     FamilyId,
     McConfig,
     ParameterError,
+    QuadratureError,
     Sample,
     Seed,
     StudyError,
@@ -183,6 +184,17 @@ class TestRunStudy:
                        h=1e-4, alpha=0.05, seed=Seed(0))
         with pytest.raises(ParameterError, match="jobs"):
             run_study(cfg, jobs=jobs)
+
+    def test_quadrature_error_before_any_replication(self, monkeypatch):
+        # Frank theta = 20, d = 3, alpha = 0.95: the quadrature stops by
+        # roundoff, and no replication is drawn first
+        def no_blocks(*args):
+            raise AssertionError("a replication ran before the quadrature")
+        monkeypatch.setattr(mc, "_blocks", no_blocks)
+        cfg = McConfig(spec=CopulaSpec(FamilyId.FRANK, 20.0, 3), margins=U3, n=200_000,
+                       replications=6, h=1e-3, alpha=0.95, seed=Seed(0))
+        with pytest.raises(QuadratureError):
+            run_study(cfg)
 
     def test_non_integer_jobs_rejected(self):
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=10, replications=5,

@@ -307,6 +307,13 @@ class TestEmpiricalKendallTau:
         expect = stats.kendalltau(data[:, 0], data[:, 1]).statistic
         assert empirical_kendall_tau(data) == pytest.approx(expect, abs=1e-12)
 
+    def test_rows_past_the_merge_keys_rejected(self):
+        # a zero-stride view: 2^31 rows that take no memory, rejected before
+        # any pass over them
+        data = np.broadcast_to(np.zeros(2), (2 ** 31, 2))
+        with pytest.raises(ParameterError, match="2\\^31 rows"):
+            empirical_kendall_tau(data)
+
     def test_peak_allocation_of_one_tau(self):
         # six int64 columns; the count that built fresh arrays at each level
         # peaked at 8.8
@@ -345,6 +352,14 @@ class TestCountInversions:
         ranks = np.random.default_rng(n).permutation(n)
         assert _count_inversions(ranks) == _brute_inversions(ranks)
 
+    # every n from 2 to 70: each shape of the short last row at every level
+    @pytest.mark.parametrize("n", range(2, 71))
+    def test_every_short_length_matches_brute_force(self, n):
+        gen = np.random.default_rng(1000 + n)
+        for ranks in (gen.permutation(n), np.arange(n)[::-1].copy(),
+                      np.zeros(n, dtype=np.int64), gen.integers(0, 3, size=n)):
+            assert _count_inversions(ranks) == _brute_inversions(ranks)
+
     # the first merge level's keys fit in 32 bits up to 2^16 rows, not above
     @pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 + 3])
     @pytest.mark.parametrize("kind", ["sorted", "reversed", "equal", "ties"])
@@ -367,6 +382,15 @@ class TestCountInversions:
         assert found == round((n0 - tied - expect * root) / 2)
         if kind != "ties":
             assert found == (0 if kind == "sorted" else n0)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("d", [3, 128])
+    def test_sample_too_large_for_memory_is_a_parameter_error(self, d):
+        # 2^53 rows: numpy raises MemoryError at d = 3 and, past the largest
+        # array size, ValueError at d = 128
+        with pytest.raises(ParameterError, match=f"n = {2 ** 53}, d = {d} does not fit"):
+            sample_copula(CopulaSpec(FamilyId.CLAYTON, 2.0, d), 2 ** 53, Seed(0))
 
 
 class TestExport:

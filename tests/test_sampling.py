@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from archvar import (
@@ -287,7 +289,7 @@ class TestEmpiricalKendallTau:
         with pytest.raises(ParameterError, match="NaN"):
             empirical_kendall_tau(data)
 
-    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0, 1, 2), 5, None])
     def test_pair_outside_columns_rejected(self, pair):
         data = np.random.default_rng(9).uniform(size=(50, 2))
         with pytest.raises(ParameterError, match="column indices"):
@@ -333,8 +335,25 @@ def _brute_inversions(ranks):
     return int(np.sum(ranks[i] > ranks[j]))
 
 
+@st.composite
+def _tied_ranks(draw, tail):
+    """int64 ranks of length at most 300 and ``tail`` mod 8 (the keys past the
+    count's 8-key first pass), taking 1 to n distinct levels."""
+    n = 8 * draw(st.integers(0, (300 - tail) // 8)) + tail
+    levels = draw(st.integers(1, max(n, 1)))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    return np.array(values, dtype=np.int64)
+
+
 class TestCountInversions:
-    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("tail", range(8))
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_matches_brute_force_on_any_ranks(self, tail, data):
+        ranks = data.draw(_tied_ranks(tail))
+        assert _count_inversions(ranks) == _brute_inversions(ranks)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 1000])
     def test_sorted_reversed_and_equal(self, n):
         up = np.arange(n)
         assert _count_inversions(up) == 0

@@ -2,7 +2,7 @@
 
 The formulas live in the family records of :mod:`archvar.families`: closed
 forms for every family (``scipy.special`` Debye and digamma forms for Frank
-and Joe), and bracketed bisection where no closed inverse exists.
+and Joe), and Brent's method where no closed inverse exists.
 """
 from __future__ import annotations
 
@@ -32,9 +32,10 @@ def theta_from_tau(family: FamilyId, tau: float) -> float:
     """Dependence parameter whose Kendall tau equals ``tau``.
 
     Closed-form for Clayton (``2 tau/(1-tau)``) and Gumbel-Hougaard
-    (``1/(1-tau)``); monotone bisection to ``|delta tau| <= 1e-10`` for
-    Frank, Joe and Ali-Mikhail-Haq.  Raises :class:`RangeError` naming the
-    attainable interval when ``tau`` cannot be reached by the family.
+    (``1/(1-tau)``); for Frank, Joe and Ali-Mikhail-Haq, Brent's method on
+    ``ln |theta|`` over a fixed bracket that spans the whole domain, to a few
+    ulps of ``ln |theta|``.  Raises :class:`RangeError` naming the attainable
+    interval when ``tau`` cannot be reached by the family.
     """
     rec = family_record(family)
     tau = float(tau)

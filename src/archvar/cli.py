@@ -157,7 +157,7 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     family = FamilyId.from_string(model["family"])
     if ("theta" in model) == ("target_tau" in model):
         raise _config_error("[model] must set exactly one of theta / target_tau")
-    d = _parse(model, "d", "3", int)
+    d = _parse(model, "d", "3", _count)
     if "theta" in model:
         theta = _parse(model, "theta", "")
     else:
@@ -174,10 +174,10 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
         quad=QuadConfig(
             abs_tol=_parse(quad, "abs_tol", "1e-10"),
             rel_tol=_parse(quad, "rel_tol", "1e-9"),
-            max_subdivisions=_parse(quad, "max_subdivisions", "2000", int),
+            max_subdivisions=_parse(quad, "max_subdivisions", "2000", _count),
         ),
         mc_n=mc_n,
-        mc_replications=_parse(mc, "replications", "100", int),
+        mc_replications=_parse(mc, "replications", "100", _count),
         mc_h=_parse(mc, "h", "1e-4"),
         seed=Seed(seed, _parse(mc, "stream", "0", int)),
         table1_specs=_table1_specs(t1, spec.d),

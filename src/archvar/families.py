@@ -251,36 +251,72 @@ def _log1m_pow(th: float, t: np.ndarray) -> np.ndarray:
         return _log1m_exp(th * np.log1p(-t))
 
 
-_BISECT_TOL = 1e-10
-_BISECT_CAP = 200
+def _horner(coefs, x: float) -> float:
+    """The polynomial with coefficients ``coefs``, highest power first, at ``x``."""
+    total = 0.0
+    for c in coefs:
+        total = total * x + c
+    return total
 
 
-def _bisect_tau(tau_of_theta, target: float, lo: float, hi: float) -> float:
-    """Bisection for a monotone-increasing tau(theta) on a valid bracket."""
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        fmid = tau_of_theta(mid) - target
-        if abs(fmid) <= _BISECT_TOL:
-            return mid
-        if fmid < 0:
-            lo = mid
+def _solve_tau(tau_of_theta, target: float, lo: float, hi: float) -> float:
+    """The theta between ``lo`` and ``hi`` (one sign, ``|lo| < |hi|``) where the
+    monotone ``tau_of_theta`` crosses ``target``, or ``hi`` where it does not.
+
+    Brent's method (Brent 1973, ch. 4) on ``x = ln |theta|``: inverse
+    quadratic or secant steps, and a bisection step where those would not
+    shrink the bracket fast enough.  It stops when the bracket is a few ulps
+    of ``x`` wide, so theta's relative error is about ``1e-15 max(1, |x|)``
+    from denormals to 1e300.  ``scipy.optimize.brentq`` is the same method,
+    but importing ``scipy.optimize`` takes about 0.3 s and 17 MB.
+    """
+    sign = math.copysign(1.0, hi)
+
+    def f(x):
+        return tau_of_theta(sign * math.exp(x)) - target
+
+    a, b = math.log(abs(lo)), math.log(abs(hi))
+    fa, fb = f(a), f(b)
+    if (fa < 0.0) == (fb < 0.0):  # AMH targets within ulps of its range ends
+        return hi
+    # b is the best point, c the other end of the bracket, a the previous b;
+    # d is the last step and e the one before
+    c, fc = a, fa
+    d = e = b - a
+    eps = math.ulp(1.0)
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = eps * (2.0 * abs(b) + 0.5)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return sign * math.exp(b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            # secant through a and b, or inverse quadratic through a, b and c;
+            # taken only if it stays well inside the bracket and shrinks faster
+            # than the step before last
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and 2.0 * p < abs(e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _bracket(tau_of_theta, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Double ``hi`` while tau(hi) < target, then halve ``lo`` while tau(lo) > target."""
-    for _ in range(200):
-        if tau_of_theta(hi) < target:
-            lo, hi = hi, hi * 2.0
-        elif tau_of_theta(lo) > target:
-            lo, hi = lo * 0.5, lo
-        else:
-            return lo, hi
-    raise ParameterError(f"failed to bracket tau = {target}")
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 # --------------------------------------------------------------- Clayton
@@ -351,27 +387,27 @@ def _frank_var_form(spec: CopulaSpec, alpha: float):
     return weight, alpha, 1.0, _identity, _identity
 
 
+# Frank's tau near 0 is theta times this polynomial in theta^2: 4 B_2n /
+# ((2n+1) (2n)!) for the Bernoulli numbers B_16..B_2 (the Debye series,
+# convergent for |theta| < 2 pi)
+_FRANK_SERIES = (-3617 / 45350147082240000, 1 / 280215936000, -691 / 4249941696000,
+                 1 / 131725440, -1 / 2721600, 1 / 52920, -1 / 900, 1 / 9)
+
+
 def _frank_tau(theta: float) -> float:
     """``sign(theta) [1 - 4/a (1 - D/a)]`` with ``a = |theta|`` and the Debye integral
     ``D = int_0^a t/(e^t - 1) dt = pi^2/6 - Li2(e^-a) + a ln(1 - e^-a)`` (Genest 1987).
 
-    ``Li2(z) = spence(1 - z)``.  The form cancels as theta -> 0, so below
-    ``|theta| = 0.1`` its Taylor series is used, within 8e-16 relative there.
+    ``Li2(z) = spence(1 - z)``.  The form cancels as theta -> 0 (by 1e-11
+    relative at ``|theta| = 0.1``), so below ``|theta| = 0.5`` its Taylor
+    series to the theta^15 term is used, within 3e-16 relative there.
     """
-    if abs(theta) < 0.1:
-        return (theta / 9.0 - theta ** 3 / 900.0 + theta ** 5 / 52920.0
-                - theta ** 7 / 2721600.0)
+    if abs(theta) < 0.5:
+        return theta * _horner(_FRANK_SERIES, theta * theta)
     a = abs(theta)
     em = -math.expm1(-a)
     debye = math.pi ** 2 / 6.0 - float(spence(em)) + a * math.log(em)
     return math.copysign(1.0 - 4.0 / a * (1.0 - debye / a), theta)
-
-
-def _frank_theta(tau: float) -> float:
-    # tau is odd and increasing in theta: solve for |tau| on theta > 0
-    target = abs(tau)
-    return math.copysign(
-        _bisect_tau(_frank_tau, target, *_bracket(_frank_tau, target, 0.5, 1.0)), tau)
 
 
 def _frank_theta_ok(th: float) -> bool:
@@ -382,7 +418,7 @@ def _frank_theta_ok(th: float) -> bool:
 
 
 # tau at theta = -709.78: lower taus would calibrate to a theta the domain
-# rejects (the bisection's 1e-10 in tau moves theta by about 1e-5)
+# rejects, which ends 0.0027 lower
 _FRANK_TAU_MIN = _frank_tau(-709.78)
 
 # the largest theta whose log-series frailty parameter 1 - e^-theta rounds
@@ -413,7 +449,9 @@ _FRANK = Family(
     tau=_frank_tau,
     tau_range=(_FRANK_TAU_MIN, 1.0),
     tau_ok=lambda tau: _FRANK_TAU_MIN <= tau < 1.0 and tau != 0.0,
-    theta_from_tau=_frank_theta,
+    # sign(theta) = sign(tau)
+    theta_from_tau=lambda tau: _solve_tau(
+        _frank_tau, tau, math.copysign(5e-324, tau), math.copysign(1e300, tau)),
 )
 
 
@@ -508,8 +546,7 @@ _JOE = Family(
     var_form=_joe_var_form,
     tau=_joe_tau,
     tau_range=(0.0, 1.0), tau_ok=lambda tau: 0.0 <= tau < 1.0,
-    theta_from_tau=lambda tau: (
-        1.0 if tau == 0.0 else _bisect_tau(_joe_tau, tau, *_bracket(_joe_tau, tau, 1.0, 2.0))),
+    theta_from_tau=lambda tau: 1.0 if tau == 0.0 else _solve_tau(_joe_tau, tau, 1.0, 1e300),
 )
 
 
@@ -551,16 +588,17 @@ def _amh_var_form(spec: CopulaSpec, alpha: float):
 _AMH_TAU_MIN = (5.0 - 8.0 * np.log(2.0)) / 3.0  # tau at theta = -1
 
 
+# AMH's tau near 0 is theta times this polynomial in theta: 4 / (3 k (k+1) (k+2))
+# for k = 16..1
+_AMH_SERIES = tuple(4 / (3 * k * (k + 1) * (k + 2)) for k in range(16, 0, -1))
+
+
 def _amh_tau(theta: float) -> float:
-    if theta == 0.0:
-        return 0.0
-    if abs(theta) < 1e-3:
-        # series around 0: tau = (4/3) sum_k theta^k / (k (k+1) (k+2))
-        k = np.arange(1, 7)
-        return float(4.0 / 3.0 * np.sum(theta ** k / (k * (k + 1) * (k + 2))))
-    return float(
-        1.0 - 2.0 / 3.0 * (theta + (1.0 - theta) ** 2 * np.log1p(-theta)) / theta ** 2
-    )
+    # the closed form cancels as theta -> 0 (by about 3 eps/theta^2 relative),
+    # so below |theta| = 0.1 the series is used; its truncation is 1e-18 relative
+    if abs(theta) < 0.1:
+        return theta * _horner(_AMH_SERIES, theta)
+    return float(1.0 - 2.0 / 3.0 * (theta + (1.0 - theta) ** 2 * np.log1p(-theta)) / theta ** 2)
 
 
 _AMH = Family(
@@ -583,8 +621,10 @@ _AMH = Family(
     # the theta = -1 endpoint is attained; tolerate its last-ulp representations
     tau_range=(_AMH_TAU_MIN, 1.0 / 3.0),
     tau_ok=lambda tau: _AMH_TAU_MIN - 1e-12 <= tau < 1.0 / 3.0,
-    theta_from_tau=lambda tau: (-1.0 if tau <= _AMH_TAU_MIN
-                                else _bisect_tau(_amh_tau, tau, -1.0, 1.0 - 1e-12)),
+    # sign(theta) = sign(tau), and tau(-1) is the least tau
+    theta_from_tau=lambda tau: (
+        -1.0 if tau <= _AMH_TAU_MIN else 0.0 if tau == 0.0 else _solve_tau(
+            _amh_tau, tau, math.copysign(5e-324, tau), 1.0 - 1e-12 if tau > 0.0 else -1.0)),
 )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, _check_count
 
 __all__ = ["QuadConfig", "integrate", "graded_breakpoints"]
 
@@ -76,8 +76,8 @@ class QuadConfig:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ParameterError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
+        object.__setattr__(self, "max_subdivisions",
+                           _check_count(self.max_subdivisions, "max_subdivisions"))
 
 
 DEFAULT_QUAD = QuadConfig()

@@ -168,10 +168,12 @@ class TestCalibrateCommand:
         assert main(["calibrate", "gumbel", "1.5"]) == 2
         assert "attainable" in capsys.readouterr().err
 
-    def test_unbracketable_tau_exit_2(self, capsys):
-        # theta/9 stays above tau = 1e-62 down to the smallest bracket tried
-        assert main(["calibrate", "frank", "1e-62"]) == 2
-        assert "bracket" in capsys.readouterr().err
+    def test_tiny_tau_calibrates(self, capsys):
+        # tau = theta/9 near 0; the solve covers theta down to 5e-324
+        assert main(["calibrate", "frank", "1e-62"]) == 0
+        machine = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("frank,")][0]
+        assert float(machine.split(",")[2]) == pytest.approx(9e-62, rel=1e-12)
 
 
 class TestSampleCommand:
@@ -207,6 +209,25 @@ class TestSampleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: sample of n = 9007199254740992, d = 3 ")
+
+    @pytest.mark.parametrize("section,key,old", [
+        ("model", "d", "d = 3"), ("mc", "replications", "replications = 3"),
+        ("quadrature", "max_subdivisions", None)])
+    def test_every_count_key_is_an_exact_integer(self, section, key, old, tmp_path, capsys):
+        def config(value):
+            line = f"{key} = {value}"
+            text = (BASE_CONFIG.replace(old, line) if old
+                    else BASE_CONFIG + f"\n[{section}]\n{line}\n")
+            return write_config(tmp_path, text)
+
+        cfg = cli.load_config(config("1e2"))
+        got = {"d": cfg.spec.d, "replications": cfg.mc_replications,
+               "max_subdivisions": cfg.quad.max_subdivisions}[key]
+        assert got == 100 and type(got) is int
+        assert main(["sample", "--config", config("3.5")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: [{section}] {key} = '3.5' is not valid" in captured.err
 
     def test_counts_in_float_notation(self, tmp_path):
         text = BASE_CONFIG.replace("n = 4000", "n = 1e6, 5000.0, 9007199254740992")

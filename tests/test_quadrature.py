@@ -125,8 +125,10 @@ class TestControl:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             QuadConfig(abs_tol=0.0)
-        with pytest.raises(ParameterError):
-            QuadConfig(max_subdivisions=0)
+        for count in (0, 2.5, True):
+            with pytest.raises(ParameterError, match="max_subdivisions must be an integer"):
+                QuadConfig(max_subdivisions=count)
+        assert type(QuadConfig(max_subdivisions=np.int64(5)).max_subdivisions) is int
 
     def test_breakpoints_interior_and_sorted(self):
         pts = graded_breakpoints(2.0, 3.0)

@@ -1,5 +1,7 @@
-"""Exception types shared across the library, and its one check of counts."""
-from numbers import Integral
+"""Exception types shared across the library, and its checks of counts and
+tolerances."""
+import math
+from numbers import Integral, Real
 
 
 class ParameterError(ValueError):
@@ -12,6 +14,18 @@ def _check_count(value, what: str, minimum: int = 1) -> int:
     if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_positive(value, what: str) -> float:
+    """``value`` as a ``float``; :class:`ParameterError` unless it is a real
+    number, not a bool, finite and > 0."""
+    try:
+        ok = isinstance(value, Real) and not isinstance(value, bool) and 0 < float(value) < math.inf
+    except OverflowError:    # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} must be a finite real > 0, got {value!r}")
+    return float(value)
 
 
 class DomainError(ValueError):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyLevelSetError, ParameterError, StudyError, _check_count
+from .errors import (EmptyLevelSetError, ParameterError, StudyError, _check_count,
+                     _check_positive)
 from .families import CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
@@ -59,8 +60,7 @@ class McConfig:
 
 
 def _check_level_set(alpha: float, h: float) -> None:
-    if not h > 0:
-        raise ParameterError(f"level-set tolerance h must be > 0, got {h}")
+    _check_positive(h, "level-set tolerance h")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 

@@ -10,7 +10,8 @@ reduced integrand of the spec's :class:`~archvar.families.Family` record, its
 ``var_form`` (for Gumbel and Joe in substituted variables that map the
 integration onto a finite interval with tame endpoint behaviour).
 ``var_generic`` works from the generator alone; ``kernel_mass`` integrates
-its weight alone.  One driver, ``_var``, runs every one of these integrands.
+its weight alone.  One driver, ``_var``, runs every one of these integrands,
+a call's distinct margins in lockstep against the form's one weight.
 
 Each form also returns ``from_u``, the inverse of its substitution: the
 identity, ``-log u`` for Gumbel and ``1 - u`` for Joe.  A margin with
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .families import FAMILIES, CopulaSpec, _identity, phi, phi_prime
 from .margins import ConstantMargin, checked_margins
-from .quadrature import DEFAULT_QUAD, QuadConfig, graded_breakpoints, integrate
+from .quadrature import DEFAULT_QUAD, QuadConfig, _integrate_all, graded_breakpoints
 
 __all__ = ["VarResult", "var_generic", "kernel_mass", "var_for_spec"]
 
@@ -84,26 +85,29 @@ def _kernel(form, spec: CopulaSpec, alpha: float):
 def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarResult:
     """VaR components from ``form``'s integrand.
 
-    The integral runs once per distinct margin, so components sharing a
-    margin receive bitwise-identical values.
+    The distinct margins integrate against one weight in lockstep, so
+    components sharing a margin receive bitwise-identical values, each equal
+    to the value it gets alone.  A failure raises the error of the first
+    distinct margin, in margin order, whose integral fails.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
     margins = checked_margins(margins, spec.d)
     weight, lo, hi, to_u, from_u = _kernel(form, spec, alpha)
     graded = graded_breakpoints(lo, hi)
-    values = np.empty(len(margins))
-    errors = np.empty(len(margins))
-    seen: list[tuple[object, float, float]] = []
-    for i, m in enumerate(margins):
-        hit = next(((v, e) for obj, v, e in seen if obj is m or obj == m), None)
-        if hit is None:
-            knots = getattr(m, "knots", None)
-            breaks = graded if knots is None else np.concatenate([graded, from_u(knots)])
-            hit = integrate(lambda x: m(to_u(x)) * weight(x), lo, hi, cfg, breaks)
-            seen.append((m, hit[0], hit[1]))
-        values[i], errors[i] = hit
-    return VarResult(alpha, values, errors, spec)
+    distinct: list = []
+    slots = []
+    for m in margins:
+        slot = next((j for j, obj in enumerate(distinct) if obj is m or obj == m), None)
+        if slot is None:
+            slot = len(distinct)
+            distinct.append(m)
+        slots.append(slot)
+    breaks = [graded if getattr(m, "knots", None) is None
+              else np.concatenate([graded, from_u(m.knots)]) for m in distinct]
+    parts = _integrate_all([lambda x, m=m: m(to_u(x)) for m in distinct], weight,
+                           lo, hi, cfg, breaks)
+    return VarResult(alpha, [parts[j][0] for j in slots], [parts[j][1] for j in slots], spec)
 
 
 def var_generic(spec: CopulaSpec, margins, alpha: float,

@@ -84,6 +84,13 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 3
         assert "converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["abs_tol = inf", "rel_tol = inf", "abs_tol = nan"])
+    def test_non_finite_tolerance_exit_2(self, setting, tmp_path, capsys):
+        # abs_tol = inf loaded and silently turned refinement off
+        cfg = write_config(tmp_path, BASE_CONFIG + f"\n[quadrature]\n{setting}\n")
+        assert main(["var", "--config", cfg]) == 2
+        assert "must be a finite real > 0" in capsys.readouterr().err
+
     def test_roundoff_limited_quadrature_exit_3(self, tmp_path, capsys):
         # Frank theta = 40, d = 3, alpha = 0.5: roundoff keeps the integral
         # from meeting its tolerance, and the quadrature stops early
@@ -246,6 +253,12 @@ class TestMcCommand:
         assert "n,copula,component,mean,std_dev,bias,rmse,theoretical" in lines
         body = [l for l in lines if l and not l.startswith(("#", "n,"))]
         assert len(body) == 3
+
+    def test_infinite_h_exit_2(self, tmp_path, capsys):
+        # h = inf selected every row, and the study reported their mean
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("h = 1e-3", "h = inf"))
+        assert main(["mc", "--config", cfg]) == 2
+        assert "level-set tolerance h must be a finite real > 0" in capsys.readouterr().err
 
     def test_empty_level_set_exit_4(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("n = 4000", "n = 50").replace("h = 1e-3", "h = 1e-12")

@@ -170,6 +170,14 @@ class TestRunStudy:
             McConfig(spec=CLAYTON3, margins=(U3[0], U3[1], 0.5), n=10, replications=1,
                      h=1e-4, alpha=0.05, seed=Seed(0))
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan, True, -1e-4, "1e-4"])
+    def test_h_must_be_finite_positive_real(self, h):
+        # h = inf selected every row: at Clayton theta = 2, d = 3, alpha =
+        # 0.05 a study "estimated" 0.498 against a VaR of 0.124
+        with pytest.raises(ParameterError, match="h must be a finite real > 0"):
+            McConfig(spec=CLAYTON3, margins=U3, n=10, replications=1,
+                     h=h, alpha=0.05, seed=Seed(0))
+
     @pytest.mark.parametrize("counts", [dict(n=1e4), dict(replications=2.0), dict(n=True)],
                              ids=("float-n", "float-replications", "bool-n"))
     def test_counts_must_be_integers(self, counts):

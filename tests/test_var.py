@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy import special
 from test_quadrature import count_rule_calls
 
 from archvar import (
@@ -367,3 +368,139 @@ class TestTabulatedMargins:
             tracemalloc.stop()
         assert got == pytest.approx(want, rel=1e-9)
         assert peak < 12e6
+
+
+# ------------------------------------------------------- lockstep margins
+
+# the benchmark's VaR grid: each family's Table-1 (AMH: acceptance) value and
+# a strong one
+LOCKSTEP_THETAS = {
+    FamilyId.CLAYTON: (2.0, 10.0),
+    FamilyId.FRANK: (5.74, 12.0),
+    FamilyId.GUMBEL_HOUGAARD: (2.0, 6.0),
+    FamilyId.JOE: (2.4, 6.0),
+    FamilyId.ALI_MIKHAIL_HAQ: (0.3, 0.95),
+}
+LOCKSTEP_CASES = [(fam, th, d, alpha) for fam, thetas in LOCKSTEP_THETAS.items()
+                  for th in thetas
+                  for d in ((2,) if fam is FamilyId.ALI_MIKHAIL_HAQ else (3, 10))
+                  for alpha in (0.05, 0.95)]
+
+
+def _normal(mu: float, sigma: float) -> FunctionMargin:
+    return FunctionMargin(lambda u: mu + sigma * special.ndtri(u))
+
+
+def _lognormal(mu: float, sigma: float) -> FunctionMargin:
+    return FunctionMargin(lambda u: np.exp(mu + sigma * special.ndtri(u)))
+
+
+def _var_outcome(spec, margins, alpha):
+    """Components and bounds as bytes, or the exception's type, message and fields."""
+    try:
+        res = var_for_spec(spec, margins, alpha)
+        return res.components.tobytes(), res.abs_error_estimate.tobytes()
+    except QuadratureError as exc:
+        return type(exc), str(exc), repr(exc.estimate), repr(exc.error_bound), exc.splits
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _mixed(d: int) -> list:
+    """A cycle of distinct margins: smooth ones, and a table that has knots."""
+    cycle = [U, _normal(2.0, 0.5), _lognormal(0.5, 0.25), _normal(5.0, 2.0),
+             _lognormal_table(seed=11)]
+    return [cycle[i % min(d, len(cycle))] for i in range(d)]
+
+
+class TestLockstepMargins:
+    """A call's distinct margins refine together, each as it would alone."""
+
+    @pytest.mark.parametrize("family,theta,d,alpha", LOCKSTEP_CASES,
+                             ids=[f"{f.value}-{t}-d{d}-a{a}" for f, t, d, a in LOCKSTEP_CASES])
+    def test_components_match_single_margin_calls(self, family, theta, d, alpha):
+        spec = CopulaSpec(family, theta, d)
+        margins = _mixed(d)
+        distinct = list(dict.fromkeys(margins))
+        alone = [_var_outcome(spec, [m] * d, alpha) for m in distinct]
+        failed = [out for out in alone if isinstance(out[0], type)]
+        got = _var_outcome(spec, margins, alpha)
+        if failed:
+            # the first distinct margin to fail, in margin order
+            assert got == failed[0]
+            return
+        comps = np.frombuffer(got[0]), np.frombuffer(got[1])
+        for i, m in enumerate(margins):
+            single = alone[distinct.index(m)]
+            assert comps[0][i].tobytes() == np.frombuffer(single[0])[0].tobytes()
+            assert comps[1][i].tobytes() == np.frombuffer(single[1])[0].tobytes()
+
+    @staticmethod
+    def _failing_margins():
+        # finite on the 513-point check grid, but infinite above 1 - 1e-7,
+        # where the graded mesh's first pass puts nodes
+        infinite_tail = FunctionMargin(lambda u: np.where(u > 1.0 - 1e-7, np.inf, u))
+        probed = []
+
+        def fails_after_probe(u):
+            if probed:
+                raise ArithmeticError("margin callable failed")
+            probed.append(u.size)
+            return u
+
+        return infinite_tail, FunctionMargin(fails_after_probe)
+
+    @pytest.mark.parametrize("order", ["infinite-first", "raising-first"])
+    def test_first_failing_margin_wins(self, order):
+        infinite_tail, raising = self._failing_margins()
+        pair = [infinite_tail, raising] if order == "infinite-first" else [raising, infinite_tail]
+        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)
+        if order == "infinite-first":
+            with pytest.raises(QuadratureError, match="non-finite") as excinfo:
+                var_for_spec(spec, [U] + pair, 0.05)
+            assert np.isnan(excinfo.value.estimate) and excinfo.value.error_bound == np.inf
+            assert excinfo.value.splits == 0
+        else:
+            with pytest.raises(ArithmeticError, match="margin callable failed"):
+                var_for_spec(spec, [U] + pair, 0.05)
+
+    @pytest.mark.parametrize("order", ["infinite-first", "raising-first"])
+    def test_margins_before_a_failure_run_on(self, order):
+        # the raising margin fails at its first split; the infinite one fails
+        # in the first pass, so lockstep meets it first, yet a margin loop
+        # meets whichever comes first in margin order
+        infinite_tail = self._failing_margins()[0]
+        steps = []
+
+        def fails_at_first_split(u):
+            if u.size == 30:
+                steps.append(1)
+                raise ArithmeticError("margin failed at a split")
+            return u
+
+        raising = FunctionMargin(fails_at_first_split)
+        pair = [infinite_tail, raising] if order == "infinite-first" else [raising, infinite_tail]
+        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)    # a uniform margin needs 4 splits
+        if order == "infinite-first":
+            with pytest.raises(QuadratureError, match="non-finite"):
+                var_for_spec(spec, [U] + pair, 0.05)
+            assert steps == []
+        else:
+            with pytest.raises(ArithmeticError, match="failed at a split"):
+                var_for_spec(spec, [U] + pair, 0.05)
+            assert steps == [1]
+
+    def test_calls_are_those_of_the_slowest_margin(self, monkeypatch):
+        # smooth margins share the graded first pass, and each step splits
+        # one interval of every margin still running
+        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 10)
+        margins = _mixed(4) * 2 + _mixed(4)[:2]
+        alone = []
+        for m in dict.fromkeys(margins):
+            calls = count_rule_calls(monkeypatch)
+            var_for_spec(spec, [m] * 10, 0.05)
+            alone.append(len(calls))
+            monkeypatch.undo()
+        calls = count_rule_calls(monkeypatch)
+        var_for_spec(spec, margins, 0.05)
+        assert len(calls) == max(alone) < sum(alone)

@@ -231,6 +231,12 @@ def _identity(u: np.ndarray) -> np.ndarray:
     return u
 
 
+# the largest double below 1; a reflected ``u = 1 - t`` or ``u = e^-t``
+# rounds onto 1 for t under about 1e-16, where a quantile may be infinite,
+# so the t-space VaR forms round such u down to this instead
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
 def _log1m_exp(x: np.ndarray) -> np.ndarray:
     """``ln(1 - e^x)`` for ``x <= 0`` at full relative precision.
 
@@ -334,13 +340,18 @@ def _clayton_phi_prime(th: float, t: np.ndarray) -> np.ndarray:
 
 
 def _clayton_var_form(spec: CopulaSpec, alpha: float):
-    """Reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``."""
+    """Reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``.
+
+    Each ``x^-theta`` enters as ``1 + expm1(-theta ln x)`` and the ones
+    cancel exactly, so the bracket keeps its digits as theta -> 0, where
+    ``alpha^-theta - 1`` loses them (and rounds to 0 at theta = 1e-17).
+    """
     th, d = spec.theta, spec.d
-    denom = alpha ** -th - 1.0
+    denom = float(np.expm1(-th * np.log(alpha)))
     scale = (d - 1) * th / denom
 
     def weight(u: np.ndarray) -> np.ndarray:
-        ratio = (alpha ** -th - u ** -th) / denom
+        ratio = (denom - np.expm1(-th * np.log(u))) / denom
         return u ** (-th - 1.0) * ratio ** (d - 2) * scale
 
     return weight, alpha, 1.0, _identity, _identity
@@ -460,14 +471,17 @@ _FRANK = Family(
 def _gumbel_var_form(spec: CopulaSpec, alpha: float):
     """Integrand on ``t in [0, -ln alpha]`` after the substitution ``t = -ln u``."""
     th, d = spec.theta, spec.d
-    la = -np.log(alpha)
-    scale = (d - 1) * th / la ** th
+    la = float(-np.log(alpha))
+    # (t/la)^(theta-1) / la, not t^(theta-1) / la^theta, which underflows
+    # (theta = 60 at alpha = 1 - 1e-6)
+    scale = (d - 1) * th / la
 
     def weight(t: np.ndarray) -> np.ndarray:
-        ratio = 1.0 - (t / la) ** th
-        return t ** (th - 1.0) * ratio ** (d - 2) * scale
+        r = t / la
+        return r ** (th - 1.0) * (1.0 - r ** th) ** (d - 2) * scale
 
-    return weight, 0.0, la, lambda t: np.exp(-t), lambda u: -np.log(u)
+    return (weight, 0.0, la, lambda t: np.minimum(np.exp(-t), _BELOW_ONE),
+            lambda u: -np.log(u))
 
 
 _GUMBEL = Family(
@@ -510,7 +524,8 @@ def _joe_var_form(spec: CopulaSpec, alpha: float):
         ratio = (np.log1p(-(t ** th)) + phi_a) / phi_a
         return t ** (th - 1.0) / one_minus_tth * ratio ** (d - 2) * scale
 
-    return weight, 0.0, 1.0 - alpha, lambda t: 1.0 - t, lambda u: 1.0 - u
+    return (weight, 0.0, 1.0 - alpha, lambda t: np.minimum(1.0 - t, _BELOW_ONE),
+            lambda u: 1.0 - u)
 
 
 def _joe_tau(theta: float) -> float:

@@ -3,15 +3,18 @@
 The integrand is evaluated only at nodes strictly inside each interval, so
 endpoint singularities that are integrable (or merely removable) never get
 touched directly.  Intervals suspected of endpoint structure can be seeded
-with a graded initial mesh via ``graded_breakpoints``, and known kinks of the
-integrand passed as further breakpoints.  The first pass costs 15
-evaluations per initial interval, so it grows linearly with the number of
-breakpoints; it runs ``_CHUNK_INTERVALS`` intervals at a time, so its memory
-does not.
+with a graded initial mesh via ``graded_breakpoints`` (24 intervals, to 1e-11
+of the width from each end), and known kinks of the integrand passed as
+further breakpoints.  The first pass costs 15 evaluations per initial
+interval, so it grows linearly with the number of breakpoints; it runs
+``_CHUNK_INTERVALS`` intervals at a time, so its memory does not.
 
-Refinement splits the interval with the largest error bound.  It raises
-:class:`QuadratureError` after ``max_subdivisions`` splits, or earlier when
-roundoff, not the mesh, sets the error (QUADPACK QAG's ``iroff1`` test,
+Refinement splits the interval with the largest error bound, unless the
+outermost node of either half would round onto the interval's end: such an
+interval is at floating-point resolution and is never split, but its error
+stays in the bound.  It raises :class:`QuadratureError` after ``max_subdivisions``
+splits, when such intervals alone hold more error than the tolerance, or
+when roundoff, not the mesh, sets the error (QUADPACK QAG's ``iroff1`` test,
 Piessens et al. 1983; see ``_MAX_STALLS``).  QAG's second counter, for
 children whose error exceeds their parent's, is left out: it stops integrals
 that converge, such as ``cos(200 x) e^-x`` on ``[0, 10]`` at tolerance 1e-10.
@@ -58,11 +61,21 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+_XK_EDGE = float(_XK[-1])
 
-# Initial intervals per batch of the first pass.  It exceeds the 11 intervals
+# Initial intervals per batch of the first pass.  It exceeds the 24 intervals
 # of the graded mesh, so an integral without further breakpoints makes one
 # batch.
 _CHUNK_INTERVALS = 1024
+
+# The graded mesh: its points' distances from each end as fractions of the
+# width, ascending; the last, 0.5, is the midpoint.  It is deep enough that
+# the log singularity of a normal or lognormal quantile at u = 1 and a
+# smooth integrand's middle converge in the first pass.  A point nearer its
+# end than _FLOOR is dropped: the K15 nodes of a narrower end interval can
+# round onto u = 1 under a VaR form's substitution.
+_GRADED = np.array([1e-11, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
+_FLOOR = 1e-13
 
 # A split is a stall when its children's summed value lies within
 # _STALL_REL_CHANGE of the parent's and their summed error bound is at least
@@ -93,11 +106,19 @@ DEFAULT_QUAD = QuadConfig()
 
 
 def graded_breakpoints(a: float, b: float) -> np.ndarray:
-    """Initial mesh refined geometrically toward both endpoints."""
-    width = b - a
-    offsets = np.array([1e-7, 1e-5, 1e-3, 1e-2, 1e-1])
-    pts = np.concatenate([a + width * offsets, b - width * offsets])
-    return np.unique(pts[(pts > a) & (pts < b)])
+    """Initial mesh refined geometrically toward both endpoints.
+
+    The points lie at ``_GRADED`` fractions of the width from each end, the
+    midpoint once, less those within ``_FLOOR`` of their end and those that
+    round onto an end or onto their neighbour.
+    """
+    dist = (b - a) * _GRADED
+    dist = dist[dist >= _FLOOR]
+    # ascending as built, so one comparison drops the duplicates; the last
+    # point kept then equals b, and is cut
+    pts = np.concatenate(([a], a + dist, b - dist[-2::-1], [b]))
+    pts = pts[1:][pts[1:] > pts[:-1]]
+    return pts[:-1]
 
 
 def _rule(fs, w, mid: np.ndarray, half: np.ndarray):
@@ -176,6 +197,13 @@ def _step_errors(resk, resg, resasc) -> tuple[list, list]:
                     for r, s, p in zip(raws, ascs, powers)]
 
 
+def _halves_hold_nodes(left: float, mid: float, right: float) -> bool:
+    """Whether the outermost K15 nodes of the two halves, as ``_rule`` places
+    them, lie strictly inside ``(left, right)``."""
+    return (left < 0.5 * (left + mid) - 0.5 * (mid - left) * _XK_EDGE
+            and 0.5 * (mid + right) + 0.5 * (right - mid) * _XK_EDGE < right)
+
+
 @dataclass(slots=True)
 class _Integral:
     """One integral's refinement: a heap of ``(-error, left, right, value, error)``,
@@ -187,6 +215,7 @@ class _Integral:
     error: float
     splits: int = 0
     stalls: int = 0
+    stuck: float = 0.0    # the error of intervals too narrow to split
     split: tuple = ()
 
 
@@ -251,7 +280,7 @@ def _integrate_all(fs, w, a: float, b: float, cfg: QuadConfig,
         for st in live:
             if st.index >= stop:
                 break
-            while st.error > max(abs_tol, rel_tol * abs(st.total)):
+            while st.error > (tol := max(abs_tol, rel_tol * abs(st.total))):
                 if st.stalls >= _MAX_STALLS:
                     failure, stop = QuadratureError(
                         f"quadrature stopped by roundoff after {st.splits} subdivisions: "
@@ -267,12 +296,20 @@ def _integrate_all(fs, w, a: float, b: float, cfg: QuadConfig,
                         st.total, st.error, st.splits,
                     ), st.index
                     break
+                if st.stuck > tol or not st.heap:
+                    failure, stop = QuadratureError(
+                        f"quadrature stopped at floating-point resolution after {st.splits} "
+                        f"subdivisions: intervals too narrow to split hold {st.stuck:.3e} of "
+                        f"the error bound (estimate {st.total!r}, error bound {st.error:.3e})",
+                        st.total, st.error, st.splits,
+                    ), st.index
+                    break
                 _, left, right, value, err = heapq.heappop(st.heap)
                 mid = 0.5 * (left + right)
-                if mid <= left or mid >= right:
-                    # interval at floating-point resolution; cannot refine further
-                    heapq.heappush(st.heap, (0.0, left, right, value, 0.0))
-                    st.error -= err
+                if not _halves_hold_nodes(left, mid, right):
+                    # at floating-point resolution: the interval leaves the
+                    # heap, and its error stays in the bound
+                    st.stuck += err
                     continue
                 st.split = (left, mid, right, value, err)
                 batch.append(st)

@@ -13,12 +13,17 @@ integration onto a finite interval with tame endpoint behaviour).
 its weight alone.  One driver, ``_var``, runs every one of these integrands,
 a call's distinct margins in lockstep against the form's one weight.
 
-Each form also returns ``from_u``, the inverse of its substitution: the
-identity, ``-log u`` for Gumbel and ``1 - u`` for Joe.  A margin with
-``knots`` (a tabulated one) has a kink at each; ``_var`` maps them through
-``from_u`` and adds them to the initial mesh, so that every panel's
-integrand is smooth and the first batched pass of the quadrature converges.
-Each knot inside the interval costs about 15 integrand evaluations.
+The initial mesh is ``graded_breakpoints(lo, hi)``, 24 intervals reaching
+1e-11 of the width from each end, so that smooth margins, the normal and
+lognormal quantiles with their log singularity at ``u = 1`` included, mostly
+converge in the first batched pass.  Each form also returns ``from_u``, the
+inverse of its substitution ``to_u``: the identity, ``-log u`` for Gumbel
+and ``1 - u`` for Joe, whose ``to_u`` rounds a ``u`` that would round onto 1
+down to the largest double below 1.  A margin with ``knots`` (a tabulated
+one) has a kink at each; ``_var`` maps them through ``from_u`` and adds them
+to the initial mesh, so that every panel's integrand is smooth and the first
+batched pass of the quadrature converges.  Each knot inside the interval
+costs about 15 integrand evaluations.
 """
 from __future__ import annotations
 

@@ -7,7 +7,13 @@ the ``kernel_mass``, ``generator``, ``copula_cdf``, ``base_key`` and
 ``sample_frailty`` digests from the implementation whose ``copula_cdf``
 masked out rows with a zero coordinate; the ``rng_words`` digest from the
 hash that allocated a new array at each step; the ``kendall_ties`` digest
-from the merge count that built fresh arrays at each level.  ``base_key``,
+from the merge count that built fresh arrays at each level.  The
+``var_for_spec``, ``kernel_mass``, ``run_study``, ``cli_var`` and
+``cli_table1`` digests were recaptured with the 24-interval graded mesh
+(points from 1e-11 of the width, none within 1e-13 of an end), which moved
+VaR values by up to 2.4e-12 relative here and error bounds more; the
+Clayton form in ``expm1`` terms and the Gumbel form in ``t / la`` terms
+moved them by up to 3.5e-15 and 8.5e-15 more.  ``base_key``,
 ``rng_words`` and ``kendall_ties`` use integer operations only, besides one
 correctly rounded division and square root per tau, and hold on any CPU;
 the others are pinned to one numpy build and CPU.
@@ -30,15 +36,15 @@ from archvar.cli import main
 from archvar.rng import mix64_int
 
 DIGESTS = {
-    "var_for_spec": "f489cf1a8aaa07de75e3ece4b3a04df6e8429bd6cbb1e7888aba4433dd141651",
+    "var_for_spec": "11cda3f040c235ad13aa952a17bfdde042a5d79cbd497d71a7fbe68950bbe756",
     "sample_copula": "cfcdbeba3dfd7ed9a7f7a526c4ddd30b33a24be30e7797c7ed12ab6a8d013349",
-    "run_study": "67559c6febfd76fa34d1e72e4865423369d0db2be22e8ae50d85e2ebb33ad938",
+    "run_study": "df31130a7fb73992f7f9cdd596cc7d273d03a77d6f364f2b772cb02c74143902",
     "empirical_kendall_tau": "44951c1839fd5fc51176dc4b1e862065eb053429e5744dfe55c391f448eb9f93",
-    "cli_var": "ab77a97e17dc123ae46f6f90f944210142330073b179418c8268c2d2bb46eaf5",
+    "cli_var": "1479a111fe4e5ad302b6aabc91592b161715a102aab6b2d91e030c2cd1ace701",
     "cli_mc": "36d3080f286a092e8b11d66d176b69fbe8e0e5b8122b5cf53504472513ed98e7",
-    "cli_table1": "5f57a42879dfad452e9ee6b095ab38eb3e5e18d88dd23a3da95cead17400ac44",
+    "cli_table1": "7d405a5cab173e476adf39cf83b47917184d89b42b2e5389224d8750cbe10328",
     "cli_sample": "cf7df035920ca5a84b44398f5428441b3f855e6a9342ed5c8e198351c99a9770",
-    "kernel_mass": "885740aa787be1422f11639a8fea205cdb2d32339db2bebd2318481c3956d3f3",
+    "kernel_mass": "a2f38564e5a55aba0e6715c69892aec02b31290d8021f16431c7dde17b604f4f",
     "generator": "a3b8f9f3fec6fc10de5f16cf87d613695178508db32888370fab2c90a6078a68",
     "copula_cdf": "636cf605fa60d32834a95f69cab3c0e40253abec6f9885d00e7a4f61e1d4cef9",
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integrator."""
 import numpy as np
 import pytest
+from scipy import special
 
 from archvar import ParameterError, QuadConfig, QuadratureError, graded_breakpoints, integrate
 from archvar import quadrature
@@ -136,7 +137,7 @@ class TestControl:
     def test_first_pass_runs_in_chunks(self, monkeypatch):
         sizes = count_rule_calls(monkeypatch)
         integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0, breakpoints=graded_breakpoints(0.0, 1.0))
-        assert sizes == [11]
+        assert sizes == [24]
         sizes.clear()
         value, _ = integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0,
                              breakpoints=np.linspace(0.0, 1.0, 3001))
@@ -163,6 +164,33 @@ class TestControl:
         assert np.all((pts > 2.0) & (pts < 3.0))
         assert np.all(np.diff(pts) > 0.0)
 
+    def test_breakpoints_match_unique_of_the_graded_points(self):
+        # the one-comparison build gives the bits of np.unique over the same
+        # points, the midpoint, the floor and rounding onto the ends included
+        gen = np.random.default_rng(20)
+        cases = [(0.0, 1.0), (2.0, 3.0), (0.05, 1.0), (1.0 - 1e-6, 1.0), (0.0, 1e-6),
+                 (1e5, 1e5 + 1e-6), (0.0, 2.5e-13), (0.0, 1e-13), (-3.0, 1e300)]
+        cases += [(a, a + w) for a, w in zip(gen.uniform(-10, 10, 300) * 10.0 ** gen.integers(-12, 12, 300),
+                                              10.0 ** gen.uniform(-14, 3, 300))]
+        for a, b in cases:
+            dist = (b - a) * quadrature._GRADED
+            dist = dist[dist >= quadrature._FLOOR]
+            pts = np.concatenate([a + dist, b - dist[:-1]])
+            want = np.unique(pts[(pts > a) & (pts < b)])
+            got = graded_breakpoints(a, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b)
+
+    def test_graded_mesh_depth_and_floor(self):
+        pts = graded_breakpoints(0.0, 1.0)
+        assert pts.size == 23 and pts[0] == 1e-11 and pts[11] == 0.5
+        assert pts[-1] == 1.0 - 1e-11
+        # near alpha = 1 the deepest points fall under the floor
+        for lo in (1.0 - 1e-4, 1.0 - 1e-6, 0.0):
+            hi = 1.0 if lo else 1e-6
+            pts = graded_breakpoints(lo, hi)
+            assert min(pts[0] - lo, hi - pts[-1]) >= 0.9 * quadrature._FLOOR
+        assert graded_breakpoints(0.0, 1e-13).size == 0
+
     def test_nodes_strictly_interior(self):
         seen = []
 
@@ -173,6 +201,36 @@ class TestControl:
         integrate(probe, 0.0, 1.0)
         nodes = np.concatenate(seen)
         assert nodes.min() > 0.0 and nodes.max() < 1.0
+
+    @pytest.mark.parametrize("shift, sign", [(0.0, 1.0), (0.5, -1.0)])
+    def test_refinement_never_evaluates_on_an_end(self, shift, sign):
+        # ndtri(x - shift) is infinite at the right end (shift 0) or at the
+        # left end (shift 0.5) of [0.5, 1]; a tight tolerance drives the
+        # splits there until the halves' outer nodes would round onto the end
+        seen = []
+
+        def probe(x):
+            seen.append(x)
+            return special.ndtri(x - shift)
+
+        exact = sign / np.sqrt(2.0 * np.pi)
+        value, _ = integrate(probe, 0.5, 1.0, QuadConfig(abs_tol=1e-300, rel_tol=1e-14),
+                             graded_breakpoints(0.5, 1.0))
+        assert value == pytest.approx(exact, rel=1e-14)
+        with pytest.raises(QuadratureError, match="floating-point resolution") as excinfo:
+            integrate(probe, 0.5, 1.0, QuadConfig(abs_tol=1e-300, rel_tol=1e-15),
+                      graded_breakpoints(0.5, 1.0))
+        assert abs(excinfo.value.estimate - exact) <= excinfo.value.error_bound
+        nodes = np.concatenate(seen)
+        assert nodes.min() > 0.5 and nodes.max() < 1.0
+
+    def test_error_of_an_unsplittable_interval_stays_in_the_bound(self):
+        # (1 - x)^(-2/3) on [0, 1] is 3, but the part of it within 1e-14 of
+        # 1, about 7e-5, lies where no split can resolve it
+        with pytest.raises(QuadratureError, match="floating-point resolution") as excinfo:
+            integrate(lambda x: (1.0 - x) ** (-2.0 / 3.0), 0.0, 1.0,
+                      breakpoints=graded_breakpoints(0.0, 1.0))
+        assert abs(excinfo.value.estimate - 3.0) <= excinfo.value.error_bound
 
 
 def _sequential(fs, w, a, b, cfg, breakpoints):
@@ -247,7 +305,7 @@ class TestLockstep:
 
     def test_integrals_after_a_failure_stop(self):
         # integral 0 fails in the first pass, so integral 1 is evaluated
-        # there only, on the 11 graded intervals, though alone it needs many
+        # there only, on the 24 graded intervals, though alone it needs many
         # splits
         calls = []
 
@@ -259,7 +317,7 @@ class TestLockstep:
             quadrature._integrate_all([FAILING["first-pass-non-finite"], slow], _weight,
                                       self.A, self.B, self.CFG,
                                       [graded_breakpoints(self.A, self.B)] * 2)
-        assert calls == [11 * 15]
+        assert calls == [24 * 15]
 
     def test_batched_steps(self, monkeypatch):
         # every step splits one interval of each running integral, so the

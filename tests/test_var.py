@@ -2,8 +2,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 from scipy import special
 from test_quadrature import count_rule_calls
@@ -22,6 +25,8 @@ from archvar import (
     var_for_spec,
     var_generic,
 )
+from archvar import quadrature
+from archvar.families import FAMILIES
 
 U = UniformMargin()
 
@@ -211,7 +216,6 @@ class TestDomainHandling:
 
     @pytest.mark.parametrize("family, theta, d, alpha, call", [
         (FamilyId.FRANK, 40.0, 3, 0.5, "var"),
-        (FamilyId.CLAYTON, 0.01, 10, 1.0 - 1e-6, "var"),
         (FamilyId.FRANK, 20.0, 3, 0.95, "var"),
         (FamilyId.FRANK, 40.0, 10, 0.5, "mass"),
     ])
@@ -480,7 +484,7 @@ class TestLockstepMargins:
 
         raising = FunctionMargin(fails_at_first_split)
         pair = [infinite_tail, raising] if order == "infinite-first" else [raising, infinite_tail]
-        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)    # a uniform margin needs 4 splits
+        spec = CopulaSpec(FamilyId.CLAYTON, 10.0, 3)    # a uniform margin needs a split
         if order == "infinite-first":
             with pytest.raises(QuadratureError, match="non-finite"):
                 var_for_spec(spec, [U] + pair, 0.05)
@@ -504,3 +508,153 @@ class TestLockstepMargins:
         calls = count_rule_calls(monkeypatch)
         var_for_spec(spec, margins, 0.05)
         assert len(calls) == max(alone) < sum(alone)
+
+
+# ---------------------------------------------- graded mesh and the reduced forms
+
+def _mp_var(family, theta, d, alpha, q=lambda u: u):
+    """VaR at 40 digits in the Beta form ``(d-1) int_0^1 q(phi^-1(phi(alpha) x))
+    (1-x)^(d-2) dx``, which shares no integrand with the program's forms."""
+    mp = mpmath
+    with mp.workdps(40):
+        th, al = mp.mpf(theta), mp.mpf(alpha)
+        if family is FamilyId.CLAYTON:
+            phi = lambda t: mp.expm1(-th * mp.log(t)) / th        # noqa: E731
+            inv = lambda s: mp.exp(-mp.log1p(th * s) / th)        # noqa: E731
+        elif family is FamilyId.FRANK:
+            phi = lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th))    # noqa: E731
+            inv = lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th    # noqa: E731
+        elif family is FamilyId.GUMBEL_HOUGAARD:
+            phi = lambda t: (-mp.log(t)) ** th                    # noqa: E731
+            inv = lambda s: mp.exp(-s ** (1 / th))                # noqa: E731
+        else:
+            phi = lambda t: -mp.log1p(-(1 - t) ** th)             # noqa: E731
+            inv = lambda s: 1 - (-mp.expm1(-s)) ** (1 / th)       # noqa: E731
+        pa = phi(al)
+        # below x = 1e-30, u rounds to 1 at 40 digits; the piece left out is
+        # below 1e-26 for the margins used here
+        return float((d - 1) * mp.quad(lambda x: q(inv(pa * x)) * (1 - x) ** (d - 2),
+                                       [mp.mpf("1e-30"), 0.5, 1]))
+
+
+def _mp_lognormal(u):
+    """``exp(0.5 ndtri(u))`` in mpmath."""
+    return mpmath.exp(0.5 * mpmath.sqrt(2) * mpmath.erfinv(2 * u - 1))
+
+
+class _FirstPass(Exception):
+    pass
+
+
+def _first_pass_nodes(spec, alpha):
+    """The x nodes of a reduced form's first pass, and the form's ``to_u`` and bounds."""
+    weight, lo, hi, to_u, _ = FAMILIES[spec.family].var_form(spec, alpha)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        raise _FirstPass
+
+    with pytest.raises(_FirstPass):
+        quadrature._integrate_all([to_u], recording, lo, hi, quadrature.DEFAULT_QUAD,
+                                  [quadrature.graded_breakpoints(lo, hi)])
+    return seen[0], to_u, lo, hi
+
+
+# the substitutions without the round-down of u below 1: what the floor keeps
+# the first pass's nodes off
+RAW_TO_U = {FamilyId.GUMBEL_HOUGAARD: lambda t: np.exp(-t), FamilyId.JOE: lambda t: 1.0 - t}
+MESH_THETAS = {
+    FamilyId.CLAYTON: (0.01, 2.0, 10.0),
+    FamilyId.FRANK: (1.0, 5.74, 12.0),
+    FamilyId.GUMBEL_HOUGAARD: (1.0, 2.0, 60.0),
+    FamilyId.JOE: (1.2, 2.4, 6.0),
+    FamilyId.ALI_MIKHAIL_HAQ: (-0.7, 0.3, 0.95),
+}
+# alpha on a log grid in [1e-6, 1 - 1e-6], dense toward both ends
+TAILS = 10.0 ** -np.linspace(6.0, math.log10(2.0), 16)
+MESH_ALPHAS = tuple(TAILS) + tuple(1.0 - TAILS[::-1])
+
+
+def _assert_nodes_inside(family, theta, alpha):
+    spec = CopulaSpec(family, theta, 2 if family is FamilyId.ALI_MIKHAIL_HAQ else 3)
+    x, to_u, lo, hi = _first_pass_nodes(spec, alpha)
+    assert x.size == 15 * (quadrature.graded_breakpoints(lo, hi).size + 1)
+    assert np.all((x > lo) & (x < hi)), (family, theta, alpha)
+    for u in (to_u(x), RAW_TO_U.get(family, to_u)(x)):
+        assert np.all((u > 0.0) & (u < 1.0)), (family, theta, alpha)
+
+
+class TestGradedMesh:
+    """The first pass's nodes stay inside the interval and below u = 1."""
+
+    @pytest.mark.parametrize("family", list(MESH_THETAS), ids=lambda f: f.value)
+    def test_first_pass_nodes_inside_on_the_alpha_grid(self, family):
+        for theta in MESH_THETAS[family]:
+            for alpha in MESH_ALPHAS:
+                _assert_nodes_inside(family, theta, alpha)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(family=st.sampled_from(list(MESH_THETAS)), k=st.integers(0, 2),
+           exponent=st.floats(math.log10(2.0), 6.0), upper=st.booleans())
+    def test_first_pass_nodes_inside(self, family, k, exponent, upper):
+        alpha = 1.0 - 10.0 ** -exponent if upper else 10.0 ** -exponent
+        _assert_nodes_inside(family, MESH_THETAS[family][k], alpha)
+
+    @pytest.mark.parametrize("theta, d, alpha, call", [
+        (5.74, 10, 1.0 - 1e-6, kernel_mass),
+        (12.0, 3, 0.9999, kernel_mass),
+        (12.0, 3, 0.9999, "var"),
+    ])
+    def test_frank_near_one_is_never_silently_wrong(self, theta, d, alpha, call):
+        # the Frank kernel loses digits near alpha = 1 (a carry-over defect);
+        # with the deeper mesh these stop by roundoff where the shallower one
+        # returned kernel_mass 1 + 8.2e-9 and 1 + 5.9e-9 and a VaR 1.8e-8 off
+        spec = CopulaSpec(FamilyId.FRANK, theta, d)
+        try:
+            if call == "var":
+                got, want = var_for_spec(spec, [U] * d, alpha).components[0], \
+                    _mp_var(FamilyId.FRANK, theta, d, alpha)
+            else:
+                got, want = call(spec, alpha), 1.0
+        except QuadratureError:
+            return
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_reflected_u_rounds_below_one(self):
+        # Joe's u = 1 - t rounds onto 1 for t under 2^-54; such nodes take
+        # the largest u below 1, where the lognormal quantile is finite
+        spec = CopulaSpec(FamilyId.JOE, 1.2, 3)
+        alpha = 1.0 - 1e-6
+        got = var_for_spec(spec, [_lognormal(0.0, 0.5)] * 3, alpha).components[0]
+        assert got == pytest.approx(_mp_var(FamilyId.JOE, 1.2, 3, alpha, _mp_lognormal),
+                                    rel=1e-10)
+        _, _, _, to_u, _ = FAMILIES[FamilyId.JOE].var_form(spec, alpha)
+        assert to_u(np.array([0.0, 1e-17, 1e-15]))[:2].tolist() == [np.nextafter(1.0, 0.0)] * 2
+
+
+class TestReducedFormsAgainstMpmath:
+    """Inputs where the reduced forms cancelled or underflowed."""
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-10, 1e-13, 1e-17])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_clayton_small_theta(self, theta, d):
+        # alpha^-theta - 1 cancelled: 1.2e-4 off at 1e-13, and 0 at 1e-17
+        got = var_for_spec(CopulaSpec(FamilyId.CLAYTON, theta, d), [U] * d, 0.05)
+        want = _mp_var(FamilyId.CLAYTON, theta, d, 0.05)
+        assert got.components[0] == pytest.approx(want, rel=1e-12)
+
+    def test_clayton_small_theta_near_one(self):
+        # it stopped by roundoff; u - alpha keeps about 10 digits near alpha = 1
+        alpha = 1.0 - 1e-6
+        got = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 0.01, 10), [U] * 10, alpha)
+        assert got.components[0] == pytest.approx(
+            _mp_var(FamilyId.CLAYTON, 0.01, 10, alpha), rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gumbel_large_theta_near_one(self, d):
+        # la^theta underflowed to 0 at theta = 60, la = 1e-6
+        alpha = 1.0 - 1e-6
+        got = var_for_spec(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 60.0, d), [U] * d, alpha)
+        assert got.components[0] == pytest.approx(
+            _mp_var(FamilyId.GUMBEL_HOUGAARD, 60.0, d, alpha), rel=1e-10)

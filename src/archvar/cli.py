@@ -19,6 +19,7 @@ import argparse
 import configparser
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
@@ -117,8 +118,10 @@ def _load_margin(section, config_path: str):
     if not os.path.exists(path):
         raise _config_error(f"margins file not found: {path}")
     try:
-        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():     # an empty file warns, then fails below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:   # OSError: a directory, no read permission
         raise _config_error(f"cannot read margins file {path}: {exc}") from None
     if table.shape[1] != 2:
         raise _config_error("margins file must have two columns: level,quantile")

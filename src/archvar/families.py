@@ -59,7 +59,10 @@ class Family:
     ``out`` and ``ws`` pass its sampler an output array and an
     ``rng.Workspace``.  ``latent_scale(theta) * V`` matches the generator as
     implemented, and ``conditional_rows(theta, base_key, rows)``, if set,
-    samples where no frailty law exists.
+    samples where no frailty law exists.  ``latent_bounds(theta)``, if set,
+    returns ``None`` or ``bounds(keys, ws)``, arrays ``(lo, hi)`` that hold
+    each key's ``latent_scale(theta) * V`` as drawn at less than its cost; a
+    study draws the exact ``V`` only for rows they let reach its window.
     ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u, from_u)``: the
     VaR of a margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``, and
     ``from_u`` is the inverse of ``to_u``.  ``tau_ok`` tells
@@ -86,6 +89,7 @@ class Family:
     theta_from_tau: Callable[[float], float]
     latent_scale: Callable[[float], float] = lambda theta: 1.0
     conditional_rows: Optional[Callable] = None
+    latent_bounds: Optional[Callable] = None
     bivariate_only: Callable[[float], bool] = lambda theta: False
 
 
@@ -493,6 +497,7 @@ _GUMBEL = Family(
     cdf=lambda th, d, pts: np.exp(-(np.sum((-np.log(pts)) ** th, axis=1) ** (1.0 / th))),
     frailty=lambda keys, th, **buf: rng.positive_stables(keys, 1.0 / th, **buf),
     frailty_ok=lambda th: th >= 1, frailty_domain="theta >= 1",
+    latent_bounds=lambda th: rng.positive_stable_bounds(1.0 / th),
     var_form=_gumbel_var_form,
     tau=lambda th: 1.0 - 1.0 / th,
     tau_range=(0.0, 1.0), tau_ok=lambda tau: 0.0 <= tau < 1.0,
@@ -558,6 +563,7 @@ _JOE = Family(
     cdf=_joe_cdf,
     frailty=lambda keys, th, **buf: rng.sibuyas(keys, 1.0 / th, **buf),
     frailty_ok=lambda th: th >= 1, frailty_domain="theta >= 1",
+    latent_bounds=lambda th: rng.sibuya_bounds(1.0 / th),
     var_form=_joe_var_form,
     tau=_joe_tau,
     tau_range=(0.0, 1.0), tau_ok=lambda tau: 0.0 <= tau < 1.0,

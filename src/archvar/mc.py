@@ -14,8 +14,13 @@ them; a block keeps the ``E_i / V`` of its selected rows and drops the rest,
 and only the kept rows are mapped to ``U``.  Each worker of a study draws its
 replications through one workspace of block-sized buffers, reused from block
 to block, so memory is a few blocks whatever ``n`` is and no block faults in
-fresh pages.  Families without a frailty law at their theta draw blocks by
-conditional inversion and select them on the copula CDF.
+fresh pages.  A block draws the exact ``V`` only for candidate rows: those
+whose ``S = sum_i E_i`` over the ends of an interval that holds ``V`` (the
+record's ``latent_bounds``, or ``V`` itself) can reach the window.  A
+candidate's ``V`` and ``R`` are computed as for every row, so the kept rows
+and their bits do not change.  Families without a frailty law at their
+theta draw blocks by conditional inversion and select them on the copula
+CDF.
 :func:`estimate_var_once` selects a whole sample on the copula CDF and is the
 independent u-space check of the radial selection.
 """
@@ -28,11 +33,12 @@ import numpy as np
 
 from .errors import (EmptyLevelSetError, ParameterError, StudyError, _check_count,
                      _check_positive)
-from .families import CopulaSpec, copula_cdf, phi, phi_inverse
+from .families import FAMILIES, CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
 from .rng import Seed, Workspace
-from .sampling import _BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _has_frailty
+from .sampling import (_BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _frailty_blocks,
+                       _has_frailty, _latent)
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
@@ -127,35 +133,26 @@ def _margin_means(rows: np.ndarray, margins) -> np.ndarray:
     return np.array([float(np.mean(margin(rows[:, i]))) for i, margin in enumerate(margins)])
 
 
-def _one_replication(cfg: McConfig, r: int, ws: Workspace):
+def _one_replication(cfg: McConfig, r: int, ws: Workspace, bounds):
     """Replication ``r``'s estimate and count, or ``None`` when no row is selected.
 
     Equal bit for bit to ``estimate_var_once(sample_copula(cfg.spec, cfg.n,
     seed_r), ...)``: the same rows are kept, in the same order, and go
     through the same ``phi_inverse``, clip and margins.  Only the kept rows
-    are ever mapped to ``U``.  ``ws`` holds the block buffers.
+    are ever mapped to ``U``.  ``ws`` holds the block buffers, and
+    ``bounds`` is :func:`_latent_bounds`'s.
     """
     spec, alpha, h = cfg.spec, cfg.alpha, cfg.h
     base = cfg.seed.with_stream(cfg.seed.stream_id + r).base_key()
-    radial = _has_frailty(spec)
-    if radial:
+    if bounds is None:
+        kept = [[c[sel] for c in cols] for _, cols in _blocks(spec, base, cfg.n, ws)
+                for sel in [np.abs(copula_cdf(spec, cols.T) - alpha) <= h]]
+    else:
         # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
         # bounds nothing
         r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
         r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
-    kept = []                               # per block, its d kept S or U columns
-    for _, cols in _blocks(spec, base, cfg.n, ws):
-        if radial:
-            m = cols[0].shape[0]
-            # adds the columns in order, as np.stack(cols).sum(axis=0) does
-            total = np.add(cols[0], cols[1], out=ws.take("total", m))
-            for s in cols[2:]:
-                total += s
-            sel = np.greater_equal(total, r_lo, out=ws.take("sel", m, np.bool_))
-            sel &= np.less_equal(total, r_hi, out=ws.take("sel.hi", m, np.bool_))
-        else:
-            sel = np.abs(copula_cdf(spec, cols.T) - alpha) <= h
-        kept.append([c[sel] for c in cols])
+        kept = list(_screened(spec, base, cfg.n, ws, bounds, r_lo, r_hi))
     count = sum(block[0].size for block in kept)
     if count == 0:
         return None
@@ -164,15 +161,67 @@ def _one_replication(cfg: McConfig, r: int, ws: Workspace):
         # a contiguous column, as sample_copula passes: numpy's vector loops
         # for exp and log may round a strided one differently
         col = np.concatenate([block[i] for block in kept])
-        data[:, i] = phi_inverse(spec, col) if radial else col
+        data[:, i] = col if bounds is None else phi_inverse(spec, col)
     np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
     return _margin_means(data, cfg.margins), count
 
 
-def _replications(cfg: McConfig, reps: range) -> list:
+def _latent_bounds(spec: CopulaSpec):
+    """A study's ``bounds(keys, ws)``, built once: its record's, or the exact
+    ``V`` as both ends; ``None`` without a frailty law."""
+    if not _has_frailty(spec):
+        return None
+    make = FAMILIES[spec.family].latent_bounds
+    return (make and make(spec.theta)) or (
+        lambda keys, ws: (_latent(spec, keys, ws.take("v", keys.shape[0]), ws),) * 2)
+
+
+def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, r_hi):
+    """Per block, the ``d`` columns ``E_i / V`` of the rows with ``R`` in
+    ``[r_lo, r_hi]``, drawing the exact ``V`` of candidate rows only.
+
+    ``R`` and ``S / V``, ``S = sum_i E_i``, differ by ``d`` roundings: a row
+    is a candidate unless ``S / hi`` or ``S / lo`` is past the window widened
+    by a slack for them.  Rows of an open window, and bounds with an end at
+    0, inf or NaN, are candidates; an exact ``V`` screens on ``S / V``.  A
+    candidate's ``V`` and ``R`` are those of drawing every ``V``, so the kept
+    rows, their order and bits are too.
+    """
+    slack = 4.0 * (spec.d + 1) * np.finfo(float).eps
+    lo_cut, hi_cut = r_lo * (1.0 - slack), r_hi * (1.0 + slack)
+    if r_lo == 0.0 or r_hi == np.inf:
+        lo_cut, hi_cut = -np.inf, np.inf
+    for _, vkeys, cols in _frailty_blocks(spec, base, n, ws):
+        m = vkeys.shape[0]
+        # S adds the columns in order, as R does
+        s = np.add(cols[0], cols[1], out=ws.take("total", m))
+        for e in cols[2:]:
+            s += e
+        lo, hi = bounds(vkeys, ws)
+        cand, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hi"))
+        with np.errstate(divide="ignore"):
+            q = np.divide(s, hi, out=ws.take("q", m))
+            np.less_equal(q, hi_cut, out=cand)
+            if lo is not hi:
+                np.divide(s, lo, out=q)
+        cand &= np.greater_equal(q, lo_cut, out=tmp)
+        if lo is not hi:
+            bounded = np.greater(lo, 0.0, out=tmp)
+            bounded &= np.less(hi, np.inf, out=ws.take("sel.end", m, np.bool_))
+            cand |= np.logical_not(bounded, out=bounded)
+        v = lo[cand] if lo is hi else _latent(spec, vkeys[cand], None, ws)
+        quotients = [e[cand] / v for e in cols]
+        total = quotients[0] + quotients[1]
+        for x in quotients[2:]:
+            total += x
+        sel = (total >= r_lo) & (total <= r_hi)
+        yield [x[sel] for x in quotients]
+
+
+def _replications(cfg: McConfig, reps: range, bounds) -> list:
     """The outcomes of replications ``reps``, drawn through one workspace."""
     ws = Workspace(min(cfg.n, _BLOCK_ROWS))
-    return [_one_replication(cfg, r, ws) for r in reps]
+    return [_one_replication(cfg, r, ws, bounds) for r in reps]
 
 
 def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
@@ -188,16 +237,16 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     be an integer >= 1.
     """
     jobs = _check_count(jobs, "jobs")
-    _has_frailty(cfg.spec)
+    bounds = _latent_bounds(cfg.spec)
     theo = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad).components
     m = cfg.replications
     workers = min(jobs, m)
     chunks = [range(m * j // workers, m * (j + 1) // workers) for j in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda reps: _replications(cfg, reps), chunks))
+            parts = list(pool.map(lambda reps: _replications(cfg, reps, bounds), chunks))
     else:
-        parts = [_replications(cfg, chunks[0])]
+        parts = [_replications(cfg, chunks[0], bounds)]
     outcomes = [out for part in parts for out in part]
     kept = [out for out in outcomes if out is not None]
     failed = m - len(kept)

@@ -293,6 +293,91 @@ def positive_stables(keys: np.ndarray, alpha: float, out: np.ndarray | None = No
     return out
 
 
+_CELLS = 4096                                # cells in u0 = T / pi of the stable table
+_TINY, _HUGE = 2.0 ** -1000, 2.0 ** 1000     # inside the normal range, with room
+
+
+def positive_stable_bounds(alpha: float):
+    """``bounds(keys, ws)``, the :func:`stable_interval` of each key's uniforms
+    with a table of Kanter's ``K`` built once; ``None`` for the point mass."""
+    if alpha == 1.0:
+        return None
+    # K at the cell ends u0 = j / 4096, j = -1 ... 4097, with T rounded as drawn
+    t = np.arange(-1, _CELLS + 2) / _CELLS * np.pi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sa, sc, st = np.sin(t * alpha), np.sin(t * (1.0 - alpha)), np.sin(t) ** (1.0 / alpha)
+        k = sa / st * sc ** ((1.0 - alpha) / alpha)
+    # each sine is unimodal on (0, pi), so its least value over a cell is at
+    # an end: a cell whose factors could leave the normal range is unbounded
+    safe = (sa >= _TINY) & (sc >= _TINY) & (st >= _TINY)
+    safe[[0, -1]] = False                       # outside (0, pi)
+    bounded = safe[:-3] & safe[3:]
+    # cell j widened to ends j - 1 and j + 2, and by a slack for the rounding
+    # of the sampler's steps, which its powers amplify
+    slack = 64.0 * (1.0 / alpha + 1.0) * np.finfo(float).eps
+    # sin(alpha T) / sin(T)^(1/alpha) <= 1 / min(st) in a bounded cell, so a
+    # variate of at least lo_min keeps the sampler's other factor normal
+    lo_min = _TINY * max(1.0, 1.0 / np.min(st, where=safe, initial=1.0))
+    table = ((1.0 - alpha) / alpha, np.where(bounded, k[:-3] * (1.0 - slack), 0.0),
+             np.where(bounded, k[3:] * (1.0 + slack), np.inf), lo_min)
+    return lambda keys, ws: stable_interval(
+        *(uniforms(keys, i, ws.take(f"stable.{i}", keys.shape[0]), ws) for i in range(2)),
+        table, ws)
+
+
+def stable_interval(u0, u1, table, ws: Workspace):
+    """``[lo, hi]`` in ``ws`` that holds the :func:`positive_stables` variate
+    drawn from the uniforms ``u0`` (``T = pi u0``) and ``u1`` (``E = -log u1``).
+
+    The variate is ``K(T) / E^((1-alpha)/alpha)``, and Kanter's ``K`` increases
+    on ``(0, pi)`` (Kanter 1975, Ann. Probab. 3(4)): ``E``'s power is computed,
+    ``K`` bounded by ``u0``'s cell.  A row is ``[0, inf]`` where the power or a
+    factor of the sampler could leave the normal range, as ``E^59`` does at
+    ``theta = 60``.  ``u0`` and ``u1`` are overwritten.
+    """
+    a, klo, khi, lo_min = table
+    m = u0.shape[0]
+    lo, hi = ws.take("v", m), ws.take("stable.2", m)
+    cell = ws.take("mix", m, np.uint64).view(np.intp)
+    epow = np.negative(np.log(u1, out=u1), out=u1)
+    with np.errstate(over="ignore"):
+        epow **= a
+        wild = (epow < _TINY) | (epow > _HUGE)
+        np.copyto(epow, 1.0, where=wild)
+        # a u0 of 1, which the uniforms give once in 2^53, clips to the last cell
+        np.copyto(cell, np.multiply(u0, _CELLS, out=u0), casting="unsafe")
+        np.divide(np.take(klo, cell, out=lo, mode="clip"), epow, out=lo)
+        np.divide(np.take(khi, cell, out=hi, mode="clip"), epow, out=hi)
+    wild |= (lo < lo_min) | (hi > _HUGE)
+    np.copyto(lo, 0.0, where=wild)
+    np.copyto(hi, np.inf, where=wild)
+    return lo, hi
+
+
+def sibuya_bounds(alpha: float):
+    """``bounds(keys, ws)``, the :func:`sibuya_interval` of each key's uniform;
+    ``None`` for the point mass."""
+    if alpha == 1.0:
+        return None
+    return lambda keys, ws: sibuya_interval(
+        uniforms(keys, 0, ws.take("sibuya.u", keys.shape[0]), ws), alpha, ws)
+
+
+def sibuya_interval(u, alpha: float, ws: Workspace):
+    """``[lo, hi]`` in ``ws`` that holds the :func:`sibuyas` variate drawn from
+    the uniform ``u``: where ``u > alpha`` the floor or the ceiling of the
+    inversion's ``ginv``, at least ``Gamma(2 - alpha)^(-1/alpha) >= 1``
+    (Hofert 2011, CSDA 55); elsewhere 1, and ``ginv`` is positive."""
+    lo, hi = ws.take("v", u.shape[0]), ws.take("sibuya.0", u.shape[0])
+    # ginv as sibuyas computes it
+    np.subtract(1.0, u, out=hi)
+    hi *= np.exp(gammaln(1.0 - alpha))
+    with np.errstate(divide="ignore", over="ignore"):
+        hi **= -1.0 / alpha
+    np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
+    return lo, np.ceil(hi, out=hi)
+
+
 def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
             ws: Workspace | None = None) -> np.ndarray:
     """Sibuya(alpha) variates (pgf ``1 - (1-z)^alpha``), one uniform each.

@@ -86,36 +86,48 @@ def _has_frailty(spec: CopulaSpec) -> bool:
     return False
 
 
+def _latent(spec: CopulaSpec, keys: np.ndarray, out, ws: rng.Workspace) -> np.ndarray:
+    """The frailty of ``keys`` times the record's ``latent_scale``."""
+    v = FAMILIES[spec.family].frailty(keys, spec.theta, out=out, ws=ws)
+    v *= FAMILIES[spec.family].latent_scale(spec.theta)
+    return v
+
+
+def _frailty_blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
+    """The ``n``-row sample keyed by ``base`` as ``(start, keys, cols)`` per
+    block: rows ``start, start + 1, ...``'s frailty keys and ``d`` columns of
+    unit exponentials ``E_i``, buffers of ``ws`` that the next block
+    overwrites.  Every draw is keyed by its row, so a block gets the bits it
+    would get inside a larger sample."""
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        ekeys, vkeys = (ws.take(name, m, np.uint64) for name in ("ekeys", "vkeys"))
+        rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY),
+                           ws.row_range(start, m), (ekeys, vkeys), ws)
+        yield start, vkeys, [rng.exponentials(ekeys, i, ws.take(f"s{i}", m), ws)
+                             for i in range(spec.d)]
+
+
 def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
     """The ``n``-row sample keyed by ``base``, block by block, as ``(start, cols)``.
 
     Where ``spec`` has a frailty law, ``cols`` holds the generator values
-    ``S_i = E_i / V`` of rows ``start, start + 1, ...``: ``V`` is the frailty
-    times the record's ``latent_scale``, so that ``U_i = phi_inverse(S_i)``
-    and the row's copula value is ``phi_inverse(sum_i S_i)``.  The columns
-    are buffers of ``ws``, which the next block overwrites.  Elsewhere
-    ``cols`` holds the clipped ``U`` columns drawn by conditional inversion.
-    Every draw is keyed by its row, so a block gets the bits it would get
-    inside a larger sample.
+    ``S_i = E_i / V`` of a block's rows: ``V`` is the frailty times the
+    record's ``latent_scale``, so that ``U_i = phi_inverse(S_i)`` and the
+    row's copula value is ``phi_inverse(sum_i S_i)``.  Elsewhere ``cols``
+    holds the clipped ``U`` columns drawn by conditional inversion.
     """
+    if _has_frailty(spec):
+        for start, vkeys, cols in _frailty_blocks(spec, base, n, ws):
+            v = _latent(spec, vkeys, ws.take("v", vkeys.shape[0]), ws)
+            for s in cols:
+                s /= v
+            yield start, cols
+        return
     rec = FAMILIES[spec.family]
-    radial = _has_frailty(spec)
     for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        rows = ws.row_range(start, m)
-        if not radial:
-            u = rec.conditional_rows(spec.theta, base, rows)
-            yield start, np.clip(u, _OPEN_LO, _OPEN_HI, out=u).T
-            continue
-        ekeys, vkeys = (ws.take(name, m, np.uint64) for name in ("ekeys", "vkeys"))
-        rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY), rows,
-                           (ekeys, vkeys), ws)
-        v = rec.frailty(vkeys, spec.theta, out=ws.take("v", m), ws=ws)
-        v *= rec.latent_scale(spec.theta)
-        cols = [rng.exponentials(ekeys, i, ws.take(f"s{i}", m), ws) for i in range(spec.d)]
-        for s in cols:
-            s /= v
-        yield start, cols
+        u = rec.conditional_rows(spec.theta, base, ws.row_range(start, min(_BLOCK_ROWS, n - start)))
+        yield start, np.clip(u, _OPEN_LO, _OPEN_HI, out=u).T
 
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:

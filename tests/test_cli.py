@@ -1,4 +1,6 @@
 """End-to-end command-line behaviour."""
+import os
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,25 @@ class TestVarCommand:
         cfg = write_config(tmp_path, text)
         assert main(["var", "--config", cfg]) == 2
         assert "cannot read margins file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "unreadable", "empty"])
+    def test_unreadable_margins_path_exit_2(self, kind, tmp_path, capsys, monkeypatch, recwarn):
+        path = tmp_path / "margins.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("" if kind == "empty" else "0.5,1.0\n")
+        if kind == "unreadable":
+            path.chmod(0)
+            if os.access(path, os.R_OK):            # a superuser reads it anyway
+                def denied(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied", str(path))
+                monkeypatch.setattr(np, "loadtxt", denied)
+        text = BASE_CONFIG + "\n[margins]\nkind = file\npath = margins.csv\n"
+        assert main(["var", "--config", write_config(tmp_path, text)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config error:")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,4 +1,5 @@
 """Level-set estimator and replication studies."""
+import functools
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from archvar import (
     sample_copula,
     stats_table_rows,
 )
-from archvar import mc
+from archvar import mc, sampling
 from archvar.rng import Workspace
 
 U3 = tuple([UniformMargin()] * 3)
@@ -199,6 +200,7 @@ class TestRunStudy:
         def no_blocks(*args):
             raise AssertionError("a replication ran before the quadrature")
         monkeypatch.setattr(mc, "_blocks", no_blocks)
+        monkeypatch.setattr(mc, "_frailty_blocks", no_blocks)
         cfg = McConfig(spec=CopulaSpec(FamilyId.FRANK, 20.0, 3), margins=U3, n=200_000,
                        replications=6, h=1e-3, alpha=0.95, seed=Seed(0))
         with pytest.raises(QuadratureError):
@@ -218,9 +220,22 @@ RADIAL_SPECS = [CopulaSpec(family, theta, d)
                                       (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4))
                 for d in (2, 3, 10)]
 RADIAL_SPECS += [CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2) for theta in (0.3, -0.7)]
+# Gumbel and Joe, whose studies draw V only for the rows their bounds leave
+# in the window, near independence, past the Table-1 theta and far past it,
+# where the samplers' powers overflow and warn on some rows
+RADIAL_SPECS += [pytest.param(CopulaSpec(family, theta, d), marks=[
+                     pytest.mark.filterwarnings("ignore::RuntimeWarning")] if theta > 6 else [])
+                 for family in (FamilyId.GUMBEL_HOUGAARD, FamilyId.JOE)
+                 for theta in (1.0001, 6.0, 60.0) for d in (2, 10, 50)]
 # (alpha, h): the acceptance window, an interior one, and windows that reach
 # past 1 and below 0
 WINDOWS = [(0.05, 1e-4), (0.5, 1e-2), (0.8, 0.25), (0.03, 0.05)]
+
+
+@functools.lru_cache(maxsize=2)
+def whole_sample(spec, n, seed):
+    """``sample_copula``'s sample, kept for the next window's test."""
+    return sample_copula(spec, n, seed)
 
 
 def u_space_replications(cfg):
@@ -229,7 +244,7 @@ def u_space_replications(cfg):
     for r in range(cfg.replications):
         seed_r = cfg.seed.with_stream(cfg.seed.stream_id + r)
         try:
-            out.append(estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r), cfg.spec,
+            out.append(estimate_var_once(whole_sample(cfg.spec, cfg.n, seed_r), cfg.spec,
                                          cfg.alpha, cfg.h, cfg.margins))
         except EmptyLevelSetError:
             pass
@@ -249,11 +264,32 @@ class TestRadialSelection:
         alpha, h = window
         cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d, n=self.N,
                        replications=2, h=h, alpha=alpha, seed=Seed(8))
-        stats = run_study(cfg)
         want = u_space_replications(cfg)
+        if not want:
+            with pytest.raises(StudyError):
+                run_study(cfg)
+            return
+        stats = run_study(cfg)
         assert stats.failed_replications == cfg.replications - len(want)
         assert stats.counts.tolist() == [count for _, count in want]
         assert stats.estimates.tobytes() == np.stack([est for est, _ in want]).tobytes()
+
+    @pytest.mark.parametrize("spec", [CLAYTON3, CopulaSpec(FamilyId.FRANK, 5.74, 10),
+                                      CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 3),
+                                      CopulaSpec(FamilyId.JOE, 2.4, 50)],
+                             ids=lambda s: f"{s.family.value}-d{s.d}")
+    def test_rows_on_the_window_ends_are_kept(self, spec):
+        # a window [R, R] of each of 64 rows' R: S / V, which the screen
+        # compares, rounds differently from R, which the selection compares
+        n, base = 4096, Seed(8).base_key()
+        _, cols = next(sampling._blocks(spec, base, n, Workspace(n)))
+        r = cols[0] + cols[1]
+        for col in cols[2:]:
+            r += col
+        bounds = mc._latent_bounds(spec)
+        for j in range(64):
+            kept = list(mc._screened(spec, base, n, Workspace(n), bounds, r[j], r[j]))
+            assert sum(block[0].size for block in kept) == np.count_nonzero(r == r[j])
 
     def test_margins_map_the_same_rows(self):
         from scipy import special
@@ -294,7 +330,8 @@ class TestRadialSelection:
         gumbel = McConfig(spec=CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 5),
                           margins=[UniformMargin()] * 5, n=self.N - 5000, replications=2,
                           h=1e-2, alpha=0.5, seed=Seed(8))
-        first, _, again = ([mc._one_replication(cfg, r, ws) for r in range(2)]
+        first, _, again = ([mc._one_replication(cfg, r, ws, mc._latent_bounds(cfg.spec))
+                            for r in range(2)]
                            for cfg in (clayton, gumbel, clayton))
         assert [count for _, count in again] == [count for _, count in first]
         assert all(a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(first, again))

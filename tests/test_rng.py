@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from archvar import ParameterError, Seed
+from archvar import FamilyId, ParameterError, Seed
 from archvar import rng
+from archvar.families import FAMILIES
 
 
 def keys_for(n, seed=Seed(123), label=rng.LABEL_FRAILTY):
@@ -171,3 +172,54 @@ def test_reused_workspace_gives_fresh_bits():
             got = sampler(keys, param, ws.take("test.out", n), ws)
             assert got.tobytes() == sampler(keys, param).tobytes(), (name, param, n)
 
+
+
+# theta = 1 + 2^-40 makes Kanter's K nearly flat, so that a cell's neighbours
+# bound it no wider than the sampler's rounding
+BOUND_THETAS = (1.0, 1.0 + 2.0 ** -40, 1.0001, 1.05, 2.0, 6.0, 60.0)
+# the least uniform, (0 + 0.5) 2^-53, the largest ones below 1, and 1, which
+# (2^53 - 1 + 0.5) 2^-53 rounds to
+EXTREMES = (2.0 ** -54, 3.0 * 2.0 ** -54, 2.0 ** -20, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -52,
+            1.0 - 2.0 ** -53, 1.0)
+EDGES = np.arange(rng._CELLS) / rng._CELLS
+
+
+def held_latents(family, theta, keys):
+    """Whether each key's drawn latent lies in its bounds, or its bounds have
+    an end at 0, inf or NaN; and the share of keys with such bounds."""
+    rec = FAMILIES[family]
+    with np.errstate(all="ignore"):             # a uniform of 1 overflows the draw
+        v = rec.frailty(keys, theta) * rec.latent_scale(theta)
+    bounds = rec.latent_bounds(theta)
+    if bounds is None:
+        return v == 1.0, 0.0
+    lo, hi = (end.copy() for end in bounds(keys, rng.Workspace(0)))
+    unbounded = ~((lo > 0.0) & (hi < np.inf))
+    return (lo <= v) & (v <= hi) | unbounded, unbounded.mean()
+
+
+@pytest.mark.parametrize("theta", BOUND_THETAS)
+@pytest.mark.parametrize("family", [FamilyId.GUMBEL_HOUGAARD, FamilyId.JOE],
+                         ids=lambda f: f.value)
+class TestLatentBounds:
+    def test_bounds_hold_each_drawn_latent(self, family, theta):
+        held, unbounded = held_latents(family, theta, keys_for(1 << 20, Seed(21)))
+        assert held.all()
+        assert unbounded < 2e-3
+
+    def test_bounds_hold_at_extreme_uniforms_and_cell_ends(self, family, theta, monkeypatch):
+        # every pair of extremes, and u0 at both ends of every cell of the
+        # stable table with u1 at both extremes and in between
+        ends = np.concatenate([EDGES, np.nextafter(EDGES + 1.0 / rng._CELLS, 0.0)])
+        u0 = np.concatenate([np.repeat(EXTREMES, len(EXTREMES)), np.tile(ends, 3)])
+        u1 = np.concatenate([np.tile(EXTREMES, len(EXTREMES)),
+                             np.repeat([EXTREMES[0], 0.3, EXTREMES[-2]], ends.shape[0])])
+
+        def fixed_uniforms(keys, counter, out=None, ws=None):
+            out = np.empty(keys.shape[0]) if out is None else out
+            out[:] = (u0, u1)[counter]
+            return out
+
+        monkeypatch.setattr(rng, "uniforms", fixed_uniforms)
+        held, _ = held_latents(family, theta, np.zeros(u0.shape[0], dtype=np.uint64))
+        assert held.all()

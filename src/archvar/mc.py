@@ -37,8 +37,8 @@ from .families import FAMILIES, CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
 from .rng import Seed, Workspace
-from .sampling import (_BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _frailty_blocks,
-                       _has_frailty, _latent)
+from .sampling import (_BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _exponentials,
+                       _frailty_blocks, _has_frailty, _latent)
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
@@ -191,16 +191,17 @@ def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, 
     lo_cut, hi_cut = r_lo * (1.0 - slack), r_hi * (1.0 + slack)
     if r_lo == 0.0 or r_hi == np.inf:
         lo_cut, hi_cut = -np.inf, np.inf
-    for _, vkeys, cols in _frailty_blocks(spec, base, n, ws):
+    for _, ekeys, vkeys in _frailty_blocks(base, n, ws):
         m = vkeys.shape[0]
+        lo, hi = bounds(vkeys, ws)
+        cols = _exponentials(spec, ekeys, ws)
         # S adds the columns in order, as R does
         s = np.add(cols[0], cols[1], out=ws.take("total", m))
         for e in cols[2:]:
             s += e
-        lo, hi = bounds(vkeys, ws)
         cand, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hi"))
         with np.errstate(divide="ignore"):
-            q = np.divide(s, hi, out=ws.take("q", m))
+            q = np.divide(s, hi, out=s if lo is hi else ws.take("q", m))
             np.less_equal(q, hi_cut, out=cand)
             if lo is not hi:
                 np.divide(s, lo, out=q)

@@ -367,7 +367,9 @@ def sibuya_interval(u, alpha: float, ws: Workspace):
     """``[lo, hi]`` in ``ws`` that holds the :func:`sibuyas` variate drawn from
     the uniform ``u``: where ``u > alpha`` the floor or the ceiling of the
     inversion's ``ginv``, at least ``Gamma(2 - alpha)^(-1/alpha) >= 1``
-    (Hofert 2011, CSDA 55); elsewhere 1, and ``ginv`` is positive."""
+    (Hofert 2011, CSDA 55); elsewhere 1, where ``ginv`` is below that bound,
+    which is under 2.  Masks are applied by arithmetic, far cheaper here
+    than a masked copy."""
     lo, hi = ws.take("v", u.shape[0]), ws.take("sibuya.0", u.shape[0])
     # ginv as sibuyas computes it
     np.subtract(1.0, u, out=hi)
@@ -375,7 +377,8 @@ def sibuya_interval(u, alpha: float, ws: Workspace):
     with np.errstate(divide="ignore", over="ignore"):
         hi **= -1.0 / alpha
     np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
-    return lo, np.ceil(hi, out=hi)
+    np.multiply(np.ceil(hi, out=hi), u > alpha, out=hi)
+    return lo, np.maximum(hi, 1.0, out=hi)
 
 
 def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,

@@ -93,19 +93,23 @@ def _latent(spec: CopulaSpec, keys: np.ndarray, out, ws: rng.Workspace) -> np.nd
     return v
 
 
-def _frailty_blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
-    """The ``n``-row sample keyed by ``base`` as ``(start, keys, cols)`` per
-    block: rows ``start, start + 1, ...``'s frailty keys and ``d`` columns of
-    unit exponentials ``E_i``, buffers of ``ws`` that the next block
-    overwrites.  Every draw is keyed by its row, so a block gets the bits it
-    would get inside a larger sample."""
+def _frailty_blocks(base: int, n: int, ws: rng.Workspace):
+    """The ``n``-row sample keyed by ``base`` as ``(start, ekeys, vkeys)`` per
+    block: the exponential and frailty keys of rows ``start, start + 1, ...``,
+    buffers of ``ws`` that the next block overwrites.  Every draw is keyed by
+    its row, so a block gets the bits it would get inside a larger sample."""
     for start in range(0, n, _BLOCK_ROWS):
         m = min(_BLOCK_ROWS, n - start)
         ekeys, vkeys = (ws.take(name, m, np.uint64) for name in ("ekeys", "vkeys"))
         rng.substream_keys(base, (rng.LABEL_EXPONENTIAL, rng.LABEL_FRAILTY),
                            ws.row_range(start, m), (ekeys, vkeys), ws)
-        yield start, vkeys, [rng.exponentials(ekeys, i, ws.take(f"s{i}", m), ws)
-                             for i in range(spec.d)]
+        yield start, ekeys, vkeys
+
+
+def _exponentials(spec: CopulaSpec, ekeys: np.ndarray, ws: rng.Workspace) -> list:
+    """The ``d`` columns of unit exponentials ``E_i`` of ``ekeys``, in ``ws``."""
+    return [rng.exponentials(ekeys, i, ws.take(f"s{i}", ekeys.shape[0]), ws)
+            for i in range(spec.d)]
 
 
 def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
@@ -118,8 +122,9 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
     holds the clipped ``U`` columns drawn by conditional inversion.
     """
     if _has_frailty(spec):
-        for start, vkeys, cols in _frailty_blocks(spec, base, n, ws):
+        for start, ekeys, vkeys in _frailty_blocks(base, n, ws):
             v = _latent(spec, vkeys, ws.take("v", vkeys.shape[0]), ws)
+            cols = _exponentials(spec, ekeys, ws)
             for s in cols:
                 s /= v
             yield start, cols

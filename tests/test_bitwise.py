@@ -36,7 +36,7 @@ from archvar.cli import main
 from archvar.rng import mix64_int
 
 DIGESTS = {
-    "var_for_spec": "11cda3f040c235ad13aa952a17bfdde042a5d79cbd497d71a7fbe68950bbe756",
+    "var_for_spec": "5682f405c8d7b1b95811fb57c0ccec09457f0e2b753b4601aff8fe0dde700709",
     "sample_copula": "cfcdbeba3dfd7ed9a7f7a526c4ddd30b33a24be30e7797c7ed12ab6a8d013349",
     "run_study": "df31130a7fb73992f7f9cdd596cc7d273d03a77d6f364f2b772cb02c74143902",
     "empirical_kendall_tau": "44951c1839fd5fc51176dc4b1e862065eb053429e5744dfe55c391f448eb9f93",

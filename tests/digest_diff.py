@@ -5,13 +5,17 @@
 
 ``compute`` imports ``TREE``'s own ``src/archvar`` and ``tests/test_bitwise.py``
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
-computes and the one the entry declares.  Run it once per tree, each in its
-own process, on the same machine.  ``compare`` exits 1 when a digest moved
-between the two trees while its ``DIGESTS`` entry stayed the same, or when an
-entry changed while its digest did not move: a change that moves bits must
-declare the move, and a recapture must come with a move.  This holds on any
-CPU, although most digests match their ``DIGESTS`` entries on one numpy build
-and CPU only.
+computes and the one the entry declares.  It also prints the outcome, a value
+or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
+uses only the public API.  Run it once per tree, each in its own process, on
+the same machine.  ``compare`` exits 1 when a digest moved between the two
+trees while its ``DIGESTS`` entry stayed the same, or when an entry changed
+while its digest did not move: a change that moves bits must declare the
+move, and a recapture must come with a move.  This holds on any CPU, although
+most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
+It also exits 1 when a sweep case that returns a value in the base tree raises
+in the head tree, and prints how many values moved and the largest relative
+move.
 """
 import contextlib
 import io
@@ -31,6 +35,64 @@ CHUNKS = {
     "sample_frailty": "frailty_chunks", "rng_words": "rng_words_chunks",
     "kendall_ties": "kendall_ties_chunks",
 }
+
+
+# The domain sweep: 3 theta per family, d in SWEEP_DIMS (AMH: d = 2 only),
+# alpha in SWEEP_ALPHAS, and uniform, normal and lognormal margins plus
+# kernel_mass: 1,224 cases.
+SWEEP_THETAS = {
+    "clayton": (0.5, 2.0, 8.0), "frank": (1.0, 5.74, 12.0), "gumbel": (1.0, 2.0, 4.0),
+    "joe": (1.2, 2.4, 5.0), "amh": (-0.7, 0.3, 0.9),
+}
+SWEEP_DIMS = (2, 3, 10, 50)
+SWEEP_ALPHAS = (1e-6, 0.01, 0.5, 0.95, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+def sweep(archvar) -> dict:
+    """``{case: value or "error: <type>"}`` over the domain sweep."""
+    import numpy as np
+    from scipy import special
+
+    margins = {
+        "uniform": archvar.UniformMargin(),
+        "normal": archvar.FunctionMargin(lambda u: 3.0 + special.ndtri(u)),
+        "lognormal": archvar.FunctionMargin(lambda u: np.exp(0.5 * special.ndtri(u))),
+    }
+    out = {}
+    with warnings.catch_warnings(record=True):
+        for family, thetas in SWEEP_THETAS.items():
+            for theta in thetas:
+                for d in (2,) if family == "amh" else SWEEP_DIMS:
+                    spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
+                    for alpha in SWEEP_ALPHAS:
+                        calls = {name: (lambda m=m: archvar.var_for_spec(
+                                     spec, [m] * d, alpha).components[0])
+                                 for name, m in margins.items()}
+                        calls["kernel_mass"] = lambda: archvar.kernel_mass(spec, alpha)
+                        for name, call in calls.items():
+                            try:
+                                value = float(call())
+                            except Exception as exc:
+                                value = f"error: {type(exc).__name__}"
+                            out[f"{family} theta={theta!r} d={d} alpha={alpha!r} {name}"] = value
+    return out
+
+
+def compare_sweep(base: dict, head: dict) -> tuple:
+    """Summary lines, and whether no case went from a value to an error."""
+    lost = [case for case in base
+            if isinstance(base[case], float) and not isinstance(head.get(case), float)]
+    gained = [case for case in base
+              if not isinstance(base[case], float) and isinstance(head.get(case), float)]
+    moves = [abs(head[case] - base[case]) / abs(base[case]) if base[case] else float("inf")
+             for case in base
+             if isinstance(base[case], float) and isinstance(head.get(case), float)
+             and head[case] != base[case]]
+    lines = [f"sweep: {len(base)} cases, {len(moves)} values moved, largest relative "
+             f"move {max(moves, default=0.0):.3g}; {len(gained)} went from an error to a "
+             f"value, {len(lost)} from a value to an error"]
+    lines += [f"  value -> {head.get(case, 'missing')}: {case}" for case in lost]
+    return lines, not lost
 
 
 def cli_digest(bitwise, name: str) -> str:
@@ -74,23 +136,25 @@ def compute(tree: str) -> dict:
         else:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
-    return digests
+    return {"digests": digests, "sweep": sweep(archvar)}
 
 
-def compare(base: dict, head: dict) -> list:
-    """One line per digest, and whether its move and its entry agree."""
+def compare(base: dict, head: dict) -> tuple:
+    """One line per digest and the sweep's summary, and whether all agree."""
     lines, ok = [], True
-    for name in sorted(set(base) | set(head)):
-        if name not in base or name not in head:
-            lines.append(f"{name}: only in the {'head' if name in head else 'base'} tree")
+    old, new = base["digests"], head["digests"]
+    for name in sorted(set(old) | set(new)):
+        if name not in old or name not in new:
+            lines.append(f"{name}: only in the {'head' if name in new else 'base'} tree")
             continue
-        moved = base[name]["computed"] != head[name]["computed"]
-        declared = base[name]["declared"] != head[name]["declared"]
+        moved = old[name]["computed"] != new[name]["computed"]
+        declared = old[name]["declared"] != new[name]["declared"]
         verdict = "ok" if moved == declared else "FAIL"
         ok &= moved == declared
         lines.append(f"{name}: {'moved' if moved else 'held'}, entry "
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
-    return lines, ok
+    sweep_lines, sweep_ok = compare_sweep(base["sweep"], head["sweep"])
+    return lines + sweep_lines, ok and sweep_ok
 
 
 def main(argv: list) -> int:

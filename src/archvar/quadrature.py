@@ -1,34 +1,28 @@
 """Adaptive Gauss-Kronrod (G7/K15) quadrature with per-interval error bounds.
 
-The integrand is evaluated only at nodes strictly inside each interval, so
-endpoint singularities that are integrable (or merely removable) never get
-touched directly.  Intervals suspected of endpoint structure can be seeded
-with a graded initial mesh via ``graded_breakpoints`` (24 intervals, to 1e-11
-of the width from each end), and known kinks of the integrand passed as
-further breakpoints.  The first pass costs 15 evaluations per initial
-interval, so it grows linearly with the number of breakpoints; it runs
-``_CHUNK_INTERVALS`` intervals at a time, so its memory does not.
+Nodes lie strictly inside each interval, so integrable or removable endpoint
+singularities are never evaluated.  A graded initial mesh
+(``graded_breakpoints``) and known kinks passed as breakpoints let most
+integrands converge in the first pass, run ``_CHUNK_INTERVALS`` at a time.
 
-Refinement splits the interval with the largest error bound, unless the
-outermost node of either half would round onto the interval's end: such an
-interval is at floating-point resolution and is never split, but its error
-stays in the bound.  It raises :class:`QuadratureError` after ``max_subdivisions``
-splits, when such intervals alone hold more error than the tolerance, or
-when roundoff, not the mesh, sets the error (QUADPACK QAG's ``iroff1`` test,
-Piessens et al. 1983; see ``_MAX_STALLS``).  QAG's second counter, for
-children whose error exceeds their parent's, is left out: it stops integrals
-that converge, such as ``cos(200 x) e^-x`` on ``[0, 10]`` at tolerance 1e-10.
-
-Integrals ``f_b(x) w(x)`` that share a weight ``w`` and an interval run in
-lockstep (``_integrate_all``, which ``integrate`` calls with one integrand).
-Each keeps its own heap, tolerances, stall count and stop; each step splits
-one interval of every integral still running, in one batched rule
-evaluation that calls ``w`` once.  Every integral gets the value, error
-bound and split count, to the bit, that it gets alone (see ``_rule``).
+Refinement runs in rounds, like ``scipy.integrate.quad_vec``'s subdivision.
+An integral above its tolerance ``tol`` bisects, largest error first, the
+fewest of its ``N`` intervals with an error above ``tol / (2N)`` that leave
+at most ``tol / 2`` unsplit, but never an interval whose halves' outermost
+nodes would round onto its ends: its error stays in the bound.  It raises
+:class:`QuadratureError` after ``max_subdivisions`` splits (a round splits
+its largest-error intervals up to the budget), when such intervals keep its
+error above ``tol``, or when ``_MAX_STALLS`` splits left value and error
+almost unchanged (QUADPACK QAG's ``iroff1``, Piessens et al. 1983).  QAG's
+second counter, for children whose error exceeds their parent's, is left
+out: it stops integrals that converge, such as ``cos(200 x) e^-x`` on
+``[0, 10]``.  Integrals ``f_b(x) w(x)`` that share ``w`` and an interval run
+in lockstep (``_integrate_all``): a round's halves of all of them go into one
+rule call that evaluates ``w`` once, and each gets the bits it gets alone.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,35 +31,19 @@ from .errors import ParameterError, QuadratureError, _check_count, _check_positi
 
 __all__ = ["QuadConfig", "integrate", "graded_breakpoints"]
 
-# 15-point Kronrod nodes on (-1, 1); the odd-index entries are the embedded
-# 7-point Gauss nodes.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+# 15-point Kronrod nodes on (-1, 1), symmetric about 0, and their weights; the
+# odd-index nodes are the embedded 7-point Gauss nodes.
+_X = np.array([0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
+               0.864864423359769, 0.949107912342759, 0.991455371120813])
+_XK = np.concatenate([-_X[::-1], [0.0], _X])
+_W = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+               0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728])
+_WK = np.concatenate([_W, _W[-2::-1]])
+_G = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
+_WG = np.concatenate([_G, _G[-2::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
-_XK_EDGE = float(_XK[-1])
 
-# Initial intervals per batch of the first pass.  It exceeds the 24 intervals
-# of the graded mesh, so an integral without further breakpoints makes one
-# batch.
+# Initial intervals per batch of the first pass, more than the graded mesh's 24.
 _CHUNK_INTERVALS = 1024
 
 # The graded mesh: its points' distances from each end as fractions of the
@@ -105,13 +83,16 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-def graded_breakpoints(a: float, b: float) -> np.ndarray:
-    """Initial mesh refined geometrically toward both endpoints.
+def _check_bounds(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ParameterError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
 
-    The points lie at ``_GRADED`` fractions of the width from each end, the
-    midpoint once, less those within ``_FLOOR`` of their end and those that
-    round onto an end or onto their neighbour.
-    """
+
+def graded_breakpoints(a: float, b: float) -> np.ndarray:
+    """Initial mesh at ``_GRADED`` fractions of the width from each end, the
+    midpoint once, less the points within ``_FLOOR`` of their end and those
+    that round onto an end or onto their neighbour."""
+    _check_bounds(a, b)
     dist = (b - a) * _GRADED
     dist = dist[dist >= _FLOOR]
     # ascending as built, so one comparison drops the duplicates; the last
@@ -121,230 +102,179 @@ def graded_breakpoints(a: float, b: float) -> np.ndarray:
     return pts[:-1]
 
 
-def _rule(fs, w, mid: np.ndarray, half: np.ndarray):
-    """Apply G7/K15 to ``k`` intervals of each integrand ``f(x) w(x)``, ``f`` in ``fs``.
+def _errors(resk, resg, resasc) -> np.ndarray:
+    """QUADPACK's per-interval error estimates."""
+    raw = np.abs(resk - resg)
+    flat = resasc == 0.0
+    scaled = resasc * np.minimum(1.0, (200.0 * raw / np.where(flat, 1.0, resasc)) ** 1.5)
+    return np.where(flat, raw, scaled)
 
-    ``mid`` and ``half`` hold the intervals' midpoints and half-widths:
-    ``(k,)`` when every integrand shares them, ``(len(fs), k)`` when not.
-    ``w`` (``None`` for 1) is called once on all nodes, then each ``f``, in
-    order, on its own flattened ``(k, 15)`` nodes.  Returns ``(resk, resg,
-    resasc, failure)``: the ``(n, k)`` Kronrod and Gauss values and
-    variation measures of the leading ``n`` integrands that succeeded, and
-    ``failure``, ``None`` or what stopped the next one: the exception its
-    callable (or ``w``) raised, or ``_NON_FINITE``.
 
-    The weighted sums are BLAS gemv calls, one per integrand on its ``k``
-    rows.  Their last bits depend on that row count and on each Gauss slice
-    being F-ordered, as ``fv[:, _GAUSS_IDX]`` leaves a 2-D ``fv``; so every
-    integrand gets the bits it gets alone, and ``_CHUNK_INTERVALS`` and the
-    two-interval steps of the refinement are part of the bits that
-    ``tests/test_bitwise.py`` pins.
+def _rule(fs, w, mid: np.ndarray, half: np.ndarray, rows=None):
+    """G7/K15 on the intervals ``mid +- half``: ``rows[i]`` of them for ``fs[i](x) w(x)``,
+    or all of them (``rows=None``, the first pass: ``(count, k)`` results).
+
+    ``w`` (``None`` for 1) is called once on all nodes, then each ``f`` on its
+    own.  Returns the values and error bounds of the leading integrands that
+    succeeded, their count, and ``None`` or what stopped the next one: the
+    exception its callable (or ``w``) raised, or ``_NON_FINITE``.  Each gets
+    the bits it gets alone: stacked BLAS sums give each its 2-D sums
+    (``tests/test_elementwise_bits.py``), and einsum's row sums ignore the
+    rows beside them.
     """
-    nodes = mid[..., None] + half[..., None] * _XK
-    shared = nodes.ndim == 2
-    fv = np.empty((len(fs),) + nodes.shape[-2:])
-    done, failure = 0, None
+    nodes = mid[:, None] + half[:, None] * _XK
+    shared = rows is None
+    rows = [slice(None)] * len(fs) if shared else rows
+    fv = np.empty((len(fs),) + nodes.shape if shared else nodes.shape)
+    done, failure, wv = 0, None, None
     try:
         if w is not None:
             wv = np.asarray(w(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for f in fs:
-            x = nodes if shared else nodes[done]
-            fv[done] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        for f, r in zip(fs, rows):
+            x = nodes[r]
+            fv[done if shared else r] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
             done += 1
     except Exception as exc:    # raised once the integrals before it have run on
         failure = exc
-    fv = fv[:done]
-    if w is not None and done:
-        fv *= wv if shared else wv[:done]
+    fv = fv[:done] if shared else fv[:rows[done - 1].stop if done else 0]
+    if wv is not None:
+        fv *= wv if shared else wv[:len(fv)]
     # checked before any arithmetic: a matmul over +inf and -inf warns
     if not np.isfinite(fv).all():
-        done = next(i for i in range(done) if not np.isfinite(fv[i]).all())
-        fv, failure = fv[:done], _NON_FINITE
-    if not shared:
-        half = half[:done]
-    resk = half * (fv @ _WK)
-    resg = half * (_WG @ fv.transpose(0, 2, 1).take(_GAUSS_IDX, axis=1))
+        done = next(j for j, r in enumerate(rows) if not np.isfinite(fv[j if shared else r]).all())
+        fv = fv[:done] if shared else fv[:rows[done].start]
+        failure = _NON_FINITE
     # scale-aware error model: resasc measures the integrand's variation
-    reskh = resk / (2.0 * half)
-    resasc = half * (np.abs(fv - reskh[..., None]) @ _WK)
-    return resk, resg, resasc, failure
+    if shared:
+        resk = half * (fv @ _WK)
+        resg = half * (_WG @ fv.transpose(0, 2, 1).take(_GAUSS_IDX, axis=1))
+        resasc = half * (np.abs(fv - (resk / (2.0 * half))[..., None]) @ _WK)
+    else:
+        half = half[:len(fv)]
+        resk = half * np.einsum("ij,j->i", fv, _WK)
+        resg = half * np.einsum("ij,j->i", fv[:, 1::2], _WG)
+        resasc = half * np.einsum("ij,j->i", np.abs(fv - (resk / (2.0 * half))[:, None]), _WK)
+    return resk, _errors(resk, resg, resasc), done, failure
 
 
-def _errors(resk, resg, resasc) -> np.ndarray:
-    """QUADPACK's per-interval error estimates, for the first pass's arrays."""
-    raw = np.abs(resk - resg)
-    return np.where(
-        (resasc != 0.0) & (raw != 0.0),
-        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc == 0, 1, resasc)) ** 1.5),
-        raw,
-    )
-
-
-def _step_errors(resk, resg, resasc) -> tuple[list, list]:
-    """``resk`` and :func:`_errors` as flat lists, computed on Python floats.
-
-    A refinement step has two intervals per integral, too few for numpy's
-    per-call cost to pay.  Python floats round as numpy does, so the
-    estimates have the bits of :func:`_errors`; only the ``** 1.5`` stays
-    numpy's, because libm's ``pow`` rounds differently.
-    """
-    values = resk.ravel().tolist()
-    raws = [abs(k - g) for k, g in zip(values, resg.ravel().tolist())]
-    ascs = resasc.ravel().tolist()
-    powers = (np.array([200.0 * r / (s if s != 0.0 else 1.0)
-                        for r, s in zip(raws, ascs)]) ** 1.5).tolist()
-    return values, [s * (1.0 if p >= 1.0 else p) if s != 0.0 and r != 0.0 else r
-                    for r, s, p in zip(raws, ascs, powers)]
-
-
-def _halves_hold_nodes(left: float, mid: float, right: float) -> bool:
-    """Whether the outermost K15 nodes of the two halves, as ``_rule`` places
-    them, lie strictly inside ``(left, right)``."""
-    return (left < 0.5 * (left + mid) - 0.5 * (mid - left) * _XK_EDGE
-            and 0.5 * (mid + right) + 0.5 * (right - mid) * _XK_EDGE < right)
-
-
-@dataclass(slots=True)
-class _Integral:
-    """One integral's refinement: a heap of ``(-error, left, right, value, error)``,
-    and ``split``, the ``(left, mid, right, value, error)`` that this step splits."""
-
-    index: int
-    heap: list
-    total: float
-    error: float
-    splits: int = 0
-    stalls: int = 0
-    stuck: float = 0.0    # the error of intervals too narrow to split
-    split: tuple = ()
+def _narrow(left, right, scale: float) -> np.ndarray:
+    """Indices of the intervals too narrow to split: the outermost K15 nodes
+    of their halves, as ``_rule`` places them, would not lie strictly inside.
+    ``scale`` bounds ``|left|`` and ``|right|``; wider than ``1e-12 scale``, an
+    interval is some 70 times wider than the narrowest that holds them."""
+    near = (right - left <= 1e-12 * scale).nonzero()[0]
+    if near.size:
+        left, right = left[near], right[near]
+        mid = 0.5 * (left + right)
+        near = near[(left >= 0.5 * (left + mid) - 0.5 * (mid - left) * _X[-1])
+                    | (0.5 * (mid + right) + 0.5 * (right - mid) * _X[-1] >= right)]
+    return near
 
 
 def _integrate_all(fs, w, a: float, b: float, cfg: QuadConfig,
                    breakpoints) -> list[tuple[float, float]]:
     """:func:`integrate` each ``f(x) w(x)``, ``f`` in ``fs``, in lockstep.
 
-    ``w`` is ``None`` for a weight of 1, and ``breakpoints[i]`` seeds the
-    mesh of ``fs[i]``; integrals given the same breakpoints object share
-    their first-pass rule calls.  Returns ``[(value, error_bound), ...]`` in
-    ``fs`` order.  If an integral fails, this raises the exception that a
-    loop over ``fs`` would raise, that of the first integral to fail in
-    ``fs`` order: once integral ``i`` fails, the integrals after it stop and
-    those before it run on.  A failed refinement step carries the running
-    estimate and bound from before it.
+    ``w`` is ``None`` for 1; ``breakpoints[i]`` seeds the mesh of ``fs[i]``,
+    and integrals given the same object share their first-pass rule calls.
+    Returns ``[(value, error_bound), ...]``, or raises what a loop over ``fs``
+    would raise: once integral ``i`` fails, those after it stop and those
+    before it run on.  A failed round carries the estimate and bound from
+    before it.
     """
-    if not b > a:
-        raise ParameterError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    _check_bounds(a, b)
     groups: dict[int, list] = {}
     for i, points in enumerate(breakpoints):
         groups.setdefault(id(points), []).append(i)
-    out: list = [None] * len(fs)
-    live: list[_Integral] = []
+    parts = {}    # each integral's partition, by rows: lefts, rights, values, error bounds
     failure, stop = None, len(fs)    # the integrals from ``stop`` on have stopped
     for members in groups.values():
-        edges = np.unique(np.concatenate([
-            [a, b], np.asarray(breakpoints[members[0]], dtype=float).ravel()
-        ]))
+        edges = np.unique(np.concatenate([[a, b], np.ravel(breakpoints[members[0]])]))
         edges = edges[(edges >= a) & (edges <= b)]
-        lefts, rights = edges[:-1], edges[1:]
-        vals = np.empty((len(members), lefts.size))
-        errs = np.empty_like(vals)
-        for c in range(0, lefts.size, _CHUNK_INTERVALS):
-            chunk = slice(c, c + _CHUNK_INTERVALS)
+        part = np.empty((len(members), 4, edges.size - 1))
+        part[:, 0], part[:, 1] = edges[:-1], edges[1:]
+        for c in range(0, edges.size - 1, _CHUNK_INTERVALS):
+            lefts, rights = part[0, :2, c:c + _CHUNK_INTERVALS]
             run = [i for i in members if i < stop]
             if not run:
                 break
-            resk, resg, resasc, exc = _rule([fs[i] for i in run], w,
-                                            0.5 * (lefts[chunk] + rights[chunk]),
-                                            0.5 * (rights[chunk] - lefts[chunk]))
-            vals[:len(resk), chunk] = resk
-            errs[:len(resk), chunk] = _errors(resk, resg, resasc)
+            v, e, done, exc = _rule([fs[i] for i in run], w, 0.5 * (lefts + rights),
+                                    0.5 * (rights - lefts))
+            part[:done, 2, c:c + lefts.size], part[:done, 3, c:c + lefts.size] = v, e
             if exc is not None:
-                stop = run[len(resk)]
+                stop = run[done]
                 failure = (QuadratureError(_NON_FINITE, float("nan"), float("inf"))
                            if exc is _NON_FINITE else exc)
-        for i, v, e in zip(members, vals, errs):
+        parts.update((i, part[k]) for k, i in enumerate(members) if i < stop)
+    out: list = [None] * len(fs)
+    splits, stalls = dict.fromkeys(parts, 0), dict.fromkeys(parts, 0)
+    live = sorted(parts)
+    while live:
+        cuts = []    # (integral, picked intervals, their columns, estimate, bound)
+        for i in live:
             if i >= stop:
                 break
-            total, total_err = float(np.sum(v)), float(np.sum(e))
-            if total_err <= max(abs_tol, rel_tol * abs(total)):
-                out[i] = (total, total_err)
+            part = parts[i]
+            total, error = np.add.reduce(part[2:], axis=1).tolist()
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if error <= tol:
+                out[i] = (total, error)
                 continue
-            heap = [(-ei, li, ri, vi, ei) for li, ri, vi, ei
-                    in zip(lefts.tolist(), rights.tolist(), v.tolist(), e.tolist())]
-            heapq.heapify(heap)
-            live.append(_Integral(i, heap, total, total_err))
-    live = sorted((st for st in live if st.index < stop), key=lambda st: st.index)
-    while live:
-        batch = []    # the integrals that split an interval in this step
-        for st in live:
-            if st.index >= stop:
-                break
-            while st.error > (tol := max(abs_tol, rel_tol * abs(st.total))):
-                if st.stalls >= _MAX_STALLS:
-                    failure, stop = QuadratureError(
-                        f"quadrature stopped by roundoff after {st.splits} subdivisions: "
-                        f"{st.stalls} splits left the estimate and its error bound almost "
-                        f"unchanged (estimate {st.total!r}, error bound {st.error:.3e})",
-                        st.total, st.error, st.splits,
-                    ), st.index
-                    break
-                if st.splits >= cfg.max_subdivisions:
-                    failure, stop = QuadratureError(
-                        f"quadrature did not converge within {cfg.max_subdivisions} "
-                        f"subdivisions (estimate {st.total!r}, error bound {st.error:.3e})",
-                        st.total, st.error, st.splits,
-                    ), st.index
-                    break
-                if st.stuck > tol or not st.heap:
-                    failure, stop = QuadratureError(
-                        f"quadrature stopped at floating-point resolution after {st.splits} "
-                        f"subdivisions: intervals too narrow to split hold {st.stuck:.3e} of "
-                        f"the error bound (estimate {st.total!r}, error bound {st.error:.3e})",
-                        st.total, st.error, st.splits,
-                    ), st.index
-                    break
-                _, left, right, value, err = heapq.heappop(st.heap)
-                mid = 0.5 * (left + right)
-                if not _halves_hold_nodes(left, mid, right):
-                    # at floating-point resolution: the interval leaves the
-                    # heap, and its error stays in the bound
-                    st.stuck += err
-                    continue
-                st.split = (left, mid, right, value, err)
-                batch.append(st)
-                break
+            pick = (part[3] > tol / (2 * part.shape[1])).nonzero()[0]
+            cols = part.take(pick, axis=1)
+            narrow, stuck = _narrow(cols[0], cols[1], max(-a, b)), 0.0
+            if narrow.size:
+                stuck = float(cols[3, narrow].sum())
+                pick, cols = np.delete(pick, narrow), np.delete(cols, narrow, axis=1)
+            if stalls[i] >= _MAX_STALLS:
+                why = (f"stopped by roundoff after {splits[i]} subdivisions: {stalls[i]} "
+                       "splits left the estimate and its error bound almost unchanged")
+            elif splits[i] >= cfg.max_subdivisions:
+                why = f"did not converge within {cfg.max_subdivisions} subdivisions"
+            elif stuck > tol or not pick.size:    # the unpicked hold at most tol / 2
+                why = (f"stopped at floating-point resolution after {splits[i]} subdivisions: "
+                       f"intervals too narrow to split hold {stuck:.3e} of the error bound")
             else:
-                out[st.index] = (st.total, st.error)
-        if not batch:
+                if pick.size > 1:    # the fewest, largest first, that leave <= tol / 2
+                    order = (-cols[3]).argsort(kind="stable")
+                    order = order[:cols[3].take(order).cumsum().searchsorted(error - tol / 2) + 1]
+                    pick, cols = pick.take(order), cols.take(order, axis=1)
+                room = cfg.max_subdivisions - splits[i]
+                cuts.append((i, pick[:room], cols[:, :room], total, error))
+                continue
+            failure, stop = QuadratureError(f"quadrature {why} (estimate {total!r}, error "
+                                            f"bound {error:.3e})", total, error, splits[i]), i
             break
-        cuts = [st.split[:3] for st in batch]    # (left, mid, right)
-        resk, resg, resasc, exc = _rule(
-            [fs[st.index] for st in batch], w,
-            np.array([(0.5 * (l + m), 0.5 * (m + r)) for l, m, r in cuts]),
-            np.array([(0.5 * (m - l), 0.5 * (r - m)) for l, m, r in cuts]),
-        )
-        live = batch[:len(resk)]
+        if not cuts:
+            break
+        old = np.concatenate([cut[2] for cut in cuts], axis=1)
+        mids = 0.5 * (old[0] + old[1])
+        # rows 2j and 2j + 1 hold the halves of picked interval j
+        kid_lefts, kid_rights = np.array([[old[0], mids], [mids, old[1]]]).transpose(
+            0, 2, 1).reshape(2, -1)
+        sizes = [2 * cut[1].size for cut in cuts]
+        rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+        v, e, done, exc = _rule([fs[cut[0]] for cut in cuts], w, 0.5 * (kid_lefts + kid_rights),
+                                0.5 * (kid_rights - kid_lefts), rows)
         if exc is not None:
-            st = batch[len(resk)]
+            i, _, _, total, error = cuts[done]
             if exc is _NON_FINITE:
-                exc = QuadratureError(_NON_FINITE, st.total, st.error, st.splits)
+                exc = QuadratureError(_NON_FINITE, total, error, splits[i])
             elif isinstance(exc, QuadratureError):
-                exc = QuadratureError(str(exc), exc.estimate, exc.error_bound, st.splits)
-            failure, stop = exc, st.index
-        v, e = _step_errors(resk, resg, resasc)
-        for j, st in enumerate(live):
-            left, mid, right, value, err = st.split
-            v0, v1, e0, e1 = v[2 * j], v[2 * j + 1], e[2 * j], e[2 * j + 1]
-            area, area_err = v0 + v1, e0 + e1
-            st.total += area - value
-            st.error += area_err - err
-            if (abs(area - value) <= _STALL_REL_CHANGE * abs(area)
-                    and area_err >= _STALL_ERR_RATIO * err):
-                st.stalls += 1
-            heapq.heappush(st.heap, (-e0, left, mid, v0, e0))
-            heapq.heappush(st.heap, (-e1, mid, right, v1, e1))
-            st.splits += 1
+                exc = QuadratureError(str(exc), exc.estimate, exc.error_bound, splits[i])
+            failure, stop = exc, i
+        n = v.size // 2
+        area, area_err = v[0::2] + v[1::2], e[0::2] + e[1::2]
+        stalled = ((np.abs(area - old[2, :n]) <= _STALL_REL_CHANGE * np.abs(area))
+                   & (area_err >= _STALL_ERR_RATIO * old[3, :n]))
+        kids = np.array([kid_lefts[:2 * n], kid_rights[:2 * n], v, e])
+        for (i, pick, *_), r in zip(cuts[:done], rows):
+            stalls[i] += int(np.count_nonzero(stalled[r.start // 2:r.stop // 2]))
+            splits[i] += pick.size
+            # the left halves take their parents' places, the right ones follow
+            parts[i][:, pick] = kids[:, r.start:r.stop:2]
+            parts[i] = np.concatenate([parts[i], kids[:, r.start + 1:r.stop:2]], axis=1)
+        live = [cut[0] for cut in cuts[:done]]
     if failure is not None:
         raise failure
     return out
@@ -356,11 +286,11 @@ def integrate(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD,
 
     ``f`` must accept a 1-D array of nodes (all strictly inside ``(a, b)``)
     and return values of the same shape.  Returns ``(value, error_bound)``.
-    Raises :class:`QuadratureError`, carrying the partial estimate and its
-    error bound and the number of splits made, if ``f`` returns a non-finite
-    value, if the tolerance is not met within ``cfg.max_subdivisions``
-    interval splits, or if ``_MAX_STALLS`` splits show that roundoff keeps it
-    from being met.  A non-finite value in the first pass leaves no partial
-    estimate: the error carries ``nan`` and ``inf``.
+    Raises :class:`ParameterError` unless ``a < b`` are finite, and
+    :class:`QuadratureError`, carrying the partial estimate, its error bound
+    and the number of intervals split, if ``f`` returns a non-finite value
+    (in the first pass: estimate ``nan``, bound ``inf``), if the tolerance is
+    not met within ``cfg.max_subdivisions`` splits, or if roundoff keeps it
+    from being met.
     """
     return _integrate_all([f], None, a, b, cfg, [breakpoints])[0]

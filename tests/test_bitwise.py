@@ -36,7 +36,7 @@ from archvar.cli import main
 from archvar.rng import mix64_int
 
 DIGESTS = {
-    "var_for_spec": "5682f405c8d7b1b95811fb57c0ccec09457f0e2b753b4601aff8fe0dde700709",
+    "var_for_spec": "b3d8e400aa13fdfa3f3d38125ab90f4887b7b5bb4b4c0083ce3597aa1d6674e2",
     "sample_copula": "cfcdbeba3dfd7ed9a7f7a526c4ddd30b33a24be30e7797c7ed12ab6a8d013349",
     "run_study": "df31130a7fb73992f7f9cdd596cc7d273d03a77d6f364f2b772cb02c74143902",
     "empirical_kendall_tau": "44951c1839fd5fc51176dc4b1e862065eb053429e5744dfe55c391f448eb9f93",
@@ -44,7 +44,7 @@ DIGESTS = {
     "cli_mc": "36d3080f286a092e8b11d66d176b69fbe8e0e5b8122b5cf53504472513ed98e7",
     "cli_table1": "7d405a5cab173e476adf39cf83b47917184d89b42b2e5389224d8750cbe10328",
     "cli_sample": "cf7df035920ca5a84b44398f5428441b3f855e6a9342ed5c8e198351c99a9770",
-    "kernel_mass": "a2f38564e5a55aba0e6715c69892aec02b31290d8021f16431c7dde17b604f4f",
+    "kernel_mass": "bfc223d3ab390af1a34ac8aa23a06f4082e23cfcab173a365622ab169b9f33f1",
     "generator": "a3b8f9f3fec6fc10de5f16cf87d613695178508db32888370fab2c90a6078a68",
     "copula_cdf": "636cf605fa60d32834a95f69cab3c0e40253abec6f9885d00e7a4f61e1d4cef9",
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",

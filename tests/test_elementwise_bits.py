@@ -8,9 +8,11 @@ a block differently, would rest on it too.  The calls below are the ones the
 draw, the selection and the transforms make, and the quadrature's ``** 1.5``.
 
 The lockstep quadrature rests on it as well: the VaR weight is evaluated once
-on the nodes of every integral in a step.  Its stacked BLAS sums rest on a
-second premise, pinned by the last test: a slice of a stacked matmul gets the
-bits of the same 2-D matmul alone.
+on the nodes of every integral in a rule call.  Its sums rest on two more
+premises, pinned by the last two tests: in the first pass, a slice of a
+stacked matmul gets the bits of the same 2-D matmul alone; in refinement,
+where integrals have different row counts, a row of an einsum over rows gets
+the bits of the same row alone, which a gemv's rows do not.
 """
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ CASES = {
 }
 for _p in (-1.5, -1.0 / 2.4, 0.5, 1.0 / 3.0, 1.5, 2.0, 2.4, 3.0):
     CASES[f"power_{_p:.4g}"] = (lambda x, p=_p: x ** p, unit)
-# the quadrature's error model raises its ratios to 1.5 in one array per step
+# the quadrature's error model raises its ratios to 1.5 in one array per rule call
 CASES["power_1.5_wide"] = (lambda x: x ** 1.5, lambda rng, n: np.exp(rng.uniform(-300, 300, n)))
 for _family, _theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
                         (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4),
@@ -94,8 +96,8 @@ def test_block_matches_its_columns(name, k, d):
 
 @pytest.mark.parametrize("k", [2, 11])
 def test_stacked_rule_sums_match_2d_calls(k):
-    # The lockstep quadrature sums a (B, k, 15) stack of integrand values at
-    # once: the Kronrod sum as stacked gemv calls, the Gauss sum over a stack
+    # The first pass sums a (B, k, 15) stack of integrand values at once: the
+    # Kronrod sum as stacked gemv calls, the Gauss sum over a stack
     # of F-ordered (k, 7) slices.  Each slice must get the bits of the 2-D
     # calls of one integrand alone, whose Gauss slice ``fv[:, _GAUSS_IDX]``
     # is F-ordered too; a gemv's last bits depend on its rows and layout.
@@ -111,3 +113,25 @@ def test_stacked_rule_sums_match_2d_calls(k):
                 assert np.array_equal(bits(gauss[i]), bits(fv[i][:, _GAUSS_IDX] @ _WG))
                 assert np.array_equal(bits(spread[i]),
                                       bits(np.abs(fv[i] - (fv[i] @ _WK)[:, None]) @ _WK))
+
+
+@pytest.mark.parametrize("k", [1, 2, 11, 70])
+def test_rule_row_sums_match_each_row_alone(k):
+    # A refinement round sums the rows of all its integrals in one einsum per
+    # sum: the Kronrod sum over (k, 15) rows, the Gauss sum over the strided
+    # (k, 7) view of its nodes.  Each row, wherever it lies, must get the bits
+    # of the same sum over that row alone.
+    rng = np.random.default_rng(k)
+    for _ in range(40):
+        fv = rng.standard_normal((k + 9, 15)) * np.exp(rng.uniform(-5.0, 5.0, (k + 9, 15)))
+        kronrod = np.einsum("ij,j->i", fv, _WK)
+        gauss = np.einsum("ij,j->i", fv[:, 1::2], _WG)
+        spread = np.einsum("ij,j->i", np.abs(fv - kronrod[:, None]), _WK)
+        for start in (0, 3, 9):
+            rows = fv[start:start + k].copy()
+            alone = np.einsum("ij,j->i", rows, _WK)
+            assert np.array_equal(bits(kronrod[start:start + k]), bits(alone))
+            assert np.array_equal(bits(gauss[start:start + k]),
+                                  bits(np.einsum("ij,j->i", rows[:, 1::2], _WG)))
+            assert np.array_equal(bits(spread[start:start + k]), bits(
+                np.einsum("ij,j->i", np.abs(rows - alone[:, None]), _WK)))

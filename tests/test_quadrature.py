@@ -42,16 +42,17 @@ class TestRule:
 def count_rule_calls(monkeypatch) -> list:
     """Patch ``quadrature._rule`` to record each rule evaluation.
 
-    Every call is one evaluation: a first-pass chunk or a refinement step,
-    which splits one interval of each integral still running.  Each entry is
-    the number of intervals per integrand in that call.
+    Every call is one evaluation: a first-pass chunk or a refinement round,
+    which splits intervals of each integral still running.  Each entry is
+    the number of intervals in that call: those the first pass's integrands
+    share, or all halves of a round.
     """
     sizes = []
     rule = quadrature._rule
 
-    def counting(fs, w, mid, half):
-        sizes.append(np.shape(half)[-1])
-        return rule(fs, w, mid, half)
+    def counting(fs, w, mid, half, rows=None):
+        sizes.append(half.size)
+        return rule(fs, w, mid, half, rows)
 
     monkeypatch.setattr(quadrature, "_rule", counting)
     return sizes
@@ -84,12 +85,12 @@ class TestControl:
 
     def test_non_finite_value_during_refinement_keeps_split_count(self, monkeypatch):
         # the infinite band lies between first-pass nodes, so only a split
-        # reaches it; the split that does is not counted
+        # reaches it; the splits of the round that does are not counted
         sizes = count_rule_calls(monkeypatch)
         with pytest.raises(QuadratureError, match="non-finite") as excinfo:
             integrate(lambda x: np.where((x > 0.33) & (x < 0.34), np.inf, np.sin(40.0 * x)),
                       0.0, 1.0)
-        assert excinfo.value.splits == len(sizes) - 2 > 0
+        assert excinfo.value.splits == sum(sizes[1:-1]) // 2 > 0
 
     def test_non_finite_value_during_refinement_carries_running_estimate(self):
         # the error carries the estimate and bound from before the failing
@@ -114,7 +115,7 @@ class TestControl:
         with pytest.raises(QuadratureError, match="roundoff") as excinfo:
             integrate(lambda x: ((1.0 + 1e-9 * x) - 1.0) * 1e9, 0.0, 1.0, cfg)
         assert len(sizes) <= 15
-        assert excinfo.value.splits == len(sizes) - 1
+        assert excinfo.value.splits == sum(sizes[1:]) // 2
         assert excinfo.value.estimate == pytest.approx(0.5, abs=1e-6)
 
     def test_error_growth_alone_does_not_stop(self, monkeypatch):
@@ -128,11 +129,20 @@ class TestControl:
         exact = ((np.exp(10.0 * z) - 1.0) / z).real
         assert value == pytest.approx(exact, abs=1e-12)
         assert err <= 1e-10
-        assert len(sizes) > 100
+        assert sum(sizes[1:]) // 2 > 100    # splits
 
     def test_invalid_bounds(self):
         with pytest.raises(ParameterError):
             integrate(np.exp, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                      (0.0, np.nan), (1.0, 0.0), (1.0, 1.0)])
+    def test_bounds_must_be_finite_and_ordered(self, a, b):
+        # an infinite end made NaN nodes, reported as a non-finite integrand
+        # value after a RuntimeWarning; a reversed mesh was silently empty
+        for call in (lambda: integrate(np.exp, a, b), lambda: graded_breakpoints(a, b)):
+            with pytest.raises(ParameterError, match="must be finite with a < b"):
+                call()
 
     def test_first_pass_runs_in_chunks(self, monkeypatch):
         sizes = count_rule_calls(monkeypatch)
@@ -173,6 +183,10 @@ class TestControl:
         cases += [(a, a + w) for a, w in zip(gen.uniform(-10, 10, 300) * 10.0 ** gen.integers(-12, 12, 300),
                                               10.0 ** gen.uniform(-14, 3, 300))]
         for a, b in cases:
+            if not a < b:    # a + w rounded onto a
+                with pytest.raises(ParameterError):
+                    graded_breakpoints(a, b)
+                continue
             dist = (b - a) * quadrature._GRADED
             dist = dist[dist >= quadrature._FLOOR]
             pts = np.concatenate([a + dist, b - dist[:-1]])
@@ -224,6 +238,25 @@ class TestControl:
         nodes = np.concatenate(seen)
         assert nodes.min() > 0.5 and nodes.max() < 1.0
 
+    def test_narrow_intervals_match_the_node_test(self):
+        # _narrow checks only intervals within 1e-12 of the scale; wider ones
+        # must pass the node test, and the narrow ones found must be exactly
+        # those that fail it
+        rng = np.random.default_rng(3)
+        xe = quadrature._X[-1]
+        for scale in (1e-300, 1e-5, 1.0, 3.7, 1e300):
+            left = rng.uniform(-scale, scale, 20000)
+            left[:50] = scale * (1.0 - rng.uniform(0.0, 1e-3, 50))
+            width = scale * 10.0 ** rng.uniform(-16.0, -10.0, left.size)
+            right = np.minimum(left + width, scale)
+            keep = right > left
+            left, right = left[keep], right[keep]
+            mid = 0.5 * (left + right)
+            holds = ((left < 0.5 * (left + mid) - 0.5 * (mid - left) * xe)
+                     & (0.5 * (mid + right) + 0.5 * (right - mid) * xe < right))
+            assert holds[right - left > 1e-12 * scale].all()
+            assert quadrature._narrow(left, right, scale).tolist() == np.flatnonzero(~holds).tolist()
+
     def test_error_of_an_unsplittable_interval_stays_in_the_bound(self):
         # (1 - x)^(-2/3) on [0, 1] is 3, but the part of it within 1e-14 of
         # 1, about 7e-5, lies where no split can resolve it
@@ -253,14 +286,21 @@ def _weight(x):
     return np.exp(-x) * (1.0 + x)
 
 
-def _rule_2d(f, mid, half):
-    """The sums of one integrand ``f(x) _weight(x)`` as a 2-D G7/K15 rule forms
-    them; the reference for the stacked sums of ``quadrature._rule``."""
+def _rule_2d(f, mid, half, blas=True):
+    """The sums of one integrand ``f(x) _weight(x)`` on its own intervals, as
+    a 2-D G7/K15 rule forms them with BLAS (the first pass) or with einsum
+    (refinement); the reference for ``quadrature._rule``."""
     nodes = mid[:, None] + half[:, None] * quadrature._XK[None, :]
     fv = (f(nodes.ravel()) * _weight(nodes.ravel())).reshape(nodes.shape)
-    resk = half * (fv @ quadrature._WK)
-    resg = half * (fv[:, quadrature._GAUSS_IDX] @ quadrature._WG)
-    resasc = half * (np.abs(fv - (resk / (2.0 * half))[:, None]) @ quadrature._WK)
+    if blas:
+        resk = half * (fv @ quadrature._WK)
+        resg = half * (fv[:, quadrature._GAUSS_IDX] @ quadrature._WG)
+        resasc = half * (np.abs(fv - (resk / (2.0 * half))[:, None]) @ quadrature._WK)
+    else:
+        resk = half * np.einsum("ij,j->i", fv, quadrature._WK)
+        resg = half * np.einsum("ij,j->i", fv[:, 1::2], quadrature._WG)
+        resasc = half * np.einsum("ij,j->i", np.abs(fv - (resk / (2.0 * half))[:, None]),
+                                  quadrature._WK)
     return resk, resg, resasc
 
 
@@ -320,7 +360,7 @@ class TestLockstep:
         assert calls == [24 * 15]
 
     def test_batched_steps(self, monkeypatch):
-        # every step splits one interval of each running integral, so the
+        # every round splits intervals of each running integral, so the
         # calls are those of the slowest integral, not the sum
         breaks = [graded_breakpoints(self.A, self.B)] * 4
         alone = []
@@ -335,27 +375,26 @@ class TestLockstep:
 
     @pytest.mark.parametrize("k", [2, 11])
     def test_batched_rule_matches_2d_rule(self, k):
-        # each integrand of a batched call gets the bits of the 2-D rule of
-        # one integrand alone, whatever the batch size
+        # each integrand of a batched call, sharing the intervals or on its
+        # own rows, gets the bits of its sums alone, whatever the batch and
+        # the row counts
         rng = np.random.default_rng(k)
         fs = [lambda x, c=c: np.exp(c * x) * np.sin(9.0 * x) for c in rng.uniform(-3, 3, 8)]
-        lefts = np.sort(rng.uniform(0.0, 1.0, (8, k + 1)), axis=1)
-        mid = 0.5 * (lefts[:, :-1] + lefts[:, 1:])
-        half = 0.5 * (lefts[:, 1:] - lefts[:, :-1])
+        sizes = rng.integers(1, 2 * k, 8)
+        meshes = [np.sort(rng.uniform(0.0, 1.0, size + 1)) for size in sizes]
+        mids = [0.5 * (m[:-1] + m[1:]) for m in meshes]
+        halves = [0.5 * (m[1:] - m[:-1]) for m in meshes]
+        ends = np.cumsum(np.r_[0, sizes])
         for n in range(1, 9):
-            *sums, failure = quadrature._rule(fs[:n], _weight, mid[:n], half[:n])
-            assert failure is None
-            for i in range(n):
-                for got, want in zip(sums, _rule_2d(fs[i], mid[i], half[i])):
-                    assert got[i].tobytes() == want.tobytes()
-
-    def test_step_error_model_matches_array_model(self):
-        # the refinement's Python-float error model against the first pass's
-        # numpy one, zero variation and zero differences included
-        rng = np.random.default_rng(0)
-        resk = rng.standard_normal((50, 2)) * np.exp(rng.uniform(-30, 30, (50, 2)))
-        resg = resk * (1.0 + np.exp(rng.uniform(-40, 0, (50, 2))) * rng.choice([-1, 0, 1], (50, 2)))
-        resasc = np.abs(resk) * np.exp(rng.uniform(-10, 10, (50, 2))) * rng.choice([0, 1], (50, 2))
-        values, errors = quadrature._step_errors(resk, resg, resasc)
-        assert np.array(values).tobytes() == resk.tobytes()
-        assert np.array(errors).tobytes() == quadrature._errors(resk, resg, resasc).tobytes()
+            rows = [slice(ends[i], ends[i + 1]) for i in range(n)]
+            values, errors, done, failure = quadrature._rule(
+                fs[:n], _weight, np.concatenate(mids[:n]), np.concatenate(halves[:n]), rows)
+            assert failure is None and done == n
+            shared = quadrature._rule(fs[:n], _weight, mids[0], halves[0])
+            for i, r in enumerate(rows):
+                resk, resg, resasc = _rule_2d(fs[i], mids[i], halves[i], blas=False)
+                assert values[r].tobytes() == resk.tobytes()
+                assert errors[r].tobytes() == quadrature._errors(resk, resg, resasc).tobytes()
+                resk, resg, resasc = _rule_2d(fs[i], mids[0], halves[0])
+                assert shared[0][i].tobytes() == resk.tobytes()
+                assert shared[1][i].tobytes() == quadrature._errors(resk, resg, resasc).tobytes()

@@ -596,12 +596,8 @@ def _amh_conditional_rows(theta: float, base_key: int, rows: np.ndarray) -> np.n
 
 
 def _amh_var_form(spec: CopulaSpec, alpha: float):
-    """``(1-theta)/phi(alpha) * q(u)/(u [1-theta(1-u)])`` on ``[alpha, 1]``.
-
-    ``phi(alpha)`` is the generator's ``log1p(-theta(1-alpha)) - log(alpha)``:
-    the log of their ratio cancels as ``alpha`` nears 1 (1.5e-8 relative at
-    ``theta = 0.99``, ``alpha = 1 - 1e-6``).
-    """
+    """``(1-theta)/phi(alpha) * q(u)/(u [1-theta(1-u)])`` on ``[alpha, 1]``; the
+    generator's ``phi`` keeps the digits that the log of a ratio loses near 1."""
     theta = spec.theta
     pre = (1.0 - theta) / phi(spec, alpha)
 

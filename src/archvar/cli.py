@@ -151,8 +151,8 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     parser.read_dict(dict.fromkeys(_SECTIONS, {}))  # every section exists, maybe empty
     try:
         parser.read(path)
-    except configparser.Error as exc:
-        raise _config_error(f"cannot parse {path}: {exc}") from exc
+    except configparser.Error as exc:    # its message may span lines
+        raise _config_error(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
     model, quad, mc, t1 = (parser[name] for name in ("model", "quadrature", "mc", "table1"))
 
     if "family" not in model:

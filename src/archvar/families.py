@@ -63,10 +63,11 @@ class Family:
     returns ``None`` or ``bounds(keys, ws)``, arrays ``(lo, hi)`` that hold
     each key's ``latent_scale(theta) * V`` as drawn at less than its cost; a
     study draws the exact ``V`` only for rows they let reach its window.
-    ``var_form(spec, alpha)`` returns ``(weight, lo, hi, to_u, from_u)``: the
-    VaR of a margin ``q`` is ``int_lo^hi q(to_u(x)) weight(x) dx``, and
-    ``from_u`` is the inverse of ``to_u``.  ``tau_ok`` tells
-    whether a Kendall tau is attainable, and ``tau_range`` is its interval.
+    ``var_form(spec, alpha)`` returns the weight ``w(t)`` of the VaR integral
+    in ``t = -ln u``: the VaR of a margin ``q`` is ``int_0^la q(e^-t) w(t) dt``
+    with ``la = -ln alpha``, and no weight subtracts two numbers near 1.
+    ``tau_ok`` tells whether a Kendall tau is attainable, and ``tau_range``
+    is its interval.
     ``bivariate_only(theta)`` is true where the generator gives a copula in
     ``d = 2`` only.
     """
@@ -231,16 +232,6 @@ def _check_kernel_arg(u: np.ndarray, alpha: float) -> None:
 # through references captured at import, so that wrapping those attributes
 # (as a profiler or tracer does) sees every call.
 
-def _identity(u: np.ndarray) -> np.ndarray:
-    return u
-
-
-# the largest double below 1; a reflected ``u = 1 - t`` or ``u = e^-t``
-# rounds onto 1 for t under about 1e-16, where a quantile may be infinite,
-# so the t-space VaR forms round such u down to this instead
-_BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-
 def _log1m_exp(x: np.ndarray) -> np.ndarray:
     """``ln(1 - e^x)`` for ``x <= 0`` at full relative precision.
 
@@ -344,21 +335,19 @@ def _clayton_phi_prime(th: float, t: np.ndarray) -> np.ndarray:
 
 
 def _clayton_var_form(spec: CopulaSpec, alpha: float):
-    """Reduced integrand ``q(u) u^(-theta-1) (a^-theta - u^-theta)^(d-2)``.
-
-    Each ``x^-theta`` enters as ``1 + expm1(-theta ln x)`` and the ones
-    cancel exactly, so the bracket keeps its digits as theta -> 0, where
-    ``alpha^-theta - 1`` loses them (and rounds to 0 at theta = 1e-17).
-    """
+    """``(d-1) theta/D e^x (-expm1(x)/D)^(d-2)`` with ``x = theta (t - la)`` and
+    ``D = -expm1(-theta la)``: no power of ``u`` or ``alpha`` overflows as
+    ``theta la`` grows, and nothing cancels as theta -> 0 or alpha -> 1."""
     th, d = spec.theta, spec.d
-    denom = float(np.expm1(-th * np.log(alpha)))
+    la = -math.log(alpha)
+    denom = -math.expm1(-th * la)
     scale = (d - 1) * th / denom
 
-    def weight(u: np.ndarray) -> np.ndarray:
-        ratio = (denom - np.expm1(-th * np.log(u))) / denom
-        return u ** (-th - 1.0) * ratio ** (d - 2) * scale
+    def weight(t: np.ndarray) -> np.ndarray:
+        x = th * (t - la)
+        return np.exp(x) * (-np.expm1(x) / denom) ** (d - 2) * scale
 
-    return weight, alpha, 1.0, _identity, _identity
+    return weight
 
 
 _CLAYTON = Family(
@@ -383,23 +372,29 @@ _CLAYTON = Family(
 # ----------------------------------------------------------------- Frank
 
 def _frank_var_form(spec: CopulaSpec, alpha: float):
-    """Reduced Frank integrand; restricted to ``theta > 0``."""
+    """``theta u/expm1(theta u) (bracket/phi(alpha))^(d-2) (d-1)/phi(alpha)``, theta > 0.
+
+    With ``c = e^(-theta alpha)/expm1(-theta alpha)``, ``phi(alpha)`` is
+    ``log1p(c expm1(-theta (1 - alpha)))`` and the bracket ``phi(alpha) -
+    phi(u)`` is ``log1p(c expm1(-theta alpha expm1(la - t)))``: both come from
+    ``1 - alpha`` and ``la - t``, not from a ratio of terms near -1."""
     th, d = spec.theta, spec.d
     if th <= 0:
         raise DomainError(
             "Frank VaR is defined for dependence parameter in (0, inf); "
             f"got theta = {th}"
         )
-    phi_a = float(-np.log(np.expm1(-th * alpha) / np.expm1(-th)))
+    la = -math.log(alpha)
+    c = math.exp(-th * alpha) / math.expm1(-th * alpha)
+    phi_a = math.log1p(c * math.expm1(-th * (1.0 - alpha)))
     scale = (d - 1) / phi_a
-    ea = np.expm1(-th * alpha)
 
-    def weight(u: np.ndarray) -> np.ndarray:
-        # -phi'(u) = theta/(e^(theta u) - 1); bracket = ln[(e^(-theta u)-1)/(e^(-theta a)-1)]
-        ratio = np.log(np.expm1(-th * u) / ea) / phi_a
-        return th / np.expm1(th * u) * ratio ** (d - 2) * scale
+    def weight(t: np.ndarray) -> np.ndarray:
+        u = np.exp(-t)
+        ratio = np.log1p(c * np.expm1(-th * alpha * np.expm1(la - t))) / phi_a
+        return th * u / np.expm1(th * u) * ratio ** (d - 2) * scale
 
-    return weight, alpha, 1.0, _identity, _identity
+    return weight
 
 
 # Frank's tau near 0 is theta times this polynomial in theta^2: 4 B_2n /
@@ -473,9 +468,9 @@ _FRANK = Family(
 # ------------------------------------------------------- Gumbel-Hougaard
 
 def _gumbel_var_form(spec: CopulaSpec, alpha: float):
-    """Integrand on ``t in [0, -ln alpha]`` after the substitution ``t = -ln u``."""
+    """``(d-1) theta/la r^(theta-1) (1 - r^theta)^(d-2)`` with ``r = t/la``."""
     th, d = spec.theta, spec.d
-    la = float(-np.log(alpha))
+    la = -math.log(alpha)
     # (t/la)^(theta-1) / la, not t^(theta-1) / la^theta, which underflows
     # (theta = 60 at alpha = 1 - 1e-6)
     scale = (d - 1) * th / la
@@ -484,8 +479,7 @@ def _gumbel_var_form(spec: CopulaSpec, alpha: float):
         r = t / la
         return r ** (th - 1.0) * (1.0 - r ** th) ** (d - 2) * scale
 
-    return (weight, 0.0, la, lambda t: np.minimum(np.exp(-t), _BELOW_ONE),
-            lambda u: -np.log(u))
+    return weight
 
 
 _GUMBEL = Family(
@@ -519,18 +513,18 @@ def _joe_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _joe_var_form(spec: CopulaSpec, alpha: float):
-    """Integrand on the reflected interval ``t in [0, 1 - alpha]`` (``t = 1 - u``)."""
+    """The generator form in ``v = 1 - u = -expm1(-t)``, times ``du/dt = e^-t``."""
     th, d = spec.theta, spec.d
     phi_a = float(-np.log1p(-((1.0 - alpha) ** th)))
     scale = (d - 1) * th / phi_a
 
     def weight(t: np.ndarray) -> np.ndarray:
-        one_minus_tth = -np.expm1(th * np.log(t))
-        ratio = (np.log1p(-(t ** th)) + phi_a) / phi_a
-        return t ** (th - 1.0) / one_minus_tth * ratio ** (d - 2) * scale
+        v = -np.expm1(-t)
+        one_minus_vth = -np.expm1(th * np.log(v))
+        ratio = (np.log1p(-(v ** th)) + phi_a) / phi_a
+        return np.exp(-t) * v ** (th - 1.0) / one_minus_vth * ratio ** (d - 2) * scale
 
-    return (weight, 0.0, 1.0 - alpha, lambda t: np.minimum(1.0 - t, _BELOW_ONE),
-            lambda u: 1.0 - u)
+    return weight
 
 
 def _joe_tau(theta: float) -> float:
@@ -596,15 +590,15 @@ def _amh_conditional_rows(theta: float, base_key: int, rows: np.ndarray) -> np.n
 
 
 def _amh_var_form(spec: CopulaSpec, alpha: float):
-    """``(1-theta)/phi(alpha) * q(u)/(u [1-theta(1-u)])`` on ``[alpha, 1]``; the
-    generator's ``phi`` keeps the digits that the log of a ratio loses near 1."""
+    """``(1-theta)/phi(alpha) / (1 + theta expm1(-t))``; the generator's ``phi``
+    keeps the digits that the log of a ratio loses near 1."""
     theta = spec.theta
     pre = (1.0 - theta) / phi(spec, alpha)
 
-    def weight(u: np.ndarray) -> np.ndarray:
-        return pre / (u * (1.0 - theta * (1.0 - u)))
+    def weight(t: np.ndarray) -> np.ndarray:
+        return pre / (1.0 + theta * np.expm1(-t))
 
-    return weight, alpha, 1.0, _identity, _identity
+    return weight
 
 
 _AMH_TAU_MIN = (5.0 - 8.0 * np.log(2.0)) / 3.0  # tau at theta = -1

@@ -49,11 +49,8 @@ _CHUNK_INTERVALS = 1024
 # The graded mesh: its points' distances from each end as fractions of the
 # width, ascending; the last, 0.5, is the midpoint.  It is deep enough that
 # the log singularity of a normal or lognormal quantile at u = 1 and a
-# smooth integrand's middle converge in the first pass.  A point nearer its
-# end than _FLOOR is dropped: the K15 nodes of a narrower end interval can
-# round onto u = 1 under a VaR form's substitution.
+# smooth integrand's middle converge in the first pass.
 _GRADED = np.array([1e-11, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
-_FLOOR = 1e-13
 
 # A split is a stall when its children's summed value lies within
 # _STALL_REL_CHANGE of the parent's and their summed error bound is at least
@@ -90,11 +87,9 @@ def _check_bounds(a: float, b: float) -> None:
 
 def graded_breakpoints(a: float, b: float) -> np.ndarray:
     """Initial mesh at ``_GRADED`` fractions of the width from each end, the
-    midpoint once, less the points within ``_FLOOR`` of their end and those
-    that round onto an end or onto their neighbour."""
+    midpoint once, less those that round onto an end or onto their neighbour."""
     _check_bounds(a, b)
     dist = (b - a) * _GRADED
-    dist = dist[dist >= _FLOOR]
     # ascending as built, so one comparison drops the duplicates; the last
     # point kept then equals b, and is cut
     pts = np.concatenate(([a], a + dist, b - dist[-2::-1], [b]))

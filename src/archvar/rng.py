@@ -20,8 +20,9 @@ of ``(value, stream_id, row, label, counter)``: samples are reproducible
 bit-for-bit at the integer level regardless of batch splitting or
 parallelism, and row blocks can be generated independently.
 
-Uniform doubles are ``((word >> 11) + 0.5) * 2^-53``, strictly inside
-``(0, 1)``.
+Uniform doubles are ``((word >> 11) + 0.5) * 2^-53``, inside ``(0, 1)``
+except for one word in 2^53: at ``word >> 11 = 2^53 - 1`` the sum rounds to
+2^53 and the uniform is exactly 1.0.
 
 The samplers write in place, into an ``out`` array and the buffers of a
 :class:`Workspace` that a block-by-block caller reuses, so that no block
@@ -169,7 +170,7 @@ def _words(keys: np.ndarray, counter, out: np.ndarray | None = None,
 
 def uniforms(keys: np.ndarray, counter, out: np.ndarray | None = None,
              ws: Workspace | None = None) -> np.ndarray:
-    """One double in (0, 1) per key at the given counter (scalar or array)."""
+    """One double in (0, 1] (1.0 for one word in 2^53) per key at the given counter."""
     n, out, ws = _buffers(keys, out, ws)
     tmp = ws.take("mix", n, np.uint64)
     words = _words(keys, counter, out.view(np.uint64), tmp)

@@ -5,34 +5,28 @@ Every routine here evaluates the same conditional-expectation integral
     VaR_alpha^i = (d-1)/phi(alpha)^(d-1) * int_alpha^1 q_i(u) beta_d(u, alpha) du
 
 where ``q_i`` is the i-th marginal quantile function and ``beta_d`` the
-kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``.  ``var_for_spec`` runs the
-reduced integrand of the spec's :class:`~archvar.families.Family` record, its
-``var_form`` (for Gumbel and Joe in substituted variables that map the
-integration onto a finite interval with tame endpoint behaviour).
-``var_generic`` works from the generator alone; ``kernel_mass`` integrates
-its weight alone.  One driver, ``_var``, runs every one of these integrands,
-a call's distinct margins in lockstep against the form's one weight.
-
-The initial mesh is ``graded_breakpoints(lo, hi)``, 24 intervals reaching
-1e-11 of the width from each end, so that smooth margins, the normal and
-lognormal quantiles with their log singularity at ``u = 1`` included, mostly
-converge in the first batched pass.  Each form also returns ``from_u``, the
-inverse of its substitution ``to_u``: the identity, ``-log u`` for Gumbel
-and ``1 - u`` for Joe, whose ``to_u`` rounds a ``u`` that would round onto 1
-down to the largest double below 1.  A margin with ``knots`` (a tabulated
-one) has a kink at each; ``_var`` maps them through ``from_u`` and adds them
-to the initial mesh, so that every panel's integrand is smooth and the first
-batched pass of the quadrature converges.  Each knot inside the interval
-costs about 15 integrand evaluations.
+kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``, in the one variable
+``t = -ln u`` on ``[0, -ln alpha]``.  ``var_for_spec`` integrates the weight
+of the spec's :class:`~archvar.families.Family` record, its ``var_form``;
+``var_generic`` works from the generator alone, and ``kernel_mass``
+integrates its weight alone.  One driver, ``_var``, runs them all, a call's
+distinct margins in lockstep, and owns the substitution: margins see
+``u = e^-t`` below 1, and a tabulated margin's knots (its kinks) join the
+initial mesh ``graded_breakpoints(0, -ln alpha)`` at ``-ln level``, at about
+15 integrand evaluations each.  The mesh's 24 intervals reach 1e-11 of the
+width from each end, so that smooth margins, the normal and lognormal
+quantiles with their log singularity at ``u = 1`` (``t = 0``) included,
+mostly converge in the first batched pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .families import FAMILIES, CopulaSpec, _identity, phi, phi_prime
+from .families import FAMILIES, CopulaSpec, phi, phi_prime
 from .margins import ConstantMargin, checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig, _integrate_all, graded_breakpoints
 
@@ -57,17 +51,28 @@ class VarResult:
         self.abs_error_estimate.flags.writeable = False
 
 
+# the largest double below 1: e^-t rounds onto 1 for t under about 1e-16,
+# where a quantile may be infinite
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _u(t: np.ndarray) -> np.ndarray:
+    """The level ``u = e^-t`` of the nodes ``t``, below 1."""
+    return np.minimum(np.exp(-t), _BELOW_ONE)
+
+
 def _generic_form(spec: CopulaSpec, alpha: float):
     """The generator-form weight of :func:`var_generic`, any family."""
     phi_a = phi(spec, alpha)
     d = spec.d
     scale = (d - 1) / phi_a
 
-    def weight(u: np.ndarray) -> np.ndarray:
+    def weight(t: np.ndarray) -> np.ndarray:
+        u = _u(t)
         ratio = 1.0 - phi(spec, u) / phi_a
-        return -phi_prime(spec, u) * ratio ** (d - 2) * scale
+        return -phi_prime(spec, u) * u * ratio ** (d - 2) * scale
 
-    return weight, alpha, 1.0, _identity, _identity
+    return weight
 
 
 def _kernel(form, spec: CopulaSpec, alpha: float):
@@ -75,7 +80,8 @@ def _kernel(form, spec: CopulaSpec, alpha: float):
 
     Every form divides by a multiple of ``phi(alpha)``, which rounds to 0
     when ``alpha`` is within rounding of 1 on the generator's scale (Frank
-    ``theta = 40`` at ``alpha = 1 - 1e-6``).
+    ``theta = 800`` at ``alpha = 1 - 1e-6``, where ``e^(-theta alpha)``
+    underflows).
     """
     try:
         return form(spec, alpha)
@@ -98,8 +104,9 @@ def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarR
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
     margins = checked_margins(margins, spec.d)
-    weight, lo, hi, to_u, from_u = _kernel(form, spec, alpha)
-    graded = graded_breakpoints(lo, hi)
+    weight = _kernel(form, spec, alpha)
+    la = -math.log(alpha)
+    graded = graded_breakpoints(0.0, la)
     distinct: list = []
     slots = []
     for m in margins:
@@ -109,9 +116,9 @@ def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarR
             distinct.append(m)
         slots.append(slot)
     breaks = [graded if getattr(m, "knots", None) is None
-              else np.concatenate([graded, from_u(m.knots)]) for m in distinct]
-    parts = _integrate_all([lambda x, m=m: m(to_u(x)) for m in distinct], weight,
-                           lo, hi, cfg, breaks)
+              else np.concatenate([graded, -np.log(m.knots)]) for m in distinct]
+    parts = _integrate_all([lambda t, m=m: m(_u(t)) for m in distinct], weight,
+                           0.0, la, cfg, breaks)
     return VarResult(alpha, [parts[j][0] for j in slots], [parts[j][1] for j in slots], spec)
 
 

@@ -14,8 +14,9 @@ while its digest did not move: a change that moves bits must declare the
 move, and a recapture must come with a move.  This holds on any CPU, although
 most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
 It also exits 1 when a sweep case that returns a value in the base tree raises
-in the head tree, and prints how many values moved and the largest relative
-move.
+in the head tree.  It prints how many sweep values moved, the ten largest
+relative moves with both values, and every case that went from an error to
+a value or back.
 """
 import contextlib
 import io
@@ -84,13 +85,17 @@ def compare_sweep(base: dict, head: dict) -> tuple:
             if isinstance(base[case], float) and not isinstance(head.get(case), float)]
     gained = [case for case in base
               if not isinstance(base[case], float) and isinstance(head.get(case), float)]
-    moves = [abs(head[case] - base[case]) / abs(base[case]) if base[case] else float("inf")
-             for case in base
-             if isinstance(base[case], float) and isinstance(head.get(case), float)
-             and head[case] != base[case]]
+    moves = sorted(((abs(head[case] - base[case]) / abs(base[case]) if base[case]
+                     else float("inf"), case)
+                    for case in base
+                    if isinstance(base[case], float) and isinstance(head.get(case), float)
+                    and head[case] != base[case]), reverse=True)
     lines = [f"sweep: {len(base)} cases, {len(moves)} values moved, largest relative "
-             f"move {max(moves, default=0.0):.3g}; {len(gained)} went from an error to a "
-             f"value, {len(lost)} from a value to an error"]
+             f"move {moves[0][0] if moves else 0.0:.3g}; {len(gained)} went from an error "
+             f"to a value, {len(lost)} from a value to an error"]
+    lines += [f"  moved {move:.3g}: {case}: {base[case]!r} -> {head[case]!r}"
+              for move, case in moves[:10]]
+    lines += [f"  {base[case]} -> value {head[case]!r}: {case}" for case in gained]
     lines += [f"  value -> {head.get(case, 'missing')}: {case}" for case in lost]
     return lines, not lost
 

@@ -13,7 +13,12 @@ from the merge count that built fresh arrays at each level.  The
 (points from 1e-11 of the width, none within 1e-13 of an end), which moved
 VaR values by up to 2.4e-12 relative here and error bounds more; the
 Clayton form in ``expm1`` terms and the Gumbel form in ``t / la`` terms
-moved them by up to 3.5e-15 and 8.5e-15 more.  ``base_key``,
+moved them by up to 3.5e-15 and 8.5e-15 more.  The same six quadrature
+digests, ``cli_mc`` included, were recaptured when every VaR integral moved
+into ``t = -ln u``: ``var_for_spec`` components by up to 1.0e-11 relative
+(their error bounds by up to 60x), ``kernel_mass`` by up to 2.6e-12, and the
+theoretical VaR of the studies and CLI reports by up to 9e-16, their bias
+and RMSE with it; no sampled value moved.  ``base_key``,
 ``rng_words`` and ``kendall_ties`` use integer operations only, besides one
 correctly rounded division and square root per tau, and hold on any CPU;
 the others are pinned to one numpy build and CPU.
@@ -36,15 +41,15 @@ from archvar.cli import main
 from archvar.rng import mix64_int
 
 DIGESTS = {
-    "var_for_spec": "b3d8e400aa13fdfa3f3d38125ab90f4887b7b5bb4b4c0083ce3597aa1d6674e2",
+    "var_for_spec": "af12875deac014981b48fea763ac5d03b75445f9bc3f7381d3c5505bc281d879",
     "sample_copula": "cfcdbeba3dfd7ed9a7f7a526c4ddd30b33a24be30e7797c7ed12ab6a8d013349",
-    "run_study": "df31130a7fb73992f7f9cdd596cc7d273d03a77d6f364f2b772cb02c74143902",
+    "run_study": "a7caa33ba127c69d385cf77f9b725f0636ff1a3a21d07a50905d2bbaddab1398",
     "empirical_kendall_tau": "44951c1839fd5fc51176dc4b1e862065eb053429e5744dfe55c391f448eb9f93",
-    "cli_var": "1479a111fe4e5ad302b6aabc91592b161715a102aab6b2d91e030c2cd1ace701",
-    "cli_mc": "36d3080f286a092e8b11d66d176b69fbe8e0e5b8122b5cf53504472513ed98e7",
-    "cli_table1": "7d405a5cab173e476adf39cf83b47917184d89b42b2e5389224d8750cbe10328",
+    "cli_var": "fdbe4f1857bea1a9664f8d2f16219794d7baeb30ed3dd548633185ed95b5c9a0",
+    "cli_mc": "cb56d9f4c07655315c6208010ada01ec65314a2897b31ec77588858be643e6bb",
+    "cli_table1": "af041dde4bbef08197b1048ae5b7707308c5dd39deb820c261a9e16a8dc51b43",
     "cli_sample": "cf7df035920ca5a84b44398f5428441b3f855e6a9342ed5c8e198351c99a9770",
-    "kernel_mass": "bfc223d3ab390af1a34ac8aa23a06f4082e23cfcab173a365622ab169b9f33f1",
+    "kernel_mass": "b12efd54208b1aa16ce337fe4ecc8e647d1a4497af59e212af0af2db40dfa460",
     "generator": "a3b8f9f3fec6fc10de5f16cf87d613695178508db32888370fab2c90a6078a68",
     "copula_cdf": "636cf605fa60d32834a95f69cab3c0e40253abec6f9885d00e7a4f61e1d4cef9",
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour."""
 import os
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -81,7 +82,10 @@ class TestVarCommand:
         assert main(["var"]) == 2
 
     def test_quadrature_budget_exhaustion_exit_3(self, tmp_path, capsys):
-        text = BASE_CONFIG + "\n[quadrature]\nabs_tol = 1e-16\nrel_tol = 1e-16\nmax_subdivisions = 1\n"
+        # Clayton theta = 10 needs a split where theta = 2 converges in the
+        # first pass
+        text = BASE_CONFIG.replace("theta = 2.0", "theta = 10.0") + (
+            "\n[quadrature]\nabs_tol = 1e-16\nrel_tol = 1e-16\nmax_subdivisions = 1\n")
         cfg = write_config(tmp_path, text)
         assert main(["var", "--config", cfg]) == 3
         assert "converge" in capsys.readouterr().err
@@ -94,18 +98,20 @@ class TestVarCommand:
         assert "must be a finite real > 0" in capsys.readouterr().err
 
     def test_roundoff_limited_quadrature_exit_3(self, tmp_path, capsys):
-        # Frank theta = 40, d = 3, alpha = 0.5: roundoff keeps the integral
-        # from meeting its tolerance, and the quadrature stops early
+        # Frank theta = 40, d = 3, alpha = 0.5 at a tolerance below the
+        # doubles' resolution: roundoff keeps the integral from meeting it,
+        # and the quadrature stops early
         text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
-            "theta = 2.0", "theta = 40.0").replace("alpha = 0.05", "alpha = 0.5")
+            "theta = 2.0", "theta = 40.0").replace("alpha = 0.05", "alpha = 0.5") + (
+            "\n[quadrature]\nabs_tol = 1e-300\nrel_tol = 1e-18\n")
         cfg = write_config(tmp_path, text)
         assert main(["var", "--config", cfg]) == 3
         assert "roundoff" in capsys.readouterr().err
 
     def test_underflowed_phi_alpha_exit_3(self, tmp_path, capsys):
-        # Frank phi(1 - 1e-6) at theta = 40 rounds to 0 in double precision
+        # Frank phi(1 - 1e-6) at theta = 800 rounds to 0 in double precision
         text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
-            "theta = 2.0", "theta = 40.0").replace("alpha = 0.05", "alpha = 0.999999")
+            "theta = 2.0", "theta = 800.0").replace("alpha = 0.05", "alpha = 0.999999")
         cfg = write_config(tmp_path, text)
         assert main(["var", "--config", cfg]) == 3
         assert "underflows" in capsys.readouterr().err
@@ -179,7 +185,46 @@ class TestVarCommand:
         assert exc.value.code == 2
 
 
+# a config defect, and a phrase of the one error line it gives
+CONFIG_DEFECTS = {
+    "margins-kind": (BASE_CONFIG + "\n[margins]\nkind = normal\n",
+                     "[margins] kind must be uniform or file, got 'normal'"),
+    "margins-no-path": (BASE_CONFIG + "\n[margins]\nkind = file\n",
+                        "[margins] kind = file requires a path"),
+    "table1-thetas-length": (TABLE_CONFIG + "thetas = 2.0 5.74\n",
+                             "[table1] thetas must match families in length"),
+    "table1-no-default-theta": (TABLE_CONFIG.replace("clayton frank gumbel joe", "clayton amh"),
+                                "no theta known for table family 'amh'"),
+    "unparsable": ("[model\nfamily = clayton\n", "File contains no section headers"),
+    "no-family": (BASE_CONFIG.replace("family = clayton\n", ""), "missing [model] family"),
+}
+
+
+@pytest.mark.parametrize("defect", CONFIG_DEFECTS)
+def test_config_defect_exit_2(defect, tmp_path, capsys):
+    text, phrase = CONFIG_DEFECTS[defect]
+    assert main(["var", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: config error:") and phrase in err[0]
+
+
+def test_report_carries_its_timestamp(tmp_path):
+    out = tmp_path / "var.csv"
+    assert main(["var", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    stamps = [l for l in out.read_text().splitlines() if l.startswith("# generated = ")]
+    assert len(stamps) == 1
+    datetime.fromisoformat(stamps[0].removeprefix("# generated = "))
+
+
 class TestCalibrateCommand:
+    def test_out_holds_the_machine_line(self, tmp_path, capsys):
+        out = tmp_path / "theta.csv"
+        assert main(["calibrate", "clayton", "0.5", "--out", str(out)]) == 0
+        assert out.read_text() == "clayton,0.5,2.0\n"
+        assert capsys.readouterr().out.endswith("clayton,0.5,2.0\n")
+
     def test_clayton(self, capsys):
         assert main(["calibrate", "clayton", "0.5"]) == 0
         out = capsys.readouterr().out

@@ -28,7 +28,7 @@ from archvar import (
     var_for_spec,
     var_generic,
 )
-from archvar.families import FAMILIES
+from archvar.families import FAMILIES, family_record
 
 CLAYTON2_D3 = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)
 CLAYTON2_D2 = CopulaSpec(FamilyId.CLAYTON, 2.0, 2)
@@ -57,6 +57,19 @@ def all_specs(d=3):
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        for family in FamilyId:
+            with pytest.raises(ParameterError, match="theta must be finite"):
+                CopulaSpec(family, theta, 2)
+
+    @pytest.mark.parametrize("family", ["clayton", None, 0])
+    def test_family_must_be_a_family_id(self, family):
+        with pytest.raises(ParameterError, match="family must be a FamilyId"):
+            family_record(family)
+        with pytest.raises(ParameterError, match="family must be a FamilyId"):
+            CopulaSpec(family, 2.0, 2)
+
     def test_boundary_thetas_rejected(self):
         with pytest.raises(ParameterError):
             CopulaSpec(FamilyId.CLAYTON, 0.0, 2)

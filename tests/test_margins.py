@@ -62,3 +62,12 @@ class TestFunctionMargin:
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             FunctionMargin(lambda u: 1.0 / (u - 0.5))
+        # finite on the grid but decreasing, the callable above meets the
+        # monotonicity check; this one is nondecreasing and infinite
+        with pytest.raises(ParameterError, match="must be finite"):
+            FunctionMargin(lambda u: np.where(u > 0.9, np.inf, u))
+
+    @pytest.mark.parametrize("fn", [lambda u: 0.5, lambda u: u[:-1]], ids=["scalar", "shorter"])
+    def test_rejects_non_vectorized(self, fn):
+        with pytest.raises(ParameterError, match="vectorized and shape-preserving"):
+            FunctionMargin(fn)

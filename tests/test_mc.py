@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from archvar import (
     CopulaSpec,
     EmptyLevelSetError,
     FamilyId,
+    FunctionMargin,
     McConfig,
     ParameterError,
     QuadratureError,
@@ -195,14 +197,15 @@ class TestRunStudy:
             run_study(cfg, jobs=jobs)
 
     def test_quadrature_error_before_any_replication(self, monkeypatch):
-        # Frank theta = 20, d = 3, alpha = 0.95: the quadrature stops by
-        # roundoff, and no replication is drawn first
+        # Clayton theta = 2, d = 10, lognormal margins, alpha = 1 - 1e-6: the
+        # quadrature stops by roundoff, and no replication is drawn first
         def no_blocks(*args):
             raise AssertionError("a replication ran before the quadrature")
         monkeypatch.setattr(mc, "_blocks", no_blocks)
         monkeypatch.setattr(mc, "_frailty_blocks", no_blocks)
-        cfg = McConfig(spec=CopulaSpec(FamilyId.FRANK, 20.0, 3), margins=U3, n=200_000,
-                       replications=6, h=1e-3, alpha=0.95, seed=Seed(0))
+        lognormal = FunctionMargin(lambda u: np.exp(0.5 * special.ndtri(u)))
+        cfg = McConfig(spec=CopulaSpec(FamilyId.CLAYTON, 2.0, 10), margins=[lognormal] * 10,
+                       n=200_000, replications=6, h=1e-7, alpha=1.0 - 1e-6, seed=Seed(0))
         with pytest.raises(QuadratureError):
             run_study(cfg)
 

@@ -176,7 +176,7 @@ class TestControl:
 
     def test_breakpoints_match_unique_of_the_graded_points(self):
         # the one-comparison build gives the bits of np.unique over the same
-        # points, the midpoint, the floor and rounding onto the ends included
+        # points, the midpoint and rounding onto the ends included
         gen = np.random.default_rng(20)
         cases = [(0.0, 1.0), (2.0, 3.0), (0.05, 1.0), (1.0 - 1e-6, 1.0), (0.0, 1e-6),
                  (1e5, 1e5 + 1e-6), (0.0, 2.5e-13), (0.0, 1e-13), (-3.0, 1e300)]
@@ -188,22 +188,22 @@ class TestControl:
                     graded_breakpoints(a, b)
                 continue
             dist = (b - a) * quadrature._GRADED
-            dist = dist[dist >= quadrature._FLOOR]
             pts = np.concatenate([a + dist, b - dist[:-1]])
             want = np.unique(pts[(pts > a) & (pts < b)])
             got = graded_breakpoints(a, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b)
 
-    def test_graded_mesh_depth_and_floor(self):
+    def test_graded_mesh_depth(self):
         pts = graded_breakpoints(0.0, 1.0)
         assert pts.size == 23 and pts[0] == 1e-11 and pts[11] == 0.5
         assert pts[-1] == 1.0 - 1e-11
-        # near alpha = 1 the deepest points fall under the floor
-        for lo in (1.0 - 1e-4, 1.0 - 1e-6, 0.0):
-            hi = 1.0 if lo else 1e-6
-            pts = graded_breakpoints(lo, hi)
-            assert min(pts[0] - lo, hi - pts[-1]) >= 0.9 * quadrature._FLOOR
-        assert graded_breakpoints(0.0, 1e-13).size == 0
+        # on [0, la] every point stays however narrow the interval (la is
+        # 1e-6 at alpha = 1 - 1e-6); next to 1, those that round onto it go
+        for hi in (1e-6, 1e-13, 1e-300):
+            pts = graded_breakpoints(0.0, hi)
+            assert pts.size == 23 and pts[0] == hi * 1e-11
+        pts = graded_breakpoints(1.0 - 1e-6, 1.0)
+        assert pts.size == 21 and np.all(pts < 1.0)
 
     def test_nodes_strictly_interior(self):
         seen = []
@@ -358,6 +358,49 @@ class TestLockstep:
                                       self.A, self.B, self.CFG,
                                       [graded_breakpoints(self.A, self.B)] * 2)
         assert calls == [24 * 15]
+
+    def test_first_pass_stops_once_every_integral_has_stopped(self, monkeypatch):
+        # the 3,000 intervals take three first-pass chunks; the integral
+        # fails in the first, and no later chunk runs
+        sizes = count_rule_calls(monkeypatch)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                      breakpoints=np.linspace(0.0, 1.0, 3001))
+        assert sizes == [quadrature._CHUNK_INTERVALS]
+
+    def test_integral_after_a_later_group_failure_stops(self):
+        # integrals 0 and 2 share a mesh and pass the first pass together;
+        # integral 1, on its own mesh, then fails there, so integral 0 runs
+        # on and integral 2 is not evaluated again
+        calls = []
+
+        def slow(x):
+            calls.append(x.size)
+            return np.sin(40.0 * x)
+
+        graded = graded_breakpoints(self.A, self.B)
+        args = ([SMOOTH[0], FAILING["raises"], slow], _weight, self.A, self.B, self.CFG,
+                [graded, np.linspace(self.A, self.B, 7), graded])
+        got = _outcome(lambda: quadrature._integrate_all(*args))
+        assert calls == [24 * 15]
+        assert got == _outcome(lambda: _sequential(*args))
+
+    def test_quadrature_error_from_an_integrand_carries_the_splits(self, monkeypatch):
+        # an integrand's own QuadratureError keeps its message, estimate and
+        # bound, and takes the splits made before the round that raised it
+        sizes = count_rule_calls(monkeypatch)
+
+        def fails_in_second_round(x):
+            if len(sizes) == 3:
+                raise QuadratureError("integrand gave up", 1.5, 2.5)
+            return np.sin(40.0 * x)
+
+        with pytest.raises(QuadratureError, match="integrand gave up") as excinfo:
+            quadrature._integrate_all([fails_in_second_round], _weight, self.A, self.B,
+                                      self.CFG, [graded_breakpoints(self.A, self.B)])
+        err = excinfo.value
+        assert (err.estimate, err.error_bound) == (1.5, 2.5)
+        assert err.splits == sizes[1] // 2 > 0
 
     def test_batched_steps(self, monkeypatch):
         # every round splits intervals of each running integral, so the

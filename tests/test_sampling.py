@@ -253,6 +253,11 @@ class TestEmpiricalKendallTau:
         with pytest.raises(DomainError, match="degenerate"):
             empirical_kendall_tau(data)
 
+    @pytest.mark.parametrize("data", [[[0.1, 0.2]], [0.1, 0.2, 0.3]], ids=["one-row", "1-d"])
+    def test_fewer_than_two_rows_raise(self, data):
+        with pytest.raises(ParameterError, match="n >= 2"):
+            empirical_kendall_tau(data)
+
     def test_pair_selection(self):
         rng_ = np.random.default_rng(3)
         data = rng_.uniform(size=(500, 3))

@@ -25,7 +25,7 @@ from archvar import (
     var_for_spec,
     var_generic,
 )
-from archvar import quadrature
+from archvar import quadrature, var
 from archvar.families import FAMILIES
 
 U = UniformMargin()
@@ -128,27 +128,19 @@ def _gumbel_closed_form(theta, alpha):
         return float(th * la ** -th * mpmath.gammainc(th, 0, la))
 
 
-def _clayton_oracle_cases():
-    for theta in (0.01, 0.5, 2.0, 10.0, 50.0):
-        for d in (2, 3, 10, 50):
-            for alpha in ORACLE_ALPHAS:
-                marks = ()
-                if d == 50 and alpha == ORACLE_ALPHAS[-1]:
-                    # the u-space nodes round within the 1e-6-wide interval:
-                    # kernel_mass is 1 - 1.13e-9 and the bound 1.1e-11, while
-                    # the same weight in s = 1 - u is exact to 4e-16
-                    # (ROADMAP direction 2, tail-safe VaR)
-                    marks = pytest.mark.xfail(strict=True, reason="u-space nodes round "
-                                              "near alpha = 1 (ROADMAP direction 2)")
-                yield pytest.param(theta, d, alpha, marks=marks,
-                                   id=f"theta{theta}-d{d}-a{alpha!r}")
+CLAYTON_ORACLE_CASES = [
+    pytest.param(theta, d, alpha, id=f"theta{theta}-d{d}-a{alpha!r}")
+    for theta in (0.01, 0.5, 2.0, 10.0, 50.0) for d in (2, 3, 10, 50) for alpha in ORACLE_ALPHAS
+]
 
 
 class TestExplicitExpressions:
     """The reduced forms against the paper's closed forms, to the default rel_tol."""
 
-    @pytest.mark.parametrize("theta, d, alpha", _clayton_oracle_cases())
+    @pytest.mark.parametrize("theta, d, alpha", CLAYTON_ORACLE_CASES)
     def test_clayton_hypergeometric(self, theta, d, alpha):
+        # at d = 50, alpha = 1 - 1e-6 the u-space form was 1.13e-9 off for
+        # every theta: its nodes rounded within the 1e-6-wide interval
         got = var_for_spec(CopulaSpec(FamilyId.CLAYTON, theta, d), [U] * d, alpha)
         assert got.components[0] == pytest.approx(_clayton_closed_form(theta, d, alpha),
                                                   rel=1e-9, abs=0.0)
@@ -281,9 +273,10 @@ class TestDomainHandling:
                 var_for_spec(spec, [U] * 2, alpha)
 
     def test_underflowed_phi_alpha_is_a_quadrature_error(self):
-        # phi(alpha) rounds to 0: Frank theta = 40 at alpha = 1 - 1e-6, and
-        # Joe theta = 1100 at alpha = 0.5, where (1 - alpha)^theta underflows
-        for spec, alpha in ((CopulaSpec(FamilyId.FRANK, 40.0, 3), 1.0 - 1e-6),
+        # phi(alpha) rounds to 0: Frank theta = 800 at alpha = 1 - 1e-6, where
+        # e^(-theta alpha) underflows, and Joe theta = 1100 at alpha = 0.5,
+        # where (1 - alpha)^theta does
+        for spec, alpha in ((CopulaSpec(FamilyId.FRANK, 800.0, 3), 1.0 - 1e-6),
                             (CopulaSpec(FamilyId.JOE, 1100.0, 2), 0.5)):
             for call in (lambda: var_for_spec(spec, [U] * spec.d, alpha),
                          lambda: var_generic(spec, [U] * spec.d, alpha),
@@ -292,22 +285,25 @@ class TestDomainHandling:
                     call()
 
     @pytest.mark.parametrize("family, theta, d, alpha, call", [
-        (FamilyId.FRANK, 40.0, 3, 0.5, "var"),
-        (FamilyId.FRANK, 20.0, 3, 0.95, "var"),
+        (FamilyId.CLAYTON, 2.0, 10, 1.0 - 1e-6, "lognormal"),
+        (FamilyId.GUMBEL_HOUGAARD, 1.0, 50, 1.0 - 1e-6, "normal"),
         (FamilyId.FRANK, 40.0, 10, 0.5, "mass"),
     ])
     def test_roundoff_limited_integral_stops_early(self, monkeypatch, family, theta,
                                                    d, alpha, call):
-        # these integrands lose their digits to cancellation (see ROADMAP's
-        # carry-over defects); the quadrature stops once roundoff stalls it
-        # instead of making all 2000 splits
+        # these integrals lose their digits to roundoff (see ROADMAP's
+        # carry-over defects): near u = 1 the quantile of e^-t is a staircase
+        # at the spacing of the doubles, and Frank's public phi cancels; the
+        # quadrature stops once roundoff stalls it instead of making all
+        # 2000 splits
         calls = count_rule_calls(monkeypatch)
         spec = CopulaSpec(family, theta, d)
         with pytest.raises(QuadratureError, match="roundoff") as excinfo:
-            if call == "var":
-                var_for_spec(spec, [U] * d, alpha)
-            else:
+            if call == "mass":
                 kernel_mass(spec, alpha)
+            else:
+                margin = _lognormal(0.0, 0.5) if call == "lognormal" else _normal(3.0, 1.0)
+                var_for_spec(spec, [margin] * d, alpha)
         assert len(calls) <= 25
         assert excinfo.value.splits == sum(calls[1:]) // 2    # the halves of each round
 
@@ -561,7 +557,7 @@ class TestLockstepMargins:
 
         raising = FunctionMargin(fails_at_first_split)
         pair = [infinite_tail, raising] if order == "infinite-first" else [raising, infinite_tail]
-        spec = CopulaSpec(FamilyId.CLAYTON, 10.0, 3)    # a uniform margin needs a split
+        spec = CopulaSpec(FamilyId.CLAYTON, 50.0, 3)    # a uniform margin needs a split
         if order == "infinite-first":
             with pytest.raises(QuadratureError, match="non-finite"):
                 var_for_spec(spec, [U] + pair, 0.05)
@@ -589,25 +585,33 @@ class TestLockstepMargins:
 
 # ---------------------------------------------- graded mesh and the reduced forms
 
+def _mp_generator(family, th):
+    """``(phi, phi_inverse)`` of ``family`` at the mpmath precision in force."""
+    mp = mpmath
+    if family is FamilyId.CLAYTON:
+        return (lambda t: mp.expm1(-th * mp.log(t)) / th,
+                lambda s: mp.exp(-mp.log1p(th * s) / th))
+    if family is FamilyId.FRANK:
+        return (lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th)),
+                lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th)
+    if family is FamilyId.GUMBEL_HOUGAARD:
+        return lambda t: (-mp.log(t)) ** th, lambda s: mp.exp(-s ** (1 / th))
+    if family is FamilyId.JOE:
+        return (lambda t: -mp.log1p(-(1 - t) ** th),
+                lambda s: 1 - (-mp.expm1(-s)) ** (1 / th))
+    if family is FamilyId.ALI_MIKHAIL_HAQ:
+        return (lambda t: mp.log1p(-th * (1 - t)) - mp.log(t),
+                lambda s: (1 - th) / (mp.exp(s) - th))
+    raise ValueError(f"no mpmath generator for {family!r}")
+
+
 def _mp_var(family, theta, d, alpha, q=lambda u: u):
     """VaR at 40 digits in the Beta form ``(d-1) int_0^1 q(phi^-1(phi(alpha) x))
     (1-x)^(d-2) dx``, which shares no integrand with the program's forms."""
     mp = mpmath
     with mp.workdps(40):
-        th, al = mp.mpf(theta), mp.mpf(alpha)
-        if family is FamilyId.CLAYTON:
-            phi = lambda t: mp.expm1(-th * mp.log(t)) / th        # noqa: E731
-            inv = lambda s: mp.exp(-mp.log1p(th * s) / th)        # noqa: E731
-        elif family is FamilyId.FRANK:
-            phi = lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th))    # noqa: E731
-            inv = lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th    # noqa: E731
-        elif family is FamilyId.GUMBEL_HOUGAARD:
-            phi = lambda t: (-mp.log(t)) ** th                    # noqa: E731
-            inv = lambda s: mp.exp(-s ** (1 / th))                # noqa: E731
-        else:
-            phi = lambda t: -mp.log1p(-(1 - t) ** th)             # noqa: E731
-            inv = lambda s: 1 - (-mp.expm1(-s)) ** (1 / th)       # noqa: E731
-        pa = phi(al)
+        phi, inv = _mp_generator(family, mp.mpf(theta))
+        pa = phi(mp.mpf(alpha))
         # below x = 1e-30, u rounds to 1 at 40 digits; the piece left out is
         # below 1e-26 for the margins used here
         return float((d - 1) * mp.quad(lambda x: q(inv(pa * x)) * (1 - x) ** (d - 2),
@@ -624,23 +628,21 @@ class _FirstPass(Exception):
 
 
 def _first_pass_nodes(spec, alpha):
-    """The x nodes of a reduced form's first pass, and the form's ``to_u`` and bounds."""
-    weight, lo, hi, to_u, _ = FAMILIES[spec.family].var_form(spec, alpha)
+    """The t nodes of a reduced form's first pass, the form's weight there, and ``la``."""
+    weight = FAMILIES[spec.family].var_form(spec, alpha)
+    la = -math.log(alpha)
     seen = []
 
-    def recording(x):
-        seen.append(x.copy())
+    def recording(t):
+        seen.append(t.copy())
         raise _FirstPass
 
     with pytest.raises(_FirstPass):
-        quadrature._integrate_all([to_u], recording, lo, hi, quadrature.DEFAULT_QUAD,
-                                  [quadrature.graded_breakpoints(lo, hi)])
-    return seen[0], to_u, lo, hi
+        quadrature._integrate_all([var._u], recording, 0.0, la, quadrature.DEFAULT_QUAD,
+                                  [quadrature.graded_breakpoints(0.0, la)])
+    return seen[0], weight(seen[0]), la
 
 
-# the substitutions without the round-down of u below 1: what the floor keeps
-# the first pass's nodes off
-RAW_TO_U = {FamilyId.GUMBEL_HOUGAARD: lambda t: np.exp(-t), FamilyId.JOE: lambda t: 1.0 - t}
 MESH_THETAS = {
     FamilyId.CLAYTON: (0.01, 2.0, 10.0),
     FamilyId.FRANK: (1.0, 5.74, 12.0),
@@ -655,15 +657,17 @@ MESH_ALPHAS = tuple(TAILS) + tuple(1.0 - TAILS[::-1])
 
 def _assert_nodes_inside(family, theta, alpha):
     spec = CopulaSpec(family, theta, 2 if family is FamilyId.ALI_MIKHAIL_HAQ else 3)
-    x, to_u, lo, hi = _first_pass_nodes(spec, alpha)
-    assert x.size == 15 * (quadrature.graded_breakpoints(lo, hi).size + 1)
-    assert np.all((x > lo) & (x < hi)), (family, theta, alpha)
-    for u in (to_u(x), RAW_TO_U.get(family, to_u)(x)):
-        assert np.all((u > 0.0) & (u < 1.0)), (family, theta, alpha)
+    t, w, la = _first_pass_nodes(spec, alpha)
+    assert t.size == 15 * (quadrature.graded_breakpoints(0.0, la).size + 1)
+    assert np.all((t > 0.0) & (t < la)), (family, theta, alpha)
+    u = var._u(t)
+    assert np.all((u > 0.0) & (u < 1.0)), (family, theta, alpha)
+    assert np.all(np.isfinite(w) & (w >= 0.0)), (family, theta, alpha)
 
 
 class TestGradedMesh:
-    """The first pass's nodes stay inside the interval and below u = 1."""
+    """The first pass's nodes stay inside ``(0, la)``, their levels below
+    u = 1, and each form's weight is finite there."""
 
     @pytest.mark.parametrize("family", list(MESH_THETAS), ids=lambda f: f.value)
     def test_first_pass_nodes_inside_on_the_alpha_grid(self, family):
@@ -698,16 +702,15 @@ class TestGradedMesh:
             return
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
-    def test_reflected_u_rounds_below_one(self):
-        # Joe's u = 1 - t rounds onto 1 for t under 2^-54; such nodes take
+    def test_u_rounds_below_one(self):
+        # u = e^-t rounds onto 1 for t under about 1.1e-16; such nodes take
         # the largest u below 1, where the lognormal quantile is finite
         spec = CopulaSpec(FamilyId.JOE, 1.2, 3)
         alpha = 1.0 - 1e-6
         got = var_for_spec(spec, [_lognormal(0.0, 0.5)] * 3, alpha).components[0]
         assert got == pytest.approx(_mp_var(FamilyId.JOE, 1.2, 3, alpha, _mp_lognormal),
                                     rel=1e-10)
-        _, _, _, to_u, _ = FAMILIES[FamilyId.JOE].var_form(spec, alpha)
-        assert to_u(np.array([0.0, 1e-17, 1e-15]))[:2].tolist() == [np.nextafter(1.0, 0.0)] * 2
+        assert var._u(np.array([0.0, 1e-17, 1e-15]))[:2].tolist() == [np.nextafter(1.0, 0.0)] * 2
 
 
 class TestReducedFormsAgainstMpmath:
@@ -747,3 +750,26 @@ class TestReducedFormsAgainstMpmath:
         got = var_for_spec(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 60.0, d), [U] * d, alpha)
         assert got.components[0] == pytest.approx(
             _mp_var(FamilyId.GUMBEL_HOUGAARD, 60.0, d, alpha), rel=1e-10)
+
+    @pytest.mark.parametrize("theta, d, alpha", [
+        (20.0, 3, 0.95), (40.0, 3, 0.5), (40.0, 3, 1.0 - 1e-6), (12.0, 2, 1.0 - 1e-6),
+        (5.74, 10, 1.0 - 1e-6),
+    ])
+    def test_frank_large_theta_and_near_one(self, theta, d, alpha):
+        # the u-space ratio of expm1 terms near -1 lost its digits: the first
+        # two stopped by roundoff, the third raised that phi(alpha)
+        # underflows, and the fourth was 2.95e-7 off
+        got = var_for_spec(CopulaSpec(FamilyId.FRANK, theta, d), [U] * d, alpha)
+        assert got.components[0] == pytest.approx(_mp_var(FamilyId.FRANK, theta, d, alpha),
+                                                  rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [-0.7, 0.3, 0.9])
+    def test_amh_lognormal_near_one(self, theta):
+        alpha = 1.0 - 1e-6
+        got = var_for_spec(_amh(theta), [_lognormal(0.0, 0.5)] * 2, alpha)
+        assert got.components[0] == pytest.approx(
+            _mp_var(FamilyId.ALI_MIKHAIL_HAQ, theta, 2, alpha, _mp_lognormal), rel=1e-9)
+
+    def test_mp_var_names_every_family(self):
+        with pytest.raises(ValueError, match="no mpmath generator"):
+            _mp_var("student", 2.0, 2, 0.5)

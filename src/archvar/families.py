@@ -60,9 +60,12 @@ class Family:
     ``rng.Workspace``.  ``latent_scale(theta) * V`` matches the generator as
     implemented, and ``conditional_rows(theta, base_key, rows)``, if set,
     samples where no frailty law exists.  ``latent_bounds(theta)``, if set,
-    returns ``None`` or ``bounds(keys, ws)``, arrays ``(lo, hi)`` that hold
-    each key's ``latent_scale(theta) * V`` as drawn at less than its cost; a
-    study draws the exact ``V`` only for rows they let reach its window.
+    returns ``None`` or ``bounds(keys, ws)``: one or more pairs of arrays
+    ``(lo, hi)``, at less than the draw's cost, such that each key's
+    ``latent_scale(theta) * V`` as drawn lies in ``[lo, hi]`` of one pair
+    (Gumbel's one interval, Joe's two inversion points as ``(lo, lo)`` and
+    ``(hi, hi)``); a study draws the exact ``V`` only for rows they let
+    reach its window.
     ``var_form(spec, alpha)`` returns the weight ``w(t)`` of the VaR integral
     in ``t = -ln u``: the VaR of a margin ``q`` is ``int_0^la q(e^-t) w(t) dt``
     with ``la = -ln alpha``, and no weight subtracts two numbers near 1.

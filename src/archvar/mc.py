@@ -8,19 +8,24 @@ aggregates mean / SD / bias / RMSE against the quadrature value.
 
 A study's replication selects radially.  Under the frailty construction a
 row has ``C(U) = phi_inverse(R)`` with ``R = sum_i E_i / V``, so
-``|C(U) - alpha| <= h`` is ``R in [phi(alpha + h), phi(alpha - h)]``.  The
-rows are drawn in blocks of ``_BLOCK_ROWS``, as :func:`sample_copula` draws
-them; a block keeps the ``E_i / V`` of its selected rows and drops the rest,
-and only the kept rows are mapped to ``U``.  Each worker of a study draws its
-replications through one workspace of block-sized buffers, reused from block
-to block, so memory is a few blocks whatever ``n`` is and no block faults in
-fresh pages.  A block draws the exact ``V`` only for candidate rows: those
-whose ``S = sum_i E_i`` over the ends of an interval that holds ``V`` (the
-record's ``latent_bounds``, or ``V`` itself) can reach the window.  A
-candidate's ``V`` and ``R`` are computed as for every row, so the kept rows
-and their bits do not change.  Families without a frailty law at their
-theta draw blocks by conditional inversion and select them on the copula
-CDF.
+``|C(U) - alpha| <= h`` is ``R in [phi(alpha + h), phi(alpha - h)]``, a
+window computed once per study.  The rows are drawn in blocks of
+``_BLOCK_ROWS``, as :func:`sample_copula` draws them.  A block keeps the
+``E_i`` of its candidate rows and drops the rest: a candidate's ``S =
+sum_i E_i`` over the ends of one of its latent intervals can reach the
+window.  The record's ``latent_bounds`` give the intervals, one of which
+holds ``V``, at less than the cost of ``V`` (Gumbel's one interval, Joe's
+two inversion points); other families draw ``V`` itself, a point.  The
+candidates of successive blocks are gathered in row order and resolved in
+one batch, or once a block's worth has gathered: where bounds stood in for
+``V``, the candidates' exact ``V`` is drawn in one call, and the rows with
+``R`` in the window are kept.  A candidate's ``V`` and ``R`` are computed as
+for every row, so the kept rows and their bits do not change, and only the
+kept rows are mapped to ``U``.  Each worker of a study draws its
+replications through one workspace of block-sized buffers, reused from
+block to block, so memory is a few blocks whatever ``n`` is and no block
+faults in fresh pages.  Families without a frailty law at their theta draw
+blocks by conditional inversion and select them on the copula CDF.
 :func:`estimate_var_once` selects a whole sample on the copula CDF and is the
 independent u-space check of the radial selection.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,11 +154,7 @@ def _one_replication(cfg: McConfig, r: int, ws: Workspace, bounds):
         kept = [[c[sel] for c in cols] for _, cols in _blocks(spec, base, cfg.n, ws)
                 for sel in [np.abs(copula_cdf(spec, cols.T) - alpha) <= h]]
     else:
-        # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
-        # bounds nothing
-        r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
-        r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
-        kept = list(_screened(spec, base, cfg.n, ws, bounds, r_lo, r_hi))
+        kept = list(_screened(spec, base, cfg.n, ws, bounds, *_window(spec, alpha, h)))
     count = sum(block[0].size for block in kept)
     if count == 0:
         return None
@@ -166,57 +168,93 @@ def _one_replication(cfg: McConfig, r: int, ws: Workspace, bounds):
     return _margin_means(data, cfg.margins), count
 
 
+@lru_cache(maxsize=64)
+def _window(spec: CopulaSpec, alpha: float, h: float) -> tuple:
+    """The window ``[r_lo, r_hi]`` of ``R`` that ``|C(U) - alpha| <= h``
+    selects, computed once per study rather than per replication."""
+    # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
+    # bounds nothing
+    r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
+    r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
+    return r_lo, r_hi
+
+
 def _latent_bounds(spec: CopulaSpec):
     """A study's ``bounds(keys, ws)``, built once: its record's, or the exact
-    ``V`` as both ends; ``None`` without a frailty law."""
+    ``V`` as the one pair ``(V, V)``; ``None`` without a frailty law."""
     if not _has_frailty(spec):
         return None
     make = FAMILIES[spec.family].latent_bounds
     return (make and make(spec.theta)) or (
-        lambda keys, ws: (_latent(spec, keys, ws.take("v", keys.shape[0]), ws),) * 2)
+        lambda keys, ws: ((_latent(spec, keys, ws.take("v", keys.shape[0]), ws),) * 2,))
 
 
 def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, r_hi):
-    """Per block, the ``d`` columns ``E_i / V`` of the rows with ``R`` in
-    ``[r_lo, r_hi]``, drawing the exact ``V`` of candidate rows only.
+    """The ``d`` columns ``E_i / V`` of the rows with ``R`` in ``[r_lo, r_hi]``,
+    in row order and in batches of at most a block, drawing the exact ``V``
+    of candidate rows only.
 
     ``R`` and ``S / V``, ``S = sum_i E_i``, differ by ``d`` roundings: a row
-    is a candidate unless ``S / hi`` or ``S / lo`` is past the window widened
-    by a slack for them.  Rows of an open window, and bounds with an end at
-    0, inf or NaN, are candidates; an exact ``V`` screens on ``S / V``.  A
-    candidate's ``V`` and ``R`` are those of drawing every ``V``, so the kept
-    rows, their order and bits are too.
+    is a candidate if for one of its ``bounds`` pairs ``(lo, hi)`` neither
+    ``S / hi`` nor ``S / lo`` is past the window widened by a slack for them,
+    or the pair has an end at 0, inf or NaN.  Rows of an open window are
+    candidates.  Each block's candidates are gathered, and their ``V`` drawn
+    in one call once a block's worth has gathered, or at the end; a lone
+    pair ``(V, V)`` is the exact ``V`` itself.  A candidate's ``V`` and ``R``
+    are those of drawing every ``V``, so the kept rows, their order and bits
+    are too.
     """
     slack = 4.0 * (spec.d + 1) * np.finfo(float).eps
     lo_cut, hi_cut = r_lo * (1.0 - slack), r_hi * (1.0 + slack)
     if r_lo == 0.0 or r_hi == np.inf:
         lo_cut, hi_cut = -np.inf, np.inf
+    batch, gathered = [], 0
     for _, ekeys, vkeys in _frailty_blocks(base, n, ws):
         m = vkeys.shape[0]
-        lo, hi = bounds(vkeys, ws)
+        pairs = bounds(vkeys, ws)
         cols = _exponentials(spec, ekeys, ws)
         # S adds the columns in order, as R does
         s = np.add(cols[0], cols[1], out=ws.take("total", m))
         for e in cols[2:]:
             s += e
-        cand, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hi"))
-        with np.errstate(divide="ignore"):
-            q = np.divide(s, hi, out=s if lo is hi else ws.take("q", m))
-            np.less_equal(q, hi_cut, out=cand)
-            if lo is not hi:
-                np.divide(s, lo, out=q)
-        cand &= np.greater_equal(q, lo_cut, out=tmp)
-        if lo is not hi:
-            bounded = np.greater(lo, 0.0, out=tmp)
-            bounded &= np.less(hi, np.inf, out=ws.take("sel.end", m, np.bool_))
-            cand |= np.logical_not(bounded, out=bounded)
-        v = lo[cand] if lo is hi else _latent(spec, vkeys[cand], None, ws)
-        quotients = [e[cand] / v for e in cols]
-        total = quotients[0] + quotients[1]
-        for x in quotients[2:]:
-            total += x
-        sel = (total >= r_lo) & (total <= r_hi)
-        yield [x[sel] for x in quotients]
+        # a lone pair (V, V) is the exact V, whose quotient may overwrite S
+        exact = len(pairs) == 1 and pairs[0][0] is pairs[0][1]
+        q = s if exact else ws.take("q", m)
+        cand, hit, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hit", "sel.end"))
+        cand.fill(False)
+        for lo, hi in pairs:
+            bounded = np.greater(lo, 0.0, out=hit)
+            bounded &= np.less(hi, np.inf, out=tmp)
+            cand |= np.logical_not(bounded, out=hit)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.less_equal(np.divide(s, hi, out=q), hi_cut, out=hit)
+                if lo is not hi:
+                    np.divide(s, lo, out=q)
+            hit &= np.greater_equal(q, lo_cut, out=tmp)
+            cand |= hit
+        rows = [e[cand] for e in cols] + [(pairs[0][0] if exact else vkeys)[cand]]
+        if batch and gathered + rows[0].shape[0] > _BLOCK_ROWS:
+            yield _resolve(spec, batch, exact, r_lo, r_hi, ws)
+            batch, gathered = [], 0
+        batch.append(rows)
+        gathered += rows[0].shape[0]
+    if batch:
+        yield _resolve(spec, batch, exact, r_lo, r_hi, ws)
+
+
+def _resolve(spec: CopulaSpec, batch: list, exact: bool, r_lo, r_hi, ws: Workspace) -> list:
+    """The ``E_i / V`` columns of the rows of ``batch`` with ``R`` in
+    ``[r_lo, r_hi]``; each entry of ``batch`` holds a block's candidate
+    ``E_i`` columns and their exact ``V``, or, unless ``exact``, their keys."""
+    *quotients, last = (np.concatenate(parts) for parts in zip(*batch))
+    v = last if exact else _latent(spec, last, None, ws)
+    for x in quotients:
+        x /= v
+    total = quotients[0] + quotients[1]
+    for x in quotients[2:]:
+        total += x
+    sel = (total >= r_lo) & (total <= r_hi)
+    return [x[sel] for x in quotients]
 
 
 def _replications(cfg: McConfig, reps: range, bounds) -> list:

@@ -105,7 +105,10 @@ def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 
 def mix64_int(x: int) -> int:
     """SplitMix64 finalizer on a Python int taken mod 2^64 (for scalar key derivation)."""
-    return int(_mix64(np.array([x & _MASK64], dtype=np.uint64))[0])
+    z = x & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 # each label's mixed key, the value substream_keys folds into the row key
@@ -230,10 +233,9 @@ def gammas(keys: np.ndarray, shape: float, out: np.ndarray | None = None,
         v += 1.0
         v **= 3
         # accept where v > 0 and log u3 < 0.5 x x + d (1 - v + log v)
+        # a v <= 0 is rejected by ok, whatever its bound
         np.greater(v, 0.0, out=ok)
-        bound.fill(1.0)
-        np.copyto(bound, v, where=ok)
-        np.log(bound, out=bound)
+        np.log(np.maximum(v, 5e-324, out=bound), out=bound)
         bound += np.subtract(1.0, v, out=tmp)
         bound *= d
         np.multiply(x, 0.5, out=tmp)
@@ -247,7 +249,8 @@ def gammas(keys: np.ndarray, shape: float, out: np.ndarray | None = None,
         v *= d
         rejected = np.logical_not(accept, out=ok)
         if todo is None:
-            np.copyto(out, v, where=accept)
+            # a rejected row is overwritten by the trial that accepts it
+            np.copyto(out, v)
             todo = np.flatnonzero(rejected)
         else:
             out[todo[accept]] = v[accept]
@@ -300,7 +303,8 @@ _TINY, _HUGE = 2.0 ** -1000, 2.0 ** 1000     # inside the normal range, with roo
 
 def positive_stable_bounds(alpha: float):
     """``bounds(keys, ws)``, the :func:`stable_interval` of each key's uniforms
-    with a table of Kanter's ``K`` built once; ``None`` for the point mass."""
+    as its one ``(lo, hi)`` pair, with a table of Kanter's ``K`` built once;
+    ``None`` for the point mass."""
     if alpha == 1.0:
         return None
     # K at the cell ends u0 = j / 4096, j = -1 ... 4097, with T rounded as drawn
@@ -321,9 +325,9 @@ def positive_stable_bounds(alpha: float):
     lo_min = _TINY * max(1.0, 1.0 / np.min(st, where=safe, initial=1.0))
     table = ((1.0 - alpha) / alpha, np.where(bounded, k[:-3] * (1.0 - slack), 0.0),
              np.where(bounded, k[3:] * (1.0 + slack), np.inf), lo_min)
-    return lambda keys, ws: stable_interval(
+    return lambda keys, ws: (stable_interval(
         *(uniforms(keys, i, ws.take(f"stable.{i}", keys.shape[0]), ws) for i in range(2)),
-        table, ws)
+        table, ws),)
 
 
 def stable_interval(u0, u1, table, ws: Workspace):
@@ -356,21 +360,22 @@ def stable_interval(u0, u1, table, ws: Workspace):
 
 
 def sibuya_bounds(alpha: float):
-    """``bounds(keys, ws)``, the :func:`sibuya_interval` of each key's uniform;
-    ``None`` for the point mass."""
+    """``bounds(keys, ws)``, the two :func:`sibuya_points` of each key's
+    uniform; ``None`` for the point mass."""
     if alpha == 1.0:
         return None
-    return lambda keys, ws: sibuya_interval(
+    return lambda keys, ws: sibuya_points(
         uniforms(keys, 0, ws.take("sibuya.u", keys.shape[0]), ws), alpha, ws)
 
 
-def sibuya_interval(u, alpha: float, ws: Workspace):
-    """``[lo, hi]`` in ``ws`` that holds the :func:`sibuyas` variate drawn from
-    the uniform ``u``: where ``u > alpha`` the floor or the ceiling of the
+def sibuya_points(u, alpha: float, ws: Workspace):
+    """Arrays ``lo`` and ``hi`` in ``ws``, as the pairs ``(lo, lo)`` and
+    ``(hi, hi)``, one of which is the :func:`sibuyas` variate drawn from the
+    uniform ``u``: where ``u > alpha`` the floor and the ceiling of the
     inversion's ``ginv``, at least ``Gamma(2 - alpha)^(-1/alpha) >= 1``
-    (Hofert 2011, CSDA 55); elsewhere 1, where ``ginv`` is below that bound,
-    which is under 2.  Masks are applied by arithmetic, far cheaper here
-    than a masked copy."""
+    (Hofert 2011, CSDA 55); elsewhere 1 twice, where ``ginv`` is below that
+    bound, which is under 2.  Masks are applied by arithmetic, far cheaper
+    here than a masked copy."""
     lo, hi = ws.take("v", u.shape[0]), ws.take("sibuya.0", u.shape[0])
     # ginv as sibuyas computes it
     np.subtract(1.0, u, out=hi)
@@ -379,7 +384,8 @@ def sibuya_interval(u, alpha: float, ws: Workspace):
         hi **= -1.0 / alpha
     np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
     np.multiply(np.ceil(hi, out=hi), u > alpha, out=hi)
-    return lo, np.maximum(hi, 1.0, out=hi)
+    np.maximum(hi, 1.0, out=hi)
+    return (lo, lo), (hi, hi)
 
 
 def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
@@ -446,10 +452,14 @@ def log_series(keys: np.ndarray, p: float, out: np.ndarray | None = None,
         big_k /= np.log(q, out=tmp)
         big_k += 1.0
         np.floor(big_k, out=big_k)
-        # big_k where u2l < q q; elsewhere 1 where u2l > q (>= q q) and 2 otherwise
-        cmp = ws.take("logser.cmp", k, np.bool_)
-        np.copyto(big_k, 2.0, where=np.greater_equal(u2l, np.multiply(q, q, out=tmp), out=cmp))
-        np.copyto(big_k, 1.0, where=np.greater(u2l, q, out=cmp))
+        # big_k where u2l < q q; elsewhere 1 where u2l > q (>= q q) and 2
+        # otherwise: each as x keep + c (not keep), exact on the integer-valued
+        # big_k at any size, where (x - c) keep + c rounds past 2^53
+        keep = np.less(u2l, np.multiply(q, q, out=tmp), out=ws.take("logser.cmp", k, np.bool_))
+        big_k *= keep
+        big_k += np.multiply(np.logical_not(keep, out=keep), 2.0, out=tmp)
+        big_k *= np.less_equal(u2l, q, out=keep)
+        big_k += np.logical_not(keep, out=keep)
         out[low] = big_k
     return out
 

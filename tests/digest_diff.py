@@ -7,14 +7,18 @@
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome, a value
 or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
-uses only the public API.  Run it once per tree, each in its own process, on
+uses only the public API, and the sampled outputs, each replication's
+selection count and estimate, of a sweep of ``run_study`` calls
+(``STUDY_SPECS``), multi-block studies that the one-block ``run_study``
+digest does not reach.  Run it once per tree, each in its own process, on
 the same machine.  ``compare`` exits 1 when a digest moved between the two
 trees while its ``DIGESTS`` entry stayed the same, or when an entry changed
 while its digest did not move: a change that moves bits must declare the
 move, and a recapture must come with a move.  This holds on any CPU, although
 most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
 It also exits 1 when a sweep case that returns a value in the base tree raises
-in the head tree.  It prints how many sweep values moved, the ten largest
+in the head tree, and when a study's outputs moved while the ``run_study``
+entry stayed the same.  It prints how many sweep values moved, the ten largest
 relative moves with both values, and every case that went from an error to
 a value or back.
 """
@@ -79,6 +83,50 @@ def sweep(archvar) -> dict:
     return out
 
 
+# The study sweep: the Table-1 theta, Gumbel and Joe at 6 and 60 and AMH at
+# 0.3 and -0.7 (d = 2 only), in d = STUDY_DIMS, at each (alpha, h) of
+# STUDY_WINDOWS, with n rows over several blocks, the last one partial: 52
+# studies.
+STUDY_SPECS = (("clayton", 2.0), ("frank", 5.74), ("gumbel", 2.0), ("joe", 2.4),
+               ("gumbel", 6.0), ("gumbel", 60.0), ("joe", 6.0), ("joe", 60.0),
+               ("amh", 0.3), ("amh", -0.7))
+STUDY_DIMS = (2, 3, 10)
+STUDY_WINDOWS = ((0.05, 1e-4), (0.5, 1e-2))
+STUDY_N, STUDY_M = 2 * 2 ** 15 + 1234, 2
+
+
+def study_sweep(archvar) -> dict:
+    """``{case: {"counts", "estimates"} or "error: <type>"}`` over the study sweep."""
+    out = {}
+    with warnings.catch_warnings(record=True):
+        for family, theta in STUDY_SPECS:
+            for d in (2,) if family == "amh" else STUDY_DIMS:
+                spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
+                for alpha, h in STUDY_WINDOWS:
+                    cfg = archvar.McConfig(spec=spec, margins=[archvar.UniformMargin()] * d,
+                                           n=STUDY_N, replications=STUDY_M, h=h, alpha=alpha,
+                                           seed=archvar.Seed(8))
+                    try:
+                        stats = archvar.run_study(cfg)
+                        value = {"counts": stats.counts.tolist(),
+                                 "estimates": stats.estimates.tolist()}
+                    except Exception as exc:
+                        value = f"error: {type(exc).__name__}"
+                    out[f"{family} theta={theta!r} d={d} alpha={alpha!r} h={h!r}"] = value
+    return out
+
+
+def compare_studies(base: dict, head: dict, declared: bool) -> tuple:
+    """Summary lines, and whether no study moved or the ``run_study`` entry
+    changed (``declared``)."""
+    moved = sorted(case for case in set(base) | set(head) if base.get(case) != head.get(case))
+    ok = declared or not moved
+    lines = [f"studies: {len(head)} cases, {len(moved)} moved, run_study entry "
+             f"{'changed' if declared else 'unchanged'}: {'ok' if ok else 'FAIL'}"]
+    lines += [f"  moved: {case}" for case in moved[:10]]
+    return lines, ok
+
+
 def compare_sweep(base: dict, head: dict) -> tuple:
     """Summary lines, and whether no case went from a value to an error."""
     lost = [case for case in base
@@ -141,7 +189,7 @@ def compute(tree: str) -> dict:
         else:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
-    return {"digests": digests, "sweep": sweep(archvar)}
+    return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar)}
 
 
 def compare(base: dict, head: dict) -> tuple:
@@ -159,7 +207,10 @@ def compare(base: dict, head: dict) -> tuple:
         lines.append(f"{name}: {'moved' if moved else 'held'}, entry "
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
     sweep_lines, sweep_ok = compare_sweep(base["sweep"], head["sweep"])
-    return lines + sweep_lines, ok and sweep_ok
+    study_lines, study_ok = compare_studies(
+        base["studies"], head["studies"],
+        old["run_study"]["declared"] != new["run_study"]["declared"])
+    return lines + sweep_lines + study_lines, ok and sweep_ok and study_ok
 
 
 def main(argv: list) -> int:

@@ -1,5 +1,5 @@
 """``tests/digest_diff.py``'s comparison of two trees' domain sweeps."""
-from digest_diff import compare_sweep
+from digest_diff import compare, compare_studies, compare_sweep, study_sweep
 
 ERROR = "error: QuadratureError"
 
@@ -26,3 +26,62 @@ def test_compare_sweep_passes_without_a_lost_value():
     assert ok and lines == ["sweep: 2 cases, 0 values moved, largest relative move 0; "
                             "1 went from an error to a value, 0 from a value to an error",
                             f"  {ERROR} -> value 2.0: b"]
+
+
+STUDY = {"counts": [3, 4], "estimates": [[0.1, 0.2], [0.3, 0.4]]}
+
+
+def digests(run_study_entry):
+    return {"run_study": {"computed": "c", "declared": run_study_entry}}
+
+
+def test_compare_studies_fails_on_an_undeclared_move():
+    base = {"a": STUDY, "b": STUDY, "c": "error: StudyError"}
+    head = {"a": STUDY, "b": {**STUDY, "counts": [3, 5]}, "c": STUDY}
+    lines, ok = compare_studies(base, head, declared=False)
+    assert not ok
+    assert lines == ["studies: 3 cases, 2 moved, run_study entry unchanged: FAIL",
+                     "  moved: b", "  moved: c"]
+    lines, ok = compare_studies(base, head, declared=True)
+    assert ok and lines[0] == "studies: 3 cases, 2 moved, run_study entry changed: ok"
+
+
+def test_compare_studies_passes_when_nothing_moved():
+    lines, ok = compare_studies({"a": STUDY}, {"a": dict(STUDY)}, declared=False)
+    assert ok and lines == ["studies: 1 cases, 0 moved, run_study entry unchanged: ok"]
+
+
+def test_compare_reads_the_run_study_entry():
+    # a moved study fails compare unless the run_study entry changed with it
+    base = {"digests": digests("x"), "sweep": {}, "studies": {"a": STUDY}}
+    head = {"digests": digests("x"), "sweep": {}, "studies": {"a": "error: StudyError"}}
+    lines, ok = compare(base, head)
+    assert not ok and "studies: 1 cases, 1 moved, run_study entry unchanged: FAIL" in lines
+    _, ok = compare(base, {**head, "digests": digests("y")})
+    assert not ok                   # the digest held while its entry changed
+    head["digests"]["run_study"]["computed"] = "d"
+    head["digests"]["run_study"]["declared"] = "y"
+    _, ok = compare(base, head)
+    assert ok
+
+
+def test_study_sweep_cases():
+    # every window and dimension of STUDY_SPECS, AMH at d = 2 only
+    import archvar
+
+    calls = []
+
+    def fake_run_study(cfg):
+        calls.append(cfg)
+        raise archvar.StudyError("empty")
+
+    class Fake:
+        def __getattr__(self, name):
+            return fake_run_study if name == "run_study" else getattr(archvar, name)
+
+    out = study_sweep(Fake())
+    assert len(out) == len(calls) == 52
+    assert set(out.values()) == {"error: StudyError"}
+    assert {(c.n, c.replications) for c in calls} == {(2 * 2 ** 15 + 1234, 2)}
+    assert "joe theta=60.0 d=10 alpha=0.5 h=0.01" in out
+    assert "amh theta=-0.7 d=2 alpha=0.05 h=0.0001" in out

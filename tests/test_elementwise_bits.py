@@ -5,7 +5,9 @@ The block draw rests on this: a row gets the bits it would get inside a larger
 sample, and a kept row is mapped in a contiguous column of any length.  A
 study that cut several sample sizes from one draw, or a worker pool that split
 a block differently, would rest on it too.  The calls below are the ones the
-draw, the selection and the transforms make, and the quadrature's ``** 1.5``.
+draw, the selection and the transforms make, the samplers' mask-free selects
+(``np.maximum`` with a scalar, multiply and add with a bool array), and the
+quadrature's ``** 1.5``.
 
 The lockstep quadrature rests on it as well: the VaR weight is evaluated once
 on the nodes of every integral in a rule call.  Its sums rest on two more
@@ -41,6 +43,19 @@ def above_minus_one(rng, n):
     return np.expm1(rng.uniform(-30.0, 30.0, n))
 
 
+def integer_valued(rng, n):
+    # log-series values: integers from 1 past 2^53
+    return np.floor(np.exp(rng.uniform(0.0, 40.0, n)))
+
+
+def around_zero(rng, n):
+    # gamma trials' v, some of them at or below 0 or denormal
+    x = rng.uniform(-1.0, 2.0, n)
+    x[::7] = 0.0
+    x[3::11] = 5e-320
+    return x
+
+
 def generator_values(rng, n):
     # phi_inverse's arguments: sums of a few generator values, 0 included
     s = np.exp(rng.uniform(-40.0, 6.0, n))
@@ -60,6 +75,12 @@ CASES = {
 }
 for _p in (-1.5, -1.0 / 2.4, 0.5, 1.0 / 3.0, 1.5, 2.0, 2.4, 3.0):
     CASES[f"power_{_p:.4g}"] = (lambda x, p=_p: x ** p, unit)
+# the samplers' mask-free selects: a floor by np.maximum with a scalar, and
+# x keep + c (not keep) with bool arrays
+CASES["maximum_scalar"] = (lambda x: np.maximum(x, 5e-324), around_zero)
+CASES["multiply_bool"] = (lambda k: k * (k < 2.0 ** 40), integer_valued)
+CASES["add_bool"] = (lambda k: k + (k < 2.0 ** 40), integer_valued)
+CASES["select_bool"] = (lambda k: k * (k < 2.0 ** 40) + (k >= 2.0 ** 40) * 2.0, integer_valued)
 # the quadrature's error model raises its ratios to 1.5 in one array per rule call
 CASES["power_1.5_wide"] = (lambda x: x ** 1.5, lambda rng, n: np.exp(rng.uniform(-300, 300, n)))
 for _family, _theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),

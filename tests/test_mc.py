@@ -357,6 +357,38 @@ class TestRadialSelection:
         assert peak <= 32 * block_bytes
 
 
+@pytest.mark.parametrize("spec", [CLAYTON3, CopulaSpec(FamilyId.JOE, 2.4, 3),
+                                  CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 10)],
+                         ids=lambda s: f"{s.family.value}-d{s.d}")
+def test_batches_resolved_early_keep_the_bits(spec, monkeypatch):
+    # a batch cut at 700 candidates resolves early, after one block or two
+    # (each block holds 9 to 721 candidates here), and keeps every bit
+    cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d,
+                   n=TestRadialSelection.N, replications=2, h=1e-2, alpha=0.5, seed=Seed(8))
+    want = run_study(cfg)
+    monkeypatch.setattr(mc, "_BLOCK_ROWS", 700)
+    got = run_study(cfg)
+    assert got.counts.tolist() == want.counts.tolist()
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+
+
+def test_joe_screen_draws_few_latents(monkeypatch):
+    # Joe's two inversion points leave the exact V to draw for under 0.1 % of
+    # a Table-1 study's rows (0.071 % at n = 1e6; an interval of them left
+    # 5.5 %)
+    drawn = []
+
+    def counting_latent(spec, keys, out, ws):
+        drawn.append(keys.shape[0])
+        return sampling._latent(spec, keys, out, ws)
+
+    monkeypatch.setattr(mc, "_latent", counting_latent)
+    cfg = McConfig(spec=CopulaSpec(FamilyId.JOE, 2.4, 3), margins=U3, n=200_000,
+                   replications=1, h=1e-4, alpha=0.05, seed=Seed(8))
+    run_study(cfg)
+    assert 0 < sum(drawn) <= 1e-3 * cfg.n
+
+
 class TestStudyRecords:
     def test_per_replication_records(self):
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=300, replications=40,

@@ -185,17 +185,19 @@ EDGES = np.arange(rng._CELLS) / rng._CELLS
 
 
 def held_latents(family, theta, keys):
-    """Whether each key's drawn latent lies in its bounds, or its bounds have
-    an end at 0, inf or NaN; and the share of keys with such bounds."""
+    """Whether each key's drawn latent lies in one of its bounds pairs, and
+    whether one of its pairs has an end at 0, inf or NaN."""
     rec = FAMILIES[family]
     with np.errstate(all="ignore"):             # a uniform of 1 overflows the draw
         v = rec.frailty(keys, theta) * rec.latent_scale(theta)
     bounds = rec.latent_bounds(theta)
     if bounds is None:
-        return v == 1.0, 0.0
-    lo, hi = (end.copy() for end in bounds(keys, rng.Workspace(0)))
-    unbounded = ~((lo > 0.0) & (hi < np.inf))
-    return (lo <= v) & (v <= hi) | unbounded, unbounded.mean()
+        return v == 1.0, np.zeros(v.shape, dtype=bool)
+    held, unbounded = np.zeros(v.shape, dtype=bool), np.zeros(v.shape, dtype=bool)
+    for lo, hi in bounds(keys, rng.Workspace(0)):
+        held |= (lo <= v) & (v <= hi)
+        unbounded |= ~((lo > 0.0) & (hi < np.inf))
+    return held, unbounded
 
 
 @pytest.mark.parametrize("theta", BOUND_THETAS)
@@ -204,8 +206,11 @@ def held_latents(family, theta, keys):
 class TestLatentBounds:
     def test_bounds_hold_each_drawn_latent(self, family, theta):
         held, unbounded = held_latents(family, theta, keys_for(1 << 20, Seed(21)))
-        assert held.all()
-        assert unbounded < 2e-3
+        assert (held | unbounded).all()
+        assert unbounded.mean() < 2e-3
+        if family is FamilyId.JOE:
+            # V is one of the two points, which hold it even where infinite
+            assert held.all()
 
     def test_bounds_hold_at_extreme_uniforms_and_cell_ends(self, family, theta, monkeypatch):
         # every pair of extremes, and u0 at both ends of every cell of the
@@ -221,5 +226,122 @@ class TestLatentBounds:
             return out
 
         monkeypatch.setattr(rng, "uniforms", fixed_uniforms)
-        held, _ = held_latents(family, theta, np.zeros(u0.shape[0], dtype=np.uint64))
-        assert held.all()
+        held, unbounded = held_latents(family, theta, np.zeros(u0.shape[0], dtype=np.uint64))
+        assert (held | unbounded).all()
+        if family is FamilyId.JOE:
+            assert held.all()
+
+    def test_one_interval_or_two_points(self, family, theta):
+        # Gumbel bounds its variate by one interval, Joe by its two points
+        bounds = FAMILIES[family].latent_bounds(theta)
+        if bounds is None:
+            assert theta == 1.0
+            return
+        pairs = bounds(keys_for(64), rng.Workspace(0))
+        if family is FamilyId.JOE:
+            assert len(pairs) == 2 and all(lo is hi for lo, hi in pairs)
+        else:
+            assert len(pairs) == 1 and pairs[0][0] is not pairs[0][1]
+
+
+# The parent samplers' masked forms, kept as oracles: log_series selected its
+# small values, and gammas its bound and first accepted rows, by masked copies.
+
+def masked_log_series(keys, p):
+    n = keys.shape[0]
+    out = np.ones(n)
+    h = np.log1p(-p)
+    u2 = rng.uniforms(keys, 0)
+    low = u2 <= p
+    if low.any():
+        q = rng.uniforms(keys[low], 1)
+        q *= h
+        q = -np.expm1(q)
+        u2l = u2[low]
+        big_k = np.floor(np.log(u2l) / np.log(q) + 1.0)
+        np.copyto(big_k, 2.0, where=u2l >= q * q)
+        np.copyto(big_k, 1.0, where=u2l > q)
+        out[low] = big_k
+    return out
+
+
+def masked_gammas(keys, shape):
+    out = np.empty(keys.shape[0])
+    counter, boost, a = 0, None, shape
+    if a < 1.0:
+        boost = rng.uniforms(keys, counter) ** (1.0 / a)
+        counter, a = 1, a + 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    todo, trial_keys = None, keys
+    while trial_keys.size:
+        x = np.sqrt(np.log(rng.uniforms(trial_keys, counter)) * -2.0)
+        x *= np.cos(rng.uniforms(trial_keys, counter + 1) * (2.0 * np.pi))
+        v = x * c
+        v += 1.0
+        v **= 3
+        ok = v > 0.0
+        bound = np.ones(v.shape)
+        np.copyto(bound, v, where=ok)
+        bound = np.log(bound)
+        bound += 1.0 - v
+        bound *= d
+        bound += x * 0.5 * x
+        accept = (np.log(rng.uniforms(trial_keys, counter + 2)) < bound) & ok
+        counter += 3
+        v *= d
+        if todo is None:
+            np.copyto(out, v, where=accept)
+            todo = np.flatnonzero(~accept)
+        else:
+            out[todo[accept]] = v[accept]
+            todo = todo[~accept]
+        trial_keys = keys[todo]
+    if boost is not None:
+        out *= boost
+    return out
+
+
+ORACLE_THETAS = (1e-6, 0.01, 0.5, 5.74, 12.0, 30.0, 37.4)
+ORACLE_SHAPES = (0.02, 0.3, 0.999, 1.0, 1.7, 6.0, 50.0)
+
+
+class TestSamplerOracles:
+    """``log_series`` and ``gammas`` select by arithmetic where the masked
+    forms above copied under a mask, and give their bits."""
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_log_series(self, theta):
+        p = -np.expm1(-theta)
+        keys = keys_for(1 << 18, Seed(37))
+        want = masked_log_series(keys, p)
+        assert rng.log_series(keys, p).tobytes() == want.tobytes()
+        if theta == 37.4:
+            # integer values past 2^53, where (x - c) keep + c would round
+            assert np.count_nonzero(want > 2.0 ** 53) > 1000
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gammas(self, shape):
+        keys = keys_for(1 << 17, Seed(38))
+        assert rng.gammas(keys, shape).tobytes() == masked_gammas(keys, shape).tobytes()
+
+    def test_extreme_uniforms(self, monkeypatch):
+        # every ordered pair of extremes as the uniforms of counters 0 and 1,
+        # and as the first trial's three uniforms, then any later trial's
+        grid = np.array(EXTREMES)
+        u = (np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
+        n = u[0].shape[0]
+
+        def fixed_uniforms(keys, counter, out=None, ws=None):
+            out = np.empty(keys.shape[0]) if out is None else out
+            out[:] = np.take(u[counter % 2] if counter < 3 else u[1] * 0.5, keys)
+            return out
+
+        monkeypatch.setattr(rng, "uniforms", fixed_uniforms)
+        keys = np.arange(n, dtype=np.uint64)
+        with np.errstate(all="ignore"):
+            for theta in ORACLE_THETAS:
+                p = -np.expm1(-theta)
+                assert rng.log_series(keys, p).tobytes() == masked_log_series(keys, p).tobytes()
+            for shape in ORACLE_SHAPES:
+                assert rng.gammas(keys, shape).tobytes() == masked_gammas(keys, shape).tobytes()

@@ -327,7 +327,8 @@ class TestSamplerOracles:
 
     def test_extreme_uniforms(self, monkeypatch):
         # every ordered pair of extremes as the uniforms of counters 0 and 1,
-        # and as the first trial's three uniforms, then any later trial's
+        # again at counter 2, and half the second from counter 3 on, where
+        # gammas' later trials draw
         grid = np.array(EXTREMES)
         u = (np.repeat(grid, len(grid)), np.tile(grid, len(grid)))
         n = u[0].shape[0]

@@ -10,21 +10,22 @@ A study's replication selects radially.  Under the frailty construction a
 row has ``C(U) = phi_inverse(R)`` with ``R = sum_i E_i / V``, so
 ``|C(U) - alpha| <= h`` is ``R in [phi(alpha + h), phi(alpha - h)]``, a
 window computed once per study.  The rows are drawn in blocks of
-``_BLOCK_ROWS``, as :func:`sample_copula` draws them.  A block keeps the
-``E_i`` of its candidate rows and drops the rest: a candidate's ``S =
-sum_i E_i`` over the ends of one of its latent intervals can reach the
-window.  The record's ``latent_bounds`` give the intervals, one of which
-holds ``V``, at less than the cost of ``V`` (Gumbel's one interval, Joe's
-two inversion points); other families draw ``V`` itself, a point.  The
-candidates of successive blocks are gathered in row order and resolved in
-one batch, or once a block's worth has gathered: where bounds stood in for
-``V``, the candidates' exact ``V`` is drawn in one call, and the rows with
-``R`` in the window are kept.  A candidate's ``V`` and ``R`` are computed as
-for every row, so the kept rows and their bits do not change, and only the
-kept rows are mapped to ``U``.  Each worker of a study draws its
-replications through one workspace of block-sized buffers, reused from
-block to block, so memory is a few blocks whatever ``n`` is and no block
-faults in fresh pages.  Families without a frailty law at their theta draw
+``_BLOCK_ROWS``, as :func:`sample_copula` draws them.  A block sums the
+``log u_i`` of its rows' exponentials, ``-S`` with ``S = sum_i E_i``, and
+keeps the exponential keys of its candidate rows: a candidate's ``S`` over
+the ends of one of its latent intervals can reach the window.  The record's
+``latent_bounds`` give the intervals, one of which holds ``V``, at less than
+the cost of ``V`` (Gumbel's one interval, Joe's two inversion points); other
+families draw ``V`` itself, a point.  The candidates of successive blocks
+are gathered in row order and resolved in one batch, or once a block's worth
+has gathered: their ``E_i`` are drawn again from their keys, which the
+counter-based stream allows, where bounds stood in for ``V`` their exact
+``V`` is drawn in one call, and the rows with ``R`` in the window are kept.
+A candidate's ``E_i``, ``V`` and ``R`` are computed as for every row, so the
+kept rows and their bits do not change, and only the kept rows are mapped to
+``U``.  Each worker of a study draws its replications through one workspace
+of block-sized buffers, reused from block to block, so memory is a few
+blocks whatever ``n`` is and no block faults in fresh pages.  Families without a frailty law at their theta draw
 blocks by conditional inversion and select them on the copula CDF.
 :func:`estimate_var_once` selects a whole sample on the copula CDF and is the
 independent u-space check of the radial selection.
@@ -42,9 +43,9 @@ from .errors import (EmptyLevelSetError, ParameterError, StudyError, _check_coun
 from .families import FAMILIES, CopulaSpec, copula_cdf, phi, phi_inverse
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .rng import Seed, Workspace
-from .sampling import (_BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _exponentials,
-                       _frailty_blocks, _has_frailty, _latent)
+from .rng import Seed, Workspace, exponentials, uniforms
+from .sampling import (_BLOCK_ROWS, _OPEN_HI, _OPEN_LO, Sample, _blocks, _frailty_blocks,
+                       _has_frailty, _latent)
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
@@ -198,28 +199,30 @@ def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, 
     is a candidate if for one of its ``bounds`` pairs ``(lo, hi)`` neither
     ``S / hi`` nor ``S / lo`` is past the window widened by a slack for them,
     or the pair has an end at 0, inf or NaN.  Rows of an open window are
-    candidates.  Each block's candidates are gathered, and their ``V`` drawn
-    in one call once a block's worth has gathered, or at the end; a lone
-    pair ``(V, V)`` is the exact ``V`` itself.  A candidate's ``V`` and ``R``
-    are those of drawing every ``V``, so the kept rows, their order and bits
-    are too.
+    candidates.  ``-S`` is summed from the ``log u_i`` in column order:
+    rounding commutes with negation, so its bits are those of ``S`` negated,
+    and a block holds two columns, not ``d``.  A block keeps its candidates'
+    exponential keys and their exact ``V`` or frailty keys, which
+    :func:`_resolve` takes in one batch once a block's worth has gathered,
+    or at the end.  A lone pair ``(V, V)`` is the exact ``V`` itself.
     """
     slack = 4.0 * (spec.d + 1) * np.finfo(float).eps
-    lo_cut, hi_cut = r_lo * (1.0 - slack), r_hi * (1.0 + slack)
+    # the cuts on -S / V: -S / hi >= hi_cut is S / hi <= -hi_cut, exactly
+    lo_cut, hi_cut = -r_lo * (1.0 - slack), -r_hi * (1.0 + slack)
     if r_lo == 0.0 or r_hi == np.inf:
-        lo_cut, hi_cut = -np.inf, np.inf
+        lo_cut, hi_cut = np.inf, -np.inf
     batch, gathered = [], 0
     for _, ekeys, vkeys in _frailty_blocks(base, n, ws):
         m = vkeys.shape[0]
         pairs = bounds(vkeys, ws)
-        cols = _exponentials(spec, ekeys, ws)
-        # S adds the columns in order, as R does
-        s = np.add(cols[0], cols[1], out=ws.take("total", m))
-        for e in cols[2:]:
-            s += e
-        # a lone pair (V, V) is the exact V, whose quotient may overwrite S
+        # the log u_i added in order, as R adds the E_i
+        neg_s, log_u = ws.take("total", m), ws.take("log_u", m)
+        np.log(uniforms(ekeys, 0, neg_s, ws), out=neg_s)
+        for i in range(1, spec.d):
+            neg_s += np.log(uniforms(ekeys, i, log_u, ws), out=log_u)
+        # a lone pair (V, V) is the exact V, whose quotient may overwrite -S
         exact = len(pairs) == 1 and pairs[0][0] is pairs[0][1]
-        q = s if exact else ws.take("q", m)
+        q = neg_s if exact else ws.take("q", m)
         cand, hit, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hit", "sel.end"))
         cand.fill(False)
         for lo, hi in pairs:
@@ -227,12 +230,12 @@ def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, 
             bounded &= np.less(hi, np.inf, out=tmp)
             cand |= np.logical_not(bounded, out=hit)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.less_equal(np.divide(s, hi, out=q), hi_cut, out=hit)
+                np.greater_equal(np.divide(neg_s, hi, out=q), hi_cut, out=hit)
                 if lo is not hi:
-                    np.divide(s, lo, out=q)
-            hit &= np.greater_equal(q, lo_cut, out=tmp)
+                    np.divide(neg_s, lo, out=q)
+            hit &= np.less_equal(q, lo_cut, out=tmp)
             cand |= hit
-        rows = [e[cand] for e in cols] + [(pairs[0][0] if exact else vkeys)[cand]]
+        rows = [ekeys[cand], (pairs[0][0] if exact else vkeys)[cand]]
         if batch and gathered + rows[0].shape[0] > _BLOCK_ROWS:
             yield _resolve(spec, batch, exact, r_lo, r_hi, ws)
             batch, gathered = [], 0
@@ -245,9 +248,12 @@ def _screened(spec: CopulaSpec, base: int, n: int, ws: Workspace, bounds, r_lo, 
 def _resolve(spec: CopulaSpec, batch: list, exact: bool, r_lo, r_hi, ws: Workspace) -> list:
     """The ``E_i / V`` columns of the rows of ``batch`` with ``R`` in
     ``[r_lo, r_hi]``; each entry of ``batch`` holds a block's candidate
-    ``E_i`` columns and their exact ``V``, or, unless ``exact``, their keys."""
-    *quotients, last = (np.concatenate(parts) for parts in zip(*batch))
+    exponential keys and their exact ``V``, or, unless ``exact``, their
+    frailty keys.  The ``E_i`` are drawn again from their keys."""
+    ekeys, last = (np.concatenate(parts) for parts in zip(*batch))
+    k = ekeys.shape[0]
     v = last if exact else _latent(spec, last, None, ws)
+    quotients = [exponentials(ekeys, i, ws.take(f"s{i}", k), ws) for i in range(spec.d)]
     for x in quotients:
         x /= v
     total = quotients[0] + quotients[1]

@@ -177,7 +177,9 @@ def uniforms(keys: np.ndarray, counter, out: np.ndarray | None = None,
     n, out, ws = _buffers(keys, out, ws)
     tmp = ws.take("mix", n, np.uint64)
     words = _words(keys, counter, out.view(np.uint64), tmp)
-    np.add(np.right_shift(words, _S11, out=tmp), 0.5, out=out)
+    # below 2^53, the shifted word converts exactly, and faster as an int64
+    out[...] = np.right_shift(words, _S11, out=tmp).view(np.int64)
+    out += 0.5
     out *= _INV53
     return out
 
@@ -436,31 +438,29 @@ def log_series(keys: np.ndarray, p: float, out: np.ndarray | None = None,
     if not 0.0 < p < 1.0:
         raise ParameterError(f"log-series parameter must lie in (0, 1), got {p}")
     n, out, ws = _buffers(keys, out, ws)
-    h = np.log1p(-p)
-    u2 = uniforms(keys, 0, ws.take("logser.u2", n), ws)
-    out.fill(1.0)
-    low = np.less_equal(u2, p, out=ws.take("logser.low", n, np.bool_))
-    k = int(np.count_nonzero(low))
-    if k:
-        low_keys = np.compress(low, keys, out=ws.take("logser.keys", k, np.uint64))
-        q, u2l, big_k, tmp = (ws.take(f"logser.{i}", k) for i in range(4))
-        uniforms(low_keys, 1, q, ws)
-        q *= h
-        np.negative(np.expm1(q, out=q), out=q)
-        np.compress(low, u2, out=u2l)
-        np.log(u2l, out=big_k)
-        big_k /= np.log(q, out=tmp)
-        big_k += 1.0
-        np.floor(big_k, out=big_k)
-        # big_k where u2l < q q; elsewhere 1 where u2l > q (>= q q) and 2
-        # otherwise: each as x keep + c (not keep), exact on the integer-valued
-        # big_k at any size, where (x - c) keep + c rounds past 2^53
-        keep = np.less(u2l, np.multiply(q, q, out=tmp), out=ws.take("logser.cmp", k, np.bool_))
-        big_k *= keep
-        big_k += np.multiply(np.logical_not(keep, out=keep), 2.0, out=tmp)
-        big_k *= np.less_equal(u2l, q, out=keep)
-        big_k += np.logical_not(keep, out=keep)
-        out[low] = big_k
+    u2, q, tmp = (ws.take(f"logser.{i}", n) for i in range(3))
+    uniforms(keys, 0, u2, ws)
+    uniforms(keys, 1, q, ws)
+    q *= np.log1p(-p)
+    np.negative(np.expm1(q, out=q), out=q)
+    np.log(u2, out=out)
+    # q is 0 on some rows past p at a denormal p, which the last select drops
+    with np.errstate(divide="ignore"):
+        out /= np.log(q, out=tmp)
+    out += 1.0
+    np.floor(out, out=out)
+    # out where u2 < q q; elsewhere 2 where u2 <= q, and 1 where u2 > q or
+    # u2 > p: each as x keep + c (not keep), exact on the integer-valued out
+    # at any size, where (x - c) keep + c rounds past 2^53; out is finite on
+    # the rows past p, so they take 0 + 1
+    keep, low = (ws.take(name, n, np.bool_) for name in ("logser.keep", "logser.low"))
+    np.less(u2, np.multiply(q, q, out=tmp), out=keep)
+    out *= keep
+    out += np.multiply(np.logical_not(keep, out=keep), 2.0, out=tmp)
+    np.less_equal(u2, q, out=keep)
+    keep &= np.less_equal(u2, p, out=low)
+    out *= keep
+    out += np.logical_not(keep, out=keep)
     return out
 
 

@@ -106,12 +106,6 @@ def _frailty_blocks(base: int, n: int, ws: rng.Workspace):
         yield start, ekeys, vkeys
 
 
-def _exponentials(spec: CopulaSpec, ekeys: np.ndarray, ws: rng.Workspace) -> list:
-    """The ``d`` columns of unit exponentials ``E_i`` of ``ekeys``, in ``ws``."""
-    return [rng.exponentials(ekeys, i, ws.take(f"s{i}", ekeys.shape[0]), ws)
-            for i in range(spec.d)]
-
-
 def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
     """The ``n``-row sample keyed by ``base``, block by block, as ``(start, cols)``.
 
@@ -123,8 +117,9 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
     """
     if _has_frailty(spec):
         for start, ekeys, vkeys in _frailty_blocks(base, n, ws):
-            v = _latent(spec, vkeys, ws.take("v", vkeys.shape[0]), ws)
-            cols = _exponentials(spec, ekeys, ws)
+            m = vkeys.shape[0]
+            v = _latent(spec, vkeys, ws.take("v", m), ws)
+            cols = [rng.exponentials(ekeys, i, ws.take(f"s{i}", m), ws) for i in range(spec.d)]
             for s in cols:
                 s /= v
             yield start, cols

@@ -80,8 +80,10 @@ def test_study_sweep_cases():
             return fake_run_study if name == "run_study" else getattr(archvar, name)
 
     out = study_sweep(Fake())
-    assert len(out) == len(calls) == 52
+    assert len(out) == len(calls) == 78
     assert set(out.values()) == {"error: StudyError"}
     assert {(c.n, c.replications) for c in calls} == {(2 * 2 ** 15 + 1234, 2)}
     assert "joe theta=60.0 d=10 alpha=0.5 h=0.01" in out
     assert "amh theta=-0.7 d=2 alpha=0.05 h=0.0001" in out
+    # the open window, whose every row is a candidate
+    assert "clayton theta=2.0 d=3 alpha=0.8 h=0.25" in out

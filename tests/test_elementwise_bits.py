@@ -81,6 +81,9 @@ CASES["maximum_scalar"] = (lambda x: np.maximum(x, 5e-324), around_zero)
 CASES["multiply_bool"] = (lambda k: k * (k < 2.0 ** 40), integer_valued)
 CASES["add_bool"] = (lambda k: k + (k < 2.0 ** 40), integer_valued)
 CASES["select_bool"] = (lambda k: k * (k < 2.0 ** 40) + (k >= 2.0 ** 40) * 2.0, integer_valued)
+# the uniforms' conversion: a word shifted below 2^53, cast from int64, plus 0.5
+CASES["int64_cast_half"] = (lambda w: np.add(w.astype(np.float64), 0.5),
+                            lambda rng, n: rng.integers(0, 2 ** 53, n))
 # the quadrature's error model raises its ratios to 1.5 in one array per rule call
 CASES["power_1.5_wide"] = (lambda x: x ** 1.5, lambda rng, n: np.exp(rng.uniform(-300, 300, n)))
 for _family, _theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),

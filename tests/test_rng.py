@@ -1,4 +1,6 @@
 """Counter-based generator and its distribution samplers."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -51,6 +53,21 @@ class TestCore:
         np.testing.assert_array_equal(u, rng.uniforms(keys_for(100_000), 0))
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.001
+
+    def test_uniforms_of_chosen_words(self, monkeypatch):
+        # the int64 cast plus one half against the Python-int formula, at the
+        # ends of the shifted word's binades; the last is the documented 1.0
+        shifted = [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1]
+        words = [s << 11 | low for s in shifted for low in (0, 0x7FF)]
+
+        def chosen_words(keys, counter, out=None, tmp=None):
+            out[:] = words
+            return out
+
+        monkeypatch.setattr(rng, "_words", chosen_words)
+        got = rng.uniforms(np.zeros(len(words), dtype=np.uint64), 0)
+        assert got.tolist() == [((w >> 11) + 0.5) * 2 ** -53 for w in words]
+        assert got[-1] == 1.0 and got[-3] < 1.0
 
     def test_streams_differ(self):
         u0 = rng.uniforms(keys_for(1000, Seed(1, 0)), 0)
@@ -319,6 +336,17 @@ class TestSamplerOracles:
         if theta == 37.4:
             # integer values past 2^53, where (x - c) keep + c would round
             assert np.count_nonzero(want > 2.0 ** 53) > 1000
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS + (5e-324,))
+    def test_log_series_warns_nothing(self, theta):
+        # every row draws q, which underflows to 0 on half the rows past p at
+        # the denormal theta; those rows still take 1
+        p = -np.expm1(-theta)
+        keys = keys_for(1 << 16, Seed(39))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rng.log_series(keys, p)
+        assert got.tobytes() == masked_log_series(keys, p).tobytes()
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_gammas(self, shape):

@@ -49,6 +49,7 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S11 = np.uint64(11)
 _ONE = np.uint64(1)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+_NORMAL_MIN, _NORMAL_MAX = np.finfo(float).tiny, np.finfo(float).max
 
 # substream labels
 LABEL_FRAILTY = 0x7F4A7C15
@@ -285,18 +286,49 @@ def positive_stables(keys: np.ndarray, alpha: float, out: np.ndarray | None = No
     uniforms(keys, 0, t, ws)
     t *= np.pi
     np.negative(np.log(uniforms(keys, 1, e, ws), out=e), out=e)
-    # sin(alpha t) / sin(t)^(1/alpha) * (sin((1-alpha) t) / e)^((1-alpha)/alpha)
-    np.multiply(t, alpha, out=out)
-    np.sin(out, out=out)
-    np.sin(t, out=tmp)
-    tmp **= 1.0 / alpha
-    out /= tmp
-    np.multiply(t, 1.0 - alpha, out=tmp)
-    np.sin(tmp, out=tmp)
-    tmp /= e
-    tmp **= (1.0 - alpha) / alpha
-    out *= tmp
+    # sin(alpha t) / sin(t)^(1/alpha) * (sin((1-alpha) t) / e)^((1-alpha)/alpha);
+    # near t = 0 or pi a factor can leave the normal range, where its rows
+    # are drawn again from logs
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.multiply(t, alpha, out=out)
+        np.sin(out, out=out)
+        wild = _abnormal(out, None)
+        np.sin(t, out=tmp)
+        tmp **= 1.0 / alpha
+        wild = _abnormal(tmp, wild)
+        out /= tmp
+        np.multiply(t, 1.0 - alpha, out=tmp)
+        np.sin(tmp, out=tmp)
+        tmp /= e
+        tmp **= (1.0 - alpha) / alpha
+        wild = _abnormal(tmp, wild)
+        out *= tmp
+        if wild is not None:
+            rows = np.flatnonzero(wild)
+            out[rows] = _log_kanter(t[rows], e[rows], alpha)
     return out
+
+
+def _abnormal(x: np.ndarray, wild):
+    """``wild``, ``None`` for no row, with the rows of ``x`` outside the normal
+    range or NaN added; two reductions decide that there are none."""
+    if np.min(x, initial=np.inf) >= _NORMAL_MIN and np.max(x, initial=0.0) <= _NORMAL_MAX:
+        return wild
+    bad = np.logical_not((x >= _NORMAL_MIN) & (x <= _NORMAL_MAX))
+    return bad if wild is None else wild | bad
+
+
+def _log_kanter(t: np.ndarray, e: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`positive_stables`' variate at ``t`` and ``e`` through its log,
+    with ``sin(t)`` divided out of both other sines, as the powers of
+    ``sin(t)`` cancel: ``K = sin(alpha t) / sin(t) * (sin((1-alpha) t) /
+    sin(t))^((1-alpha)/alpha)``.  Near ``t = 0`` the quotients tend to
+    ``alpha`` and ``1 - alpha``, so their logs do not cancel."""
+    st = np.sin(t)
+    log_v = np.log(np.sin(alpha * t) / st)
+    # |.|: e is -0.0 where its uniform is 1.0, and the variate inf
+    log_v += (1.0 - alpha) / alpha * np.log(np.abs(np.sin((1.0 - alpha) * t) / (st * e)))
+    return np.exp(log_v)
 
 
 _CELLS = 4096                                # cells in u0 = T / pi of the stable table
@@ -412,15 +444,18 @@ def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
         np.compress(big, u, out=ub)
         np.subtract(1.0, ub, out=ginv)
         ginv *= np.exp(gammaln(1.0 - alpha))
-        ginv **= -1.0 / alpha
-        np.floor(ginv, out=fl)
-        # survival at floor(ginv): 1/(fl * B(fl, 1-alpha))
-        np.log(fl, out=log_surv)
-        log_surv += gammaln(fl, out=tmp)
-        log_surv += gammaln(1.0 - alpha)
-        np.add(fl, 1.0, out=tmp)
-        tmp -= alpha
-        log_surv -= gammaln(tmp, out=tmp)
+        # ginv saturates at inf for a large 1 / alpha, and so does the
+        # variate, whose survival is then inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            ginv **= -1.0 / alpha
+            np.floor(ginv, out=fl)
+            # survival at floor(ginv): 1/(fl * B(fl, 1-alpha))
+            np.log(fl, out=log_surv)
+            log_surv += gammaln(fl, out=tmp)
+            log_surv += gammaln(1.0 - alpha)
+            np.add(fl, 1.0, out=tmp)
+            tmp -= alpha
+            log_surv -= gammaln(tmp, out=tmp)
         np.negative(log_surv, out=log_surv)
         np.log1p(np.negative(ub, out=tmp), out=tmp)
         np.ceil(ginv, out=ginv)

@@ -225,9 +225,8 @@ RADIAL_SPECS = [CopulaSpec(family, theta, d)
 RADIAL_SPECS += [CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2) for theta in (0.3, -0.7)]
 # Gumbel and Joe, whose studies draw V only for the rows their bounds leave
 # in the window, near independence, past the Table-1 theta and far past it,
-# where the samplers' powers overflow and warn on some rows
-RADIAL_SPECS += [pytest.param(CopulaSpec(family, theta, d), marks=[
-                     pytest.mark.filterwarnings("ignore::RuntimeWarning")] if theta > 6 else [])
+# where the samplers' powers leave the normal range on some rows, silently
+RADIAL_SPECS += [CopulaSpec(family, theta, d)
                  for family in (FamilyId.GUMBEL_HOUGAARD, FamilyId.JOE)
                  for theta in (1.0001, 6.0, 60.0) for d in (2, 10, 50)]
 # (alpha, h): the acceptance window, an interior one, and windows that reach

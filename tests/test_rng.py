@@ -107,6 +107,38 @@ class TestDistributions:
             got = np.mean(np.exp(-s * v))
             assert got == pytest.approx(np.exp(-s ** alpha), abs=5e-3)
 
+    # rows of Seed(0)'s frailty stream at Gumbel theta = 60 where a factor of
+    # Kanter's form leaves the normal range: the direct product gave NaN (T
+    # near 0), inf (T near 0, near pi and inside) or lost digits to a
+    # denormal (the sixth); the last two are above the largest double
+    KANTER_ROWS = (470554, 2438307, 1399705, 1072652, 2254206, 3569949, 366429, 2172204)
+
+    def test_positive_stable_edge_rows_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        alpha = 1.0 / 60.0
+        keys = rng.substream_keys(Seed(0).base_key(), rng.LABEL_FRAILTY,
+                                  np.array(self.KANTER_ROWS, dtype=np.uint64))
+        got = rng.positive_stables(keys, alpha)
+        t = rng.uniforms(keys, 0) * np.pi
+        e = -np.log(rng.uniforms(keys, 1))
+        with np.errstate(all="ignore"):
+            direct = (np.sin(alpha * t) / np.sin(t) ** (1.0 / alpha)
+                      * (np.sin((1.0 - alpha) * t) / e) ** ((1.0 - alpha) / alpha))
+        big = 0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            for v, naive, ti, ei in zip(got, direct, t, e):
+                T, E = mpmath.mpf(ti), mpmath.mpf(ei)
+                want = (mpmath.sin(a * T) * mpmath.sin((1 - a) * T) ** ((1 - a) / a)
+                        / (mpmath.sin(T) ** (1 / a) * E ** ((1 - a) / a)))
+                if want > np.finfo(float).max:
+                    assert v == np.inf
+                    big += 1
+                else:
+                    assert abs(v - want) <= 1e-12 * want
+                    assert not abs(naive - want) <= 1e-6 * want
+        assert big == 2
+
     def test_stable_degenerate(self):
         np.testing.assert_array_equal(rng.positive_stables(keys_for(10), 1.0), 1.0)
 

@@ -485,15 +485,13 @@ def log_series(keys: np.ndarray, p: float, out: np.ndarray | None = None,
     out += 1.0
     np.floor(out, out=out)
     # out where u2 < q q; elsewhere 2 where u2 <= q, and 1 where u2 > q or
-    # u2 > p: each as x keep + c (not keep), exact on the integer-valued out
-    # at any size, where (x - c) keep + c rounds past 2^53; out is finite on
-    # the rows past p, so they take 0 + 1
-    keep, low = (ws.take(name, n, np.bool_) for name in ("logser.keep", "logser.low"))
-    np.less(u2, np.multiply(q, q, out=tmp), out=keep)
+    # u2 > p, that is u2 > min(q, p): each as x keep + c (not keep), exact on
+    # the integer-valued out at any size, where (x - c) keep + c rounds past
+    # 2^53; out is finite on the rows past p, so they take 0 + 1
+    keep = np.less(u2, np.multiply(q, q, out=tmp), out=ws.take("logser.keep", n, np.bool_))
     out *= keep
     out += np.multiply(np.logical_not(keep, out=keep), 2.0, out=tmp)
-    np.less_equal(u2, q, out=keep)
-    keep &= np.less_equal(u2, p, out=low)
+    np.less_equal(u2, np.minimum(q, p, out=tmp), out=keep)
     out *= keep
     out += np.logical_not(keep, out=keep)
     return out

@@ -25,10 +25,11 @@ A candidate's ``E_i``, ``V`` and ``R`` are computed as for every row, so the
 kept rows and their bits do not change, and only the kept rows are mapped to
 ``U``.  Each worker of a study draws its replications through one workspace
 of block-sized buffers, reused from block to block, so memory is a few
-blocks whatever ``n`` is and no block faults in fresh pages.  Families without a frailty law at their theta draw
-blocks by conditional inversion and select them on the copula CDF.
-:func:`estimate_var_once` selects a whole sample on the copula CDF and is the
-independent u-space check of the radial selection.
+blocks whatever ``n`` is and no block faults in fresh pages.  Families
+without a frailty law at their theta draw blocks by conditional inversion
+and select them on the copula CDF.  :func:`estimate_var_once` selects a
+whole sample on the copula CDF and is the independent u-space check of the
+radial selection.
 """
 from __future__ import annotations
 

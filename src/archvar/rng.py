@@ -22,7 +22,8 @@ parallelism, and row blocks can be generated independently.
 
 Uniform doubles are ``((word >> 11) + 0.5) * 2^-53``, inside ``(0, 1)``
 except for one word in 2^53: at ``word >> 11 = 2^53 - 1`` the sum rounds to
-2^53 and the uniform is exactly 1.0.
+2^53 and the uniform is exactly 1.0.  Its exponential is +0.0, and the
+Sibuya and positive stable variates drawn from it are inf, with no warning.
 
 The samplers write in place, into an ``out`` array and the buffers of a
 :class:`Workspace` that a block-by-block caller reuses, so that no block
@@ -189,7 +190,8 @@ def exponentials(keys: np.ndarray, counter, out: np.ndarray | None = None,
                  ws: Workspace | None = None) -> np.ndarray:
     """Unit exponentials by inversion; one counter per draw."""
     out = uniforms(keys, counter, out, ws)
-    return np.negative(np.log(out, out=out), out=out)
+    # 0 - log u, not -log u: +0.0 where the uniform is 1.0, the same bits elsewhere
+    return np.subtract(0.0, np.log(out, out=out), out=out)
 
 
 def gammas(keys: np.ndarray, shape: float, out: np.ndarray | None = None,
@@ -285,7 +287,7 @@ def positive_stables(keys: np.ndarray, alpha: float, out: np.ndarray | None = No
     t, e, tmp = (ws.take(f"stable.{i}", n) for i in range(3))
     uniforms(keys, 0, t, ws)
     t *= np.pi
-    np.negative(np.log(uniforms(keys, 1, e, ws), out=e), out=e)
+    exponentials(keys, 1, e, ws)
     # sin(alpha t) / sin(t)^(1/alpha) * (sin((1-alpha) t) / e)^((1-alpha)/alpha);
     # near t = 0 or pi a factor can leave the normal range, where its rows
     # are drawn again from logs
@@ -326,8 +328,7 @@ def _log_kanter(t: np.ndarray, e: np.ndarray, alpha: float) -> np.ndarray:
     ``alpha`` and ``1 - alpha``, so their logs do not cancel."""
     st = np.sin(t)
     log_v = np.log(np.sin(alpha * t) / st)
-    # |.|: e is -0.0 where its uniform is 1.0, and the variate inf
-    log_v += (1.0 - alpha) / alpha * np.log(np.abs(np.sin((1.0 - alpha) * t) / (st * e)))
+    log_v += (1.0 - alpha) / alpha * np.log(np.sin((1.0 - alpha) * t) / (st * e))
     return np.exp(log_v)
 
 
@@ -336,9 +337,9 @@ _TINY, _HUGE = 2.0 ** -1000, 2.0 ** 1000     # inside the normal range, with roo
 
 
 def positive_stable_bounds(alpha: float):
-    """``bounds(keys, ws)``, the :func:`stable_interval` of each key's uniforms
-    as its one ``(lo, hi)`` pair, with a table of Kanter's ``K`` built once;
-    ``None`` for the point mass."""
+    """``bounds(keys, ws)``, the :func:`stable_interval` of each key's uniform
+    and exponential as its one ``(lo, hi)`` pair, with a table of Kanter's
+    ``K`` built once; ``None`` for the point mass."""
     if alpha == 1.0:
         return None
     # K at the cell ends u0 = j / 4096, j = -1 ... 4097, with T rounded as drawn
@@ -352,7 +353,9 @@ def positive_stable_bounds(alpha: float):
     safe[[0, -1]] = False                       # outside (0, pi)
     bounded = safe[:-3] & safe[3:]
     # cell j widened to ends j - 1 and j + 2, and by a slack for the rounding
-    # of the sampler's steps, which its powers amplify
+    # of the sampler's steps, which its powers amplify.  T rounds as the ends
+    # do, so ends j and j + 1 bound the same rows but for rounding, which the
+    # slack covers: the widening is a margin only
     slack = 64.0 * (1.0 / alpha + 1.0) * np.finfo(float).eps
     # sin(alpha T) / sin(T)^(1/alpha) <= 1 / min(st) in a bounded cell, so a
     # variate of at least lo_min keeps the sampler's other factor normal
@@ -360,33 +363,32 @@ def positive_stable_bounds(alpha: float):
     table = ((1.0 - alpha) / alpha, np.where(bounded, k[:-3] * (1.0 - slack), 0.0),
              np.where(bounded, k[3:] * (1.0 + slack), np.inf), lo_min)
     return lambda keys, ws: (stable_interval(
-        *(uniforms(keys, i, ws.take(f"stable.{i}", keys.shape[0]), ws) for i in range(2)),
-        table, ws),)
+        uniforms(keys, 0, ws.take("stable.0", keys.shape[0]), ws),
+        exponentials(keys, 1, ws.take("stable.1", keys.shape[0]), ws), table, ws),)
 
 
-def stable_interval(u0, u1, table, ws: Workspace):
+def stable_interval(u0, e, table, ws: Workspace):
     """``[lo, hi]`` in ``ws`` that holds the :func:`positive_stables` variate
-    drawn from the uniforms ``u0`` (``T = pi u0``) and ``u1`` (``E = -log u1``).
+    drawn from the uniform ``u0`` (``T = pi u0``) and the exponential ``e``.
 
     The variate is ``K(T) / E^((1-alpha)/alpha)``, and Kanter's ``K`` increases
     on ``(0, pi)`` (Kanter 1975, Ann. Probab. 3(4)): ``E``'s power is computed,
     ``K`` bounded by ``u0``'s cell.  A row is ``[0, inf]`` where the power or a
     factor of the sampler could leave the normal range, as ``E^59`` does at
-    ``theta = 60``.  ``u0`` and ``u1`` are overwritten.
+    ``theta = 60``.  ``u0`` and ``e`` are overwritten.
     """
     a, klo, khi, lo_min = table
     m = u0.shape[0]
     lo, hi = ws.take("v", m), ws.take("stable.2", m)
     cell = ws.take("mix", m, np.uint64).view(np.intp)
-    epow = np.negative(np.log(u1, out=u1), out=u1)
     with np.errstate(over="ignore"):
-        epow **= a
-        wild = (epow < _TINY) | (epow > _HUGE)
-        np.copyto(epow, 1.0, where=wild)
+        e **= a                                 # E's power, in place
+        wild = (e < _TINY) | (e > _HUGE)
+        np.copyto(e, 1.0, where=wild)
         # a u0 of 1, which the uniforms give once in 2^53, clips to the last cell
         np.copyto(cell, np.multiply(u0, _CELLS, out=u0), casting="unsafe")
-        np.divide(np.take(klo, cell, out=lo, mode="clip"), epow, out=lo)
-        np.divide(np.take(khi, cell, out=hi, mode="clip"), epow, out=hi)
+        np.divide(np.take(klo, cell, out=lo, mode="clip"), e, out=lo)
+        np.divide(np.take(khi, cell, out=hi, mode="clip"), e, out=hi)
     wild |= (lo < lo_min) | (hi > _HUGE)
     np.copyto(lo, 0.0, where=wild)
     np.copyto(hi, np.inf, where=wild)
@@ -410,16 +412,22 @@ def sibuya_points(u, alpha: float, ws: Workspace):
     (Hofert 2011, CSDA 55); elsewhere 1 twice, where ``ginv`` is below that
     bound, which is under 2.  Masks are applied by arithmetic, far cheaper
     here than a masked copy."""
-    lo, hi = ws.take("v", u.shape[0]), ws.take("sibuya.0", u.shape[0])
-    # ginv as sibuyas computes it
-    np.subtract(1.0, u, out=hi)
-    hi *= np.exp(gammaln(1.0 - alpha))
-    with np.errstate(divide="ignore", over="ignore"):
-        hi **= -1.0 / alpha
+    lo, hi = ws.take("v", u.shape[0]), _sibuya_ginv(u, alpha, ws.take("sibuya.0", u.shape[0]))
     np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
     np.multiply(np.ceil(hi, out=hi), u > alpha, out=hi)
     np.maximum(hi, 1.0, out=hi)
     return (lo, lo), (hi, hi)
+
+
+def _sibuya_ginv(u, alpha: float, out: np.ndarray) -> np.ndarray:
+    """:func:`sibuyas`' asymptotic inverse ``((1 - u) Gamma(1 - alpha))^(-1/alpha)``
+    of the uniforms ``u``, in ``out``: inf where ``u`` is 1 or the power
+    overflows, as it does for a large ``1 / alpha``."""
+    np.subtract(1.0, u, out=out)
+    out *= np.exp(gammaln(1.0 - alpha))
+    with np.errstate(divide="ignore", over="ignore"):
+        out **= -1.0 / alpha
+    return out
 
 
 def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
@@ -441,13 +449,9 @@ def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
     k = int(np.count_nonzero(big))
     if k:
         ub, ginv, fl, log_surv, tmp = (ws.take(f"sibuya.{i}", k) for i in range(5))
-        np.compress(big, u, out=ub)
-        np.subtract(1.0, ub, out=ginv)
-        ginv *= np.exp(gammaln(1.0 - alpha))
-        # ginv saturates at inf for a large 1 / alpha, and so does the
-        # variate, whose survival is then inf - inf
+        _sibuya_ginv(np.compress(big, u, out=ub), alpha, ginv)
+        # where ginv is inf, so is the variate, whose survival is then inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
-            ginv **= -1.0 / alpha
             np.floor(ginv, out=fl)
             # survival at floor(ginv): 1/(fl * B(fl, 1-alpha))
             np.log(fl, out=log_surv)
@@ -457,7 +461,8 @@ def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
             tmp -= alpha
             log_surv -= gammaln(tmp, out=tmp)
         np.negative(log_surv, out=log_surv)
-        np.log1p(np.negative(ub, out=tmp), out=tmp)
+        with np.errstate(divide="ignore"):      # -inf where u is 1
+            np.log1p(np.negative(ub, out=tmp), out=tmp)
         np.ceil(ginv, out=ginv)
         np.copyto(fl, ginv, where=np.less(tmp, log_surv, out=ws.take("sibuya.up", k, np.bool_)))
         out[big] = fl

@@ -7,17 +7,19 @@
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome, a value
 or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
-uses only the public API, and the sampled outputs, each replication's
+uses only the public API, the sampled outputs, each replication's
 selection count and estimate, of a sweep of ``run_study`` calls
-(``STUDY_SPECS``), multi-block studies that the one-block ``run_study``
-digest does not reach.  Run it once per tree, each in its own process, on
+(``STUDY_SPECS``), and the sha256 of each of a sweep of ``sample_copula``
+samples at the same specs: multi-block studies and samples that the
+one-block ``run_study`` and ``sample_copula`` digests do not reach.  Run it once per tree, each in its own process, on
 the same machine.  ``compare`` exits 1 when a digest moved between the two
 trees while its ``DIGESTS`` entry stayed the same, or when an entry changed
 while its digest did not move: a change that moves bits must declare the
 move, and a recapture must come with a move.  This holds on any CPU, although
 most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
 It also exits 1 when a sweep case that returns a value in the base tree raises
-in the head tree, and when a study's outputs moved while the ``run_study``
+in the head tree, when a study's outputs moved while the ``run_study``
+entry stayed the same, and when a sample moved while the ``sample_copula``
 entry stayed the same.  It prints how many sweep values moved, the ten largest
 relative moves with both values, and every case that went from an error to
 a value or back.
@@ -117,12 +119,32 @@ def study_sweep(archvar) -> dict:
     return out
 
 
-def compare_studies(base: dict, head: dict, declared: bool) -> tuple:
-    """Summary lines, and whether no study moved or the ``run_study`` entry
-    changed (``declared``)."""
+def sample_sweep(archvar) -> dict:
+    """``{case: sha256 of the rows or "error: <type>"}``: ``sample_copula`` at
+    each spec and dimension of the study sweep, ``STUDY_N`` rows from
+    ``Seed(8)``: 26 samples over several blocks, the last one partial."""
+    import hashlib
+
+    out = {}
+    with warnings.catch_warnings(record=True):
+        for family, theta in STUDY_SPECS:
+            for d in (2,) if family == "amh" else STUDY_DIMS:
+                spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
+                try:
+                    sample = archvar.sample_copula(spec, STUDY_N, archvar.Seed(8))
+                    value = hashlib.sha256(sample.data.tobytes()).hexdigest()
+                except Exception as exc:
+                    value = f"error: {type(exc).__name__}"
+                out[f"{family} theta={theta!r} d={d}"] = value
+    return out
+
+
+def compare_outputs(kind: str, entry: str, base: dict, head: dict, declared: bool) -> tuple:
+    """Summary lines for the ``kind`` outputs, and whether none moved or the
+    ``entry`` digest's ``DIGESTS`` entry changed (``declared``)."""
     moved = sorted(case for case in set(base) | set(head) if base.get(case) != head.get(case))
     ok = declared or not moved
-    lines = [f"studies: {len(head)} cases, {len(moved)} moved, run_study entry "
+    lines = [f"{kind}: {len(head)} cases, {len(moved)} moved, {entry} entry "
              f"{'changed' if declared else 'unchanged'}: {'ok' if ok else 'FAIL'}"]
     lines += [f"  moved: {case}" for case in moved[:10]]
     return lines, ok
@@ -190,7 +212,8 @@ def compute(tree: str) -> dict:
         else:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
-    return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar)}
+    return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar),
+            "samples": sample_sweep(archvar)}
 
 
 def compare(base: dict, head: dict) -> tuple:
@@ -207,11 +230,14 @@ def compare(base: dict, head: dict) -> tuple:
         ok &= moved == declared
         lines.append(f"{name}: {'moved' if moved else 'held'}, entry "
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
-    sweep_lines, sweep_ok = compare_sweep(base["sweep"], head["sweep"])
-    study_lines, study_ok = compare_studies(
-        base["studies"], head["studies"],
-        old["run_study"]["declared"] != new["run_study"]["declared"])
-    return lines + sweep_lines + study_lines, ok and sweep_ok and study_ok
+    lines_ok = [compare_sweep(base["sweep"], head["sweep"])]
+    for kind, entry in (("studies", "run_study"), ("samples", "sample_copula")):
+        lines_ok.append(compare_outputs(kind, entry, base[kind], head[kind],
+                                        old[entry]["declared"] != new[entry]["declared"]))
+    for more, more_ok in lines_ok:
+        lines += more
+        ok &= more_ok
+    return lines, ok
 
 
 def main(argv: list) -> int:

@@ -1,5 +1,5 @@
-"""``tests/digest_diff.py``'s comparison of two trees' domain sweeps."""
-from digest_diff import compare, compare_studies, compare_sweep, study_sweep
+"""``tests/digest_diff.py``'s comparison of two trees' sweeps."""
+from digest_diff import compare, compare_outputs, compare_sweep, sample_sweep, study_sweep
 
 ERROR = "error: QuadratureError"
 
@@ -31,30 +31,36 @@ def test_compare_sweep_passes_without_a_lost_value():
 STUDY = {"counts": [3, 4], "estimates": [[0.1, 0.2], [0.3, 0.4]]}
 
 
-def digests(run_study_entry):
-    return {"run_study": {"computed": "c", "declared": run_study_entry}}
+def digests(run_study_entry, sample_copula_entry="s"):
+    return {"run_study": {"computed": "c", "declared": run_study_entry},
+            "sample_copula": {"computed": "c", "declared": sample_copula_entry}}
+
+
+def trees(studies, samples):
+    """A compute output with no digest or sweep case, and the given outputs."""
+    return {"digests": digests("x"), "sweep": {}, "studies": studies, "samples": samples}
 
 
 def test_compare_studies_fails_on_an_undeclared_move():
     base = {"a": STUDY, "b": STUDY, "c": "error: StudyError"}
     head = {"a": STUDY, "b": {**STUDY, "counts": [3, 5]}, "c": STUDY}
-    lines, ok = compare_studies(base, head, declared=False)
+    lines, ok = compare_outputs("studies", "run_study", base, head, declared=False)
     assert not ok
     assert lines == ["studies: 3 cases, 2 moved, run_study entry unchanged: FAIL",
                      "  moved: b", "  moved: c"]
-    lines, ok = compare_studies(base, head, declared=True)
+    lines, ok = compare_outputs("studies", "run_study", base, head, declared=True)
     assert ok and lines[0] == "studies: 3 cases, 2 moved, run_study entry changed: ok"
 
 
 def test_compare_studies_passes_when_nothing_moved():
-    lines, ok = compare_studies({"a": STUDY}, {"a": dict(STUDY)}, declared=False)
+    lines, ok = compare_outputs("studies", "run_study", {"a": STUDY}, {"a": dict(STUDY)},
+                                declared=False)
     assert ok and lines == ["studies: 1 cases, 0 moved, run_study entry unchanged: ok"]
 
 
 def test_compare_reads_the_run_study_entry():
     # a moved study fails compare unless the run_study entry changed with it
-    base = {"digests": digests("x"), "sweep": {}, "studies": {"a": STUDY}}
-    head = {"digests": digests("x"), "sweep": {}, "studies": {"a": "error: StudyError"}}
+    base, head = trees({"a": STUDY}, {}), trees({"a": "error: StudyError"}, {})
     lines, ok = compare(base, head)
     assert not ok and "studies: 1 cases, 1 moved, run_study entry unchanged: FAIL" in lines
     _, ok = compare(base, {**head, "digests": digests("y")})
@@ -87,3 +93,39 @@ def test_study_sweep_cases():
     assert "amh theta=-0.7 d=2 alpha=0.05 h=0.0001" in out
     # the open window, whose every row is a candidate
     assert "clayton theta=2.0 d=3 alpha=0.8 h=0.25" in out
+
+
+def test_compare_reads_the_sample_copula_entry():
+    # a moved sample fails compare unless the sample_copula entry changed with it
+    base, head = trees({}, {"a": "0" * 64}), trees({}, {"a": "1" * 64})
+    lines, ok = compare(base, head)
+    assert not ok and "samples: 1 cases, 1 moved, sample_copula entry unchanged: FAIL" in lines
+    assert "  moved: a" in lines
+    head["digests"] = digests("x", "t")
+    head["digests"]["sample_copula"]["computed"] = "d"
+    lines, ok = compare(base, head)
+    assert ok and "samples: 1 cases, 1 moved, sample_copula entry changed: ok" in lines
+    _, ok = compare(base, trees({}, {"a": "0" * 64}))
+    assert ok
+
+
+def test_sample_sweep_cases():
+    # every dimension of STUDY_SPECS, AMH at d = 2 only, at STUDY_N rows
+    import archvar
+
+    calls = []
+
+    def fake_sample_copula(spec, n, seed):
+        calls.append((spec, n, seed))
+        raise archvar.DomainError("no sampler")
+
+    class Fake:
+        def __getattr__(self, name):
+            return fake_sample_copula if name == "sample_copula" else getattr(archvar, name)
+
+    out = sample_sweep(Fake())
+    assert len(out) == len(calls) == 26
+    assert set(out.values()) == {"error: DomainError"}
+    assert {(n, seed) for _, n, seed in calls} == {(2 * 2 ** 15 + 1234, archvar.Seed(8))}
+    assert "joe theta=60.0 d=10" in out and "amh theta=-0.7 d=2" in out
+    assert "amh theta=0.3 d=3" not in out

@@ -25,7 +25,7 @@ from archvar import (
     sample_copula,
     stats_table_rows,
 )
-from archvar import mc, sampling
+from archvar import mc, rng, sampling
 from archvar.rng import Workspace
 
 U3 = tuple([UniformMargin()] * 3)
@@ -201,8 +201,8 @@ class TestRunStudy:
         # quadrature stops by roundoff, and no replication is drawn first
         def no_blocks(*args):
             raise AssertionError("a replication ran before the quadrature")
-        monkeypatch.setattr(mc, "_blocks", no_blocks)
-        monkeypatch.setattr(mc, "_frailty_blocks", no_blocks)
+        monkeypatch.setattr(sampling, "_blocks", no_blocks)
+        monkeypatch.setattr(sampling, "_frailty_blocks", no_blocks)
         lognormal = FunctionMargin(lambda u: np.exp(0.5 * special.ndtri(u)))
         cfg = McConfig(spec=CopulaSpec(FamilyId.CLAYTON, 2.0, 10), margins=[lognormal] * 10,
                        n=200_000, replications=6, h=1e-7, alpha=1.0 - 1e-6, seed=Seed(0))
@@ -288,10 +288,31 @@ class TestRadialSelection:
         r = cols[0] + cols[1]
         for col in cols[2:]:
             r += col
-        bounds = mc._latent_bounds(spec)
+        bounds = sampling._latent_bounds(spec)
         for j in range(64):
-            kept = list(mc._screened(spec, base, n, Workspace(n), bounds, r[j], r[j]))
+            kept = list(sampling._screened(spec, base, n, Workspace(n), bounds, r[j], r[j]))
             assert sum(block[0].size for block in kept) == np.count_nonzero(r == r[j])
+
+    def test_window_of_every_row_keeps_the_clipped_sample(self, monkeypatch):
+        # row 5's first exponential comes from the uniform 1.0, which the
+        # generator gives once in 2^53: its E is 0, and its U = phi_inverse(0)
+        # is 1, which the clip takes below 1 as sample_copula's does
+        base = Seed(8).base_key()
+        key = rng.substream_keys(base, rng.LABEL_EXPONENTIAL, np.array([5], dtype=np.uint64))[0]
+        words = rng._words
+
+        def one_word(keys, counter, out=None, tmp=None):
+            out = words(keys, counter, out, tmp)
+            if counter == 0:
+                out[keys == key] = np.uint64((2 ** 53 - 1) << 11)
+            return out
+
+        monkeypatch.setattr(rng, "_words", one_word)
+        n = 1000
+        got = sampling._level_set(CLAYTON3, 0.5, 0.6)(base, n, Workspace(n))
+        want = sample_copula(CLAYTON3, n, Seed(8)).data
+        assert got[5, 0] == np.nextafter(1.0, 0.0)
+        assert got.tobytes() == want.tobytes()
 
     def test_margins_map_the_same_rows(self):
         from scipy import special
@@ -316,8 +337,8 @@ class TestRadialSelection:
             mapped.append(np.size(s))
             return phi_inverse(spec, s)
 
-        monkeypatch.setattr(mc, "copula_cdf", no_cdf)
-        monkeypatch.setattr(mc, "phi_inverse", counting_phi_inverse)
+        monkeypatch.setattr(sampling, "copula_cdf", no_cdf)
+        monkeypatch.setattr(sampling, "phi_inverse", counting_phi_inverse)
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=self.N, replications=2,
                        h=1e-3, alpha=0.05, seed=Seed(8))
         stats = run_study(cfg)
@@ -332,7 +353,8 @@ class TestRadialSelection:
         gumbel = McConfig(spec=CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 5),
                           margins=[UniformMargin()] * 5, n=self.N - 5000, replications=2,
                           h=1e-2, alpha=0.5, seed=Seed(8))
-        first, _, again = ([mc._one_replication(cfg, r, ws, mc._latent_bounds(cfg.spec))
+        first, _, again = ([mc._one_replication(cfg, r, ws,
+                                                sampling._level_set(cfg.spec, cfg.alpha, cfg.h))
                             for r in range(2)]
                            for cfg in (clayton, gumbel, clayton))
         assert [count for _, count in again] == [count for _, count in first]
@@ -360,13 +382,22 @@ class TestRadialSelection:
                                   CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 10)],
                          ids=lambda s: f"{s.family.value}-d{s.d}")
 def test_batches_resolved_early_keep_the_bits(spec, monkeypatch):
-    # a batch cut at 700 candidates resolves early, after one block or two
-    # (each block holds 9 to 721 candidates here), and keeps every bit
+    # blocks of 256 rows, and batches cut at 256 candidates: a batch gathers
+    # about 50 blocks (629 to 1,414 candidates a replication here) and
+    # resolves before the last block, and every bit is kept
     cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d,
                    n=TestRadialSelection.N, replications=2, h=1e-2, alpha=0.5, seed=Seed(8))
     want = run_study(cfg)
-    monkeypatch.setattr(mc, "_BLOCK_ROWS", 700)
+    resolve, resolved = sampling._resolve, []
+
+    def counting_resolve(*args):
+        resolved.append(1)
+        return resolve(*args)
+
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(sampling, "_resolve", counting_resolve)
     got = run_study(cfg)
+    assert len(resolved) > cfg.replications
     assert got.counts.tolist() == want.counts.tolist()
     assert got.estimates.tobytes() == want.estimates.tobytes()
 
@@ -375,13 +406,13 @@ def test_joe_screen_draws_few_latents(monkeypatch):
     # Joe's two inversion points leave the exact V to draw for under 0.1 % of
     # a Table-1 study's rows (0.071 % at n = 1e6; an interval of them left
     # 5.5 %)
-    drawn = []
+    latent, drawn = sampling._latent, []
 
     def counting_latent(spec, keys, out, ws):
         drawn.append(keys.shape[0])
-        return sampling._latent(spec, keys, out, ws)
+        return latent(spec, keys, out, ws)
 
-    monkeypatch.setattr(mc, "_latent", counting_latent)
+    monkeypatch.setattr(sampling, "_latent", counting_latent)
     cfg = McConfig(spec=CopulaSpec(FamilyId.JOE, 2.4, 3), margins=U3, n=200_000,
                    replications=1, h=1e-4, alpha=0.05, seed=Seed(8))
     run_study(cfg)

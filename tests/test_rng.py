@@ -69,6 +69,33 @@ class TestCore:
         assert got.tolist() == [((w >> 11) + 0.5) * 2 ** -53 for w in words]
         assert got[-1] == 1.0 and got[-3] < 1.0
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 / 60.0])
+    def test_uniform_of_one_draws_no_warning(self, monkeypatch, alpha):
+        # the first key's word at one counter shifts to 2^53 - 1, whose
+        # uniform is 1.0; only that counter, or gammas would reject forever
+        words = rng._words
+
+        def one_word_at(counter):
+            def patched(keys, c, out=None, tmp=None):
+                out = words(keys, c, out, tmp)
+                if c == counter:
+                    out[0] = np.uint64((2 ** 53 - 1) << 11)
+                return out
+            monkeypatch.setattr(rng, "_words", patched)
+
+        keys = keys_for(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one_word_at(0)
+            assert rng.uniforms(keys, 0)[0] == 1.0
+            e = rng.exponentials(keys, 0)
+            assert e[0] == 0.0 and not np.signbit(e[0])
+            sib = rng.sibuyas(keys, alpha)
+            one_word_at(1)                  # positive_stables' E
+            stable = rng.positive_stables(keys, alpha)
+        for v in (sib, stable):
+            assert v[0] == np.inf and np.isfinite(v[1:]).all()
+
     def test_streams_differ(self):
         u0 = rng.uniforms(keys_for(1000, Seed(1, 0)), 0)
         u1 = rng.uniforms(keys_for(1000, Seed(1, 1)), 0)

@@ -7,12 +7,12 @@
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome, a value
 or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
-uses only the public API, the sampled outputs, each replication's
-selection count and estimate, of a sweep of ``run_study`` calls
-(``STUDY_SPECS``), and the sha256 of each of a sweep of ``sample_copula``
-samples at the same specs: multi-block studies and samples that the
-one-block ``run_study`` and ``sample_copula`` digests do not reach.  Run it once per tree, each in its own process, on
-the same machine.  ``compare`` exits 1 when a digest moved between the two
+uses only the public API, the sampled outputs, each replication's selection
+count and estimate, of a sweep of ``run_study`` calls (``STUDY_SPECS``), and
+the sha256 of each sample of a sweep of ``sample_copula`` calls at the same
+specs: multi-block studies and samples that the one-block ``run_study`` and
+``sample_copula`` digests do not reach.  Run it once per tree, each in its
+own process, on the same machine.  ``compare`` exits 1 when a digest moved between the two
 trees while its ``DIGESTS`` entry stayed the same, or when an entry changed
 while its digest did not move: a change that moves bits must declare the
 move, and a recapture must come with a move.  This holds on any CPU, although

@@ -6,11 +6,14 @@ pseudo-observations through the marginal quantile functions and averages
 them componentwise.  A study repeats this over independent seed streams and
 aggregates mean / SD / bias / RMSE against the quadrature value.
 
-A replication's kept rows come from ``sampling._level_set``, built once per
-study: bit for bit the rows of ``sample_copula``'s sample that
-:func:`estimate_var_once` keeps, drawn in blocks through one workspace per
-study worker, so memory is a few blocks whatever ``n`` is.
-:func:`estimate_var_once` is the independent u-space check of that selection.
+Each replication's kept rows come from ``sampling._level_set``, built once
+per study: bit for bit the rows of ``sample_copula``'s sample that
+:func:`estimate_var_once` keeps.  Each study worker draws its chunk of
+replications in one batched pass through one workspace, which resolves the
+candidate rows once per block's worth, across replication ends, and hands
+on one replication's rows at a time, so memory is a few blocks and one
+replication's rows whatever ``n`` is.  :func:`estimate_var_once` is the
+independent u-space check of that selection.
 """
 from __future__ import annotations
 
@@ -120,20 +123,15 @@ def _margin_means(rows: np.ndarray, margins) -> np.ndarray:
     return np.array([float(np.mean(margin(rows[:, i]))) for i, margin in enumerate(margins)])
 
 
-def _one_replication(cfg: McConfig, r: int, ws: Workspace, rows):
-    """Replication ``r``'s estimate and count, or ``None`` when no row is
-    selected: ``estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r),
-    ...)`` bit for bit, from the study's ``rows`` drawn through ``ws``."""
-    data = rows(cfg.seed.with_stream(cfg.seed.stream_id + r).base_key(), cfg.n, ws)
-    if data.shape[0] == 0:
-        return None
-    return _margin_means(data, cfg.margins), data.shape[0]
-
-
-def _replications(cfg: McConfig, reps: range, rows) -> list:
-    """The outcomes of replications ``reps``, drawn through one workspace."""
+def _replications(cfg: McConfig, reps: range, draw) -> list:
+    """The outcomes of replications ``reps``, each its estimate and count or
+    ``None`` when no row is selected, drawn in one pass through one workspace:
+    ``estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r), ...)`` bit for
+    bit, from the study's ``draw``."""
     ws = Workspace(min(cfg.n, _BLOCK_ROWS))
-    return [_one_replication(cfg, r, ws, rows) for r in reps]
+    bases = [cfg.seed.with_stream(cfg.seed.stream_id + r).base_key() for r in reps]
+    return [(_margin_means(rows, cfg.margins), rows.shape[0]) if rows.shape[0] else None
+            for rows in draw(bases, cfg.n, ws)]
 
 
 def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
@@ -149,16 +147,16 @@ def run_study(cfg: McConfig, jobs: int = 1) -> McStats:
     be an integer >= 1.
     """
     jobs = _check_count(jobs, "jobs")
-    rows = _level_set(cfg.spec, cfg.alpha, cfg.h)
+    draw = _level_set(cfg.spec, cfg.alpha, cfg.h)
     theo = var_for_spec(cfg.spec, cfg.margins, cfg.alpha, cfg.quad).components
     m = cfg.replications
     workers = min(jobs, m)
     chunks = [range(m * j // workers, m * (j + 1) // workers) for j in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda reps: _replications(cfg, reps, rows), chunks))
+            parts = list(pool.map(lambda reps: _replications(cfg, reps, draw), chunks))
     else:
-        parts = [_replications(cfg, chunks[0], rows)]
+        parts = [_replications(cfg, chunks[0], draw)]
     outcomes = [out for part in parts for out in part]
     kept = [out for out in outcomes if out is not None]
     failed = m - len(kept)

@@ -6,7 +6,9 @@ latent variable ``V`` whose Laplace transform equals the generator inverse.
 Every draw is keyed by (seed, row, purpose, counter) through
 :mod:`archvar.rng`, so a sample is a pure function of its seed.  It is drawn
 in row blocks through one workspace of block-sized buffers, and so is a
-Monte Carlo study's level set (:func:`_level_set`).
+Monte Carlo study's level set (:func:`_level_set`): a study worker draws its
+chunk of replications in one batched pass, with one resolve of the screened
+candidates per block's worth, whichever replications they come from.
 """
 from __future__ import annotations
 
@@ -139,36 +141,26 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
 
 
 def _level_set(spec: CopulaSpec, alpha: float, h: float):
-    """A study's ``rows(base, n, ws)``, built once from ``(spec, alpha, h)``:
-    the clipped ``(count, d)`` rows ``U`` with ``|C(U) - alpha| <= h`` of the
-    ``n``-row sample keyed by ``base``, in row order, drawn through ``ws``;
+    """A study's ``draw(bases, n, ws)``, built once from ``(spec, alpha, h)``:
+    for each key of ``bases`` in turn, the clipped rows ``U`` with ``|C(U) -
+    alpha| <= h`` of the ``n``-row sample keyed by it, in row order, as a
+    fresh C-contiguous ``(count, d)`` array, drawn through ``ws``:
     :func:`sample_copula`'s rows bit for bit.  A frailty family keeps
-    :func:`_screened`'s rows, on a window of ``R`` computed here, and maps
-    only those to ``U``; the others select each block on the copula CDF.
+    :func:`_screened`'s rows, on a window of ``R`` computed here; the others
+    select each block on the copula CDF.
     """
-    radial = _has_frailty(spec)
-    if radial:
-        bounds = _latent_bounds(spec)
-        # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
-        # bounds nothing
-        r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
-        r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
-
-    def rows(base: int, n: int, ws: rng.Workspace) -> np.ndarray:
-        if radial:
-            kept = list(_screened(spec, base, n, ws, bounds, r_lo, r_hi))
-        else:
-            kept = [[c[sel] for c in cols] for _, cols in _blocks(spec, base, n, ws)
-                    for sel in [np.abs(copula_cdf(spec, cols.T) - alpha) <= h]]
-        data = np.empty((sum(block[0].size for block in kept), spec.d))
-        for i in range(spec.d):
-            # a contiguous column, as sample_copula passes: numpy's vector
-            # loops for exp and log may round a strided one differently
-            col = np.concatenate([block[i] for block in kept])
-            data[:, i] = phi_inverse(spec, col) if radial else col
-        return np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
-
-    return rows
+    if not _has_frailty(spec):
+        def draw(bases, n, ws):
+            for base in bases:
+                yield np.concatenate([u[np.abs(copula_cdf(spec, u) - alpha) <= h]
+                                      for _, cols in _blocks(spec, base, n, ws) for u in [cols.T]])
+        return draw
+    bounds = _latent_bounds(spec)
+    # C(U) = phi_inverse(R) is decreasing in R; a window end past 0 or 1
+    # bounds nothing
+    r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
+    r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
+    return lambda bases, n, ws: _screened(spec, bases, n, ws, bounds, r_lo, r_hi)
 
 
 def _latent_bounds(spec: CopulaSpec):
@@ -179,25 +171,21 @@ def _latent_bounds(spec: CopulaSpec):
         lambda keys, ws: ((_latent(spec, keys, ws.take("v", keys.shape[0]), ws),) * 2,))
 
 
-def _screened(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace, bounds, r_lo, r_hi):
-    """The ``d`` columns ``E_i / V`` of the rows with ``R = sum_i E_i / V`` in
-    ``[r_lo, r_hi]``, in row order and in batches of at most a block, drawing
-    the exact ``V`` of candidate rows only.
+def _screened(spec: CopulaSpec, bases, n: int, ws: rng.Workspace, bounds, r_lo, r_hi):
+    """For each key of ``bases`` in turn, the clipped ``(count, d)`` rows ``U``
+    with ``R = sum_i E_i / V`` in ``[r_lo, r_hi]`` of the ``n``-row sample it
+    keys, in row order, drawing the exact ``V`` of :func:`_candidates` only.
 
-    A block sums its rows' ``log u_i`` in column order into ``-S``, ``S =
-    sum_i E_i``, bit for bit (rounding commutes with negation), in two
-    columns, not ``d``.  ``bounds`` gives pairs ``(lo, hi)``, one of which
-    holds each row's ``V``: Gumbel's one interval, Joe's two inversion
-    points, or the exact ``V`` as the lone pair ``(V, V)``.  A row is a
-    candidate if for one of its pairs neither ``S / hi`` nor ``S / lo`` is
-    past the window widened by a slack, or the pair has an end at 0, inf or
-    NaN; every row of an open window is one.  Blocks keep their candidates'
-    exponential keys and exact ``V`` or frailty keys, in row order, and
-    :func:`_resolve` takes them in one batch once a block's worth has
-    gathered, or at the end: the counter-based stream draws their ``E_i``
-    again from their keys, and their exact ``V`` in one call.  A candidate's
-    ``E_i``, ``V`` and ``R`` are computed as for every row, so the kept rows
-    and their bits do not change.
+    Blocks keep their candidates' exponential keys and exact ``V`` or frailty
+    keys, in row order and across replications, each tagged with its
+    replication, and :func:`_resolve` takes them in one batch once a block's
+    worth has gathered, or at the end: the counter-based stream draws their
+    ``E_i`` again from their keys, and their exact ``V`` in one call.  A
+    candidate's ``E_i``, ``V`` and ``R`` are computed as for every row, and
+    every step is elementwise, so where a batch is cut moves no bit.  A
+    replication's rows are handed on once its last candidate has resolved;
+    until then they are held, so memory is a few blocks and one
+    replication's rows.
     """
     # |S / V - R| <= d eps R to first order (each rounds d - 1 sums and, in
     # weight, one quotient); the slack covers the cuts' rounding too.  At d eps
@@ -205,55 +193,93 @@ def _screened(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace, bounds, r_
     # rows reached 1.88 eps at d = 2 and 2.42 eps at d = 3
     slack = 4.0 * (spec.d + 1) * np.finfo(float).eps
     # the cuts on -S / V: -S / hi >= hi_cut is S / hi <= -hi_cut, exactly
-    lo_cut, hi_cut = -r_lo * (1.0 - slack), -r_hi * (1.0 + slack)
+    cuts = -r_lo * (1.0 - slack), -r_hi * (1.0 + slack)
     if r_lo == 0.0 or r_hi == np.inf:
-        lo_cut, hi_cut = np.inf, -np.inf
-    batch, gathered = [], 0
-    for _, ekeys, vkeys in _frailty_blocks(base, n, ws):
-        m = vkeys.shape[0]
-        pairs = bounds(vkeys, ws)
-        # the log u_i added in order, as R adds the E_i
-        neg_s, log_u = ws.take("total", m), ws.take("log_u", m)
-        np.log(rng.uniforms(ekeys, 0, neg_s, ws), out=neg_s)
-        for i in range(1, spec.d):
-            neg_s += np.log(rng.uniforms(ekeys, i, log_u, ws), out=log_u)
-        # a lone pair (V, V) is the exact V, whose quotient may overwrite -S
-        exact = len(pairs) == 1 and pairs[0][0] is pairs[0][1]
-        q = neg_s if exact else ws.take("q", m)
-        cand, hit, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hit", "sel.end"))
-        cand.fill(False)
-        for lo, hi in pairs:
-            bounded = np.greater(lo, 0.0, out=hit)
-            bounded &= np.less(hi, np.inf, out=tmp)
-            cand |= np.logical_not(bounded, out=hit)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.greater_equal(np.divide(neg_s, hi, out=q), hi_cut, out=hit)
-                if lo is not hi:
-                    np.divide(neg_s, lo, out=q)
-            hit &= np.less_equal(q, lo_cut, out=tmp)
-            cand |= hit
-        rows = [ekeys[cand], (pairs[0][0] if exact else vkeys)[cand]]
-        if batch and gathered + rows[0].shape[0] > _BLOCK_ROWS:
-            yield _resolve(spec, batch, exact, r_lo, r_hi, ws)
-            batch, gathered = [], 0
-        batch.append(rows)
-        gathered += rows[0].shape[0]
+        cuts = np.inf, -np.inf
+    batch, gathered, held, done = [], 0, {}, 0
+    for rep, base in enumerate(bases):
+        for _, ekeys, vkeys in _frailty_blocks(base, n, ws):
+            ekeys, last, exact = _candidates(spec, ekeys, vkeys, ws, bounds, *cuts)
+            k = ekeys.shape[0]
+            if batch and gathered + k > _BLOCK_ROWS:
+                _resolve(spec, batch, exact, r_lo, r_hi, ws, held)
+                batch, gathered = [], 0
+            if not batch:
+                # every candidate of the replications before this one has resolved
+                for done in range(done, rep):
+                    yield np.concatenate(held.pop(done, [np.empty((0, spec.d))]))
+                done = rep
+            if k:
+                batch.append((ekeys, last, np.full(k, rep)))
+                gathered += k
     if batch:
-        yield _resolve(spec, batch, exact, r_lo, r_hi, ws)
+        _resolve(spec, batch, exact, r_lo, r_hi, ws, held)
+    for done in range(done, len(bases)):
+        yield np.concatenate(held.pop(done, [np.empty((0, spec.d))]))
 
 
-def _resolve(spec: CopulaSpec, batch: list, exact: bool, r_lo, r_hi, ws: rng.Workspace) -> list:
-    """The ``E_i / V`` columns of the rows of ``batch`` with ``R`` in
-    ``[r_lo, r_hi]``; each entry of ``batch`` holds a block's candidate
-    exponential keys and their exact ``V``, or, unless ``exact``, their
-    frailty keys.  The ``E_i`` are drawn again from their keys."""
-    ekeys, last = (np.concatenate(parts) for parts in zip(*batch))
+def _candidates(spec: CopulaSpec, ekeys, vkeys, ws: rng.Workspace, bounds, lo_cut, hi_cut):
+    """A block's candidate rows as ``(ekeys, last, exact)``, in row order:
+    their exponential keys, and their exact ``V`` if ``exact``, else their
+    frailty keys.
+
+    A block sums its rows' ``log u_i`` in column order into ``-S``, ``S =
+    sum_i E_i``, bit for bit (rounding commutes with negation), in two
+    columns, not ``d``.  ``bounds`` gives pairs ``(lo, hi)``, one of which
+    holds each row's ``V``: Gumbel's one interval, Joe's two inversion
+    points, or the exact ``V`` as the lone pair ``(V, V)``.  A row is a
+    candidate if for one of its pairs neither ``S / hi`` nor ``S / lo`` is
+    past the window widened by a slack (the cuts on ``-S / V``), or the pair
+    has an end at 0, inf or NaN; every row of an open window is one.
+    """
+    m = vkeys.shape[0]
+    pairs = bounds(vkeys, ws)
+    # the log u_i added in order, as R adds the E_i
+    neg_s, log_u = ws.take("total", m), ws.take("log_u", m)
+    np.log(rng.uniforms(ekeys, 0, neg_s, ws), out=neg_s)
+    for i in range(1, spec.d):
+        neg_s += np.log(rng.uniforms(ekeys, i, log_u, ws), out=log_u)
+    # a lone pair (V, V) is the exact V, whose quotient may overwrite -S
+    exact = len(pairs) == 1 and pairs[0][0] is pairs[0][1]
+    q = neg_s if exact else ws.take("q", m)
+    cand, hit, tmp = (ws.take(name, m, np.bool_) for name in ("sel", "sel.hit", "sel.end"))
+    cand.fill(False)
+    for lo, hi in pairs:
+        bounded = np.greater(lo, 0.0, out=hit)
+        bounded &= np.less(hi, np.inf, out=tmp)
+        cand |= np.logical_not(bounded, out=hit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.greater_equal(np.divide(neg_s, hi, out=q), hi_cut, out=hit)
+            if lo is not hi:
+                np.divide(neg_s, lo, out=q)
+        hit &= np.less_equal(q, lo_cut, out=tmp)
+        cand |= hit
+    return ekeys[cand], (pairs[0][0] if exact else vkeys)[cand], exact
+
+
+def _resolve(spec: CopulaSpec, batch: list, exact: bool, r_lo, r_hi, ws: rng.Workspace,
+             held: dict) -> None:
+    """Append to ``held[r]`` replication ``r``'s clipped rows ``U`` among the
+    candidates of ``batch`` with ``R`` in ``[r_lo, r_hi]``, in row order; an
+    entry of ``batch`` holds a block's candidate exponential keys, their
+    exact ``V`` or, unless ``exact``, their frailty keys, and their
+    replications.  The ``E_i`` are drawn again from their keys."""
+    ekeys, last, reps = (np.concatenate(parts) for parts in zip(*batch))
     quotients = _quotients(spec.d, ekeys, last if exact else _latent(spec, last, None, ws), ws)
     total = quotients[0] + quotients[1]
     for x in quotients[2:]:
         total += x
     sel = (total >= r_lo) & (total <= r_hi)
-    return [x[sel] for x in quotients]
+    u = np.empty((np.count_nonzero(sel), spec.d))
+    for i, x in enumerate(quotients):
+        # a contiguous column, as sample_copula passes: numpy's vector
+        # loops for exp and log may round a strided one differently
+        u[:, i] = phi_inverse(spec, x[sel])
+    np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
+    reps = reps[sel]
+    starts = np.flatnonzero(np.diff(reps, prepend=-1))   # each replication's first row
+    for rep, rows in zip(reps[starts].tolist(), np.split(u, starts[1:])):
+        held.setdefault(rep, []).append(rows)
 
 
 def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
@@ -267,9 +293,13 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
         if data is None:
             # after the workspace's buffers: freed, they leave a hole below
             # the sample that the allocator keeps, not a free heap top that
-            # it trims, so a Kendall tau of the sample next reuses pages
-            # already faulted in (at 1e5 rows, 0 minor faults a tau call,
-            # against about 500 with the sample allocated first)
+            # it trims.  That does not make a Kendall tau of the sample next
+            # fault-free, as glibc's trims and what ran before decide: at 1e5
+            # rows, repeating each sample_tau bench op, a tau call took
+            # 435-519 minor faults for the frailty families and 87 for AMH
+            # (61-945 with the sample allocated first).  One workspace for
+            # the sample and the tau would retire this order (ROADMAP
+            # direction 17)
             try:
                 data = np.empty((n, spec.d))
             except (MemoryError, ValueError):   # ValueError: past the largest array

@@ -8,7 +8,8 @@ and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome, a value
 or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
 uses only the public API, the sampled outputs, each replication's selection
-count and estimate, of a sweep of ``run_study`` calls (``STUDY_SPECS``), and
+count and estimate, of a sweep of ``run_study`` calls (``STUDY_SPECS``) and of
+a sweep of many-replication studies at the same specs (``REPLICATION_M``), and
 the sha256 of each sample of a sweep of ``sample_copula`` calls at the same
 specs: multi-block studies and samples that the one-block ``run_study`` and
 ``sample_copula`` digests do not reach.  Run it once per tree, each in its
@@ -18,9 +19,9 @@ while its digest did not move: a change that moves bits must declare the
 move, and a recapture must come with a move.  This holds on any CPU, although
 most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
 It also exits 1 when a sweep case that returns a value in the base tree raises
-in the head tree, when a study's outputs moved while the ``run_study``
-entry stayed the same, and when a sample moved while the ``sample_copula``
-entry stayed the same.  It prints how many sweep values moved, the ten largest
+in the head tree, when a study's outputs, in either study sweep, moved while
+the ``run_study`` entry stayed the same, and when a sample moved while the
+``sample_copula`` entry stayed the same.  It prints how many sweep values moved, the ten largest
 relative moves with both values, and every case that went from an error to
 a value or back.
 """
@@ -96,18 +97,24 @@ STUDY_SPECS = (("clayton", 2.0), ("frank", 5.74), ("gumbel", 2.0), ("joe", 2.4),
 STUDY_DIMS = (2, 3, 10)
 STUDY_WINDOWS = ((0.05, 1e-4), (0.5, 1e-2), (0.8, 0.25))
 STUDY_N, STUDY_M = 2 * 2 ** 15 + 1234, 2
+# The many-replication sweep: STUDY_SPECS at d = 3 (AMH: d = 2) in each of
+# STUDY_WINDOWS, 12 replications of one full block and a partial one: 30
+# studies, whose candidates gather across replications before they resolve.
+REPLICATION_N, REPLICATION_M, REPLICATION_DIMS = 40_000, 12, (3,)
 
 
-def study_sweep(archvar) -> dict:
-    """``{case: {"counts", "estimates"} or "error: <type>"}`` over the study sweep."""
+def study_sweep(archvar, n=STUDY_N, replications=STUDY_M, dims=STUDY_DIMS) -> dict:
+    """``{case: {"counts", "estimates"} or "error: <type>"}`` over the study
+    sweep, or over the many-replication sweep at its ``n``, ``replications``
+    and ``dims``."""
     out = {}
     with warnings.catch_warnings(record=True):
         for family, theta in STUDY_SPECS:
-            for d in (2,) if family == "amh" else STUDY_DIMS:
+            for d in (2,) if family == "amh" else dims:
                 spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
                 for alpha, h in STUDY_WINDOWS:
                     cfg = archvar.McConfig(spec=spec, margins=[archvar.UniformMargin()] * d,
-                                           n=STUDY_N, replications=STUDY_M, h=h, alpha=alpha,
+                                           n=n, replications=replications, h=h, alpha=alpha,
                                            seed=archvar.Seed(8))
                     try:
                         stats = archvar.run_study(cfg)
@@ -213,6 +220,8 @@ def compute(tree: str) -> dict:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
     return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar),
+            "replications": study_sweep(archvar, REPLICATION_N, REPLICATION_M,
+                                        REPLICATION_DIMS),
             "samples": sample_sweep(archvar)}
 
 
@@ -231,7 +240,8 @@ def compare(base: dict, head: dict) -> tuple:
         lines.append(f"{name}: {'moved' if moved else 'held'}, entry "
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
     lines_ok = [compare_sweep(base["sweep"], head["sweep"])]
-    for kind, entry in (("studies", "run_study"), ("samples", "sample_copula")):
+    for kind, entry in (("studies", "run_study"), ("replications", "run_study"),
+                        ("samples", "sample_copula")):
         lines_ok.append(compare_outputs(kind, entry, base[kind], head[kind],
                                         old[entry]["declared"] != new[entry]["declared"]))
     for more, more_ok in lines_ok:

@@ -1,5 +1,6 @@
 """``tests/digest_diff.py``'s comparison of two trees' sweeps."""
-from digest_diff import compare, compare_outputs, compare_sweep, sample_sweep, study_sweep
+from digest_diff import (REPLICATION_DIMS, REPLICATION_M, REPLICATION_N, compare,
+                         compare_outputs, compare_sweep, sample_sweep, study_sweep)
 
 ERROR = "error: QuadratureError"
 
@@ -36,9 +37,10 @@ def digests(run_study_entry, sample_copula_entry="s"):
             "sample_copula": {"computed": "c", "declared": sample_copula_entry}}
 
 
-def trees(studies, samples):
+def trees(studies, samples, replications=None):
     """A compute output with no digest or sweep case, and the given outputs."""
-    return {"digests": digests("x"), "sweep": {}, "studies": studies, "samples": samples}
+    return {"digests": digests("x"), "sweep": {}, "studies": studies,
+            "replications": replications or {}, "samples": samples}
 
 
 def test_compare_studies_fails_on_an_undeclared_move():
@@ -93,6 +95,43 @@ def test_study_sweep_cases():
     assert "amh theta=-0.7 d=2 alpha=0.05 h=0.0001" in out
     # the open window, whose every row is a candidate
     assert "clayton theta=2.0 d=3 alpha=0.8 h=0.25" in out
+
+
+def test_compare_reads_the_run_study_entry_for_replications():
+    # a moved many-replication study fails compare as a moved study does
+    base = trees({}, {}, {"a": STUDY})
+    head = trees({}, {}, {"a": {**STUDY, "estimates": [[0.1, 0.2], [0.3, 0.5]]}})
+    lines, ok = compare(base, head)
+    assert not ok and "replications: 1 cases, 1 moved, run_study entry unchanged: FAIL" in lines
+    head["digests"]["run_study"]["computed"] = "d"
+    head["digests"]["run_study"]["declared"] = "y"
+    lines, ok = compare(base, head)
+    assert ok and "replications: 1 cases, 1 moved, run_study entry changed: ok" in lines
+
+
+def test_replication_sweep_cases():
+    # every window of STUDY_SPECS at d = 3, AMH at d = 2, 12 replications of
+    # one full block and a partial one
+    import archvar
+    from archvar.sampling import _BLOCK_ROWS
+
+    calls = []
+
+    def fake_run_study(cfg):
+        calls.append(cfg)
+        raise archvar.StudyError("empty")
+
+    class Fake:
+        def __getattr__(self, name):
+            return fake_run_study if name == "run_study" else getattr(archvar, name)
+
+    out = study_sweep(Fake(), REPLICATION_N, REPLICATION_M, REPLICATION_DIMS)
+    assert len(out) == len(calls) == 30
+    assert {(c.n, c.replications) for c in calls} == {(40_000, 12)}
+    assert _BLOCK_ROWS < REPLICATION_N < 2 * _BLOCK_ROWS
+    assert "joe theta=60.0 d=3 alpha=0.5 h=0.01" in out
+    assert "amh theta=-0.7 d=2 alpha=0.8 h=0.25" in out
+    assert "clayton theta=2.0 d=10 alpha=0.8 h=0.25" not in out
 
 
 def test_compare_reads_the_sample_copula_entry():

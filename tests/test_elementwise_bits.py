@@ -2,12 +2,14 @@
 the array's length and the element's offset in it.
 
 The block draw rests on this: a row gets the bits it would get inside a larger
-sample, and a kept row is mapped in a contiguous column of any length.  A
-study that cut several sample sizes from one draw, or a worker pool that split
-a block differently, would rest on it too.  The calls below are the ones the
-draw, the selection and the transforms make, the samplers' mask-free selects
-(``np.maximum`` with a scalar, multiply and add with a bool array), and the
-quadrature's ``** 1.5``.
+sample, and a kept row is mapped in a contiguous column of any length.  So
+does a study's candidate resolve, whose batches gather candidates across
+replications and are cut wherever a block's worth has gathered.  A study that
+cut several sample sizes from one draw, or a worker pool that split a block
+differently, would rest on it too.  The calls below are the ones the draw,
+the resolve, the selection and the transforms make, the samplers' mask-free
+selects (``np.maximum`` with a scalar, multiply and add with a bool array),
+and the quadrature's ``** 1.5``.
 
 The lockstep quadrature rests on it as well: the VaR weight is evaluated once
 on the nodes of every integral in a rule call.  Its sums rest on two more
@@ -18,6 +20,7 @@ the bits of the same row alone, which a gemv's rows do not.
 """
 import numpy as np
 import pytest
+from scipy import special
 
 from archvar import CopulaSpec, FamilyId, phi_inverse
 from archvar.quadrature import _GAUSS_IDX, _WG, _WK
@@ -56,6 +59,18 @@ def around_zero(rng, n):
     return x
 
 
+def spanning(log_range):
+    return lambda rng, n: np.exp(rng.uniform(-log_range, log_range, n))
+
+
+def wide_power(p):
+    def power(x):
+        # as the samplers, which find the rows that overflow after the power
+        with np.errstate(over="ignore"):
+            return x ** p
+    return power
+
+
 def generator_values(rng, n):
     # phi_inverse's arguments: sums of a few generator values, 0 included
     s = np.exp(rng.uniform(-40.0, 6.0, n))
@@ -86,8 +101,20 @@ CASES["int64_cast_half"] = (lambda w: np.add(w.astype(np.float64), 0.5),
                             lambda rng, n: rng.integers(0, 2 ** 53, n))
 # the quadrature's error model raises its ratios to 1.5 in one array per rule call
 CASES["power_1.5_wide"] = (lambda x: x ** 1.5, lambda rng, n: np.exp(rng.uniform(-300, 300, n)))
+# a study resolves its candidates in batches of any length and offset, and
+# draws Gumbel's and Joe's V there: the stable law's powers theta and theta - 1
+# and the Sibuya inversion's -theta, at the sweeps' theta, on values whose
+# powers reach past both ends of the normal range, and the Sibuya survival's
+# log-gamma at integers and between them
+for _theta in (2.4, 6.0, 60.0):
+    for _p in (_theta, _theta - 1.0, -_theta):
+        CASES[f"power_{_p:.4g}_wide"] = (wide_power(_p), spanning(800.0 / abs(_p)))
+CASES["gammaln"] = (special.gammaln, lambda rng, n: np.exp(rng.uniform(-5.0, 40.0, n)))
+CASES["gammaln_integer"] = (special.gammaln, integer_valued)
 for _family, _theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
                         (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4),
+                        (FamilyId.GUMBEL_HOUGAARD, 6.0), (FamilyId.JOE, 6.0),
+                        (FamilyId.GUMBEL_HOUGAARD, 60.0), (FamilyId.JOE, 60.0),
                         (FamilyId.ALI_MIKHAIL_HAQ, 0.3), (FamilyId.ALI_MIKHAIL_HAQ, -0.7)):
     CASES[f"phi_inverse_{_family.value}_{_theta}"] = (
         lambda s, spec=CopulaSpec(_family, _theta, 2): phi_inverse(spec, s), generator_values)

@@ -240,8 +240,9 @@ def whole_sample(spec, n, seed):
     return sample_copula(spec, n, seed)
 
 
-def u_space_replications(cfg):
-    """Each replication's (estimate, count) from a whole sample and copula_cdf."""
+def u_space_outcomes(cfg):
+    """Each replication's (estimate, count) from a whole sample and copula_cdf,
+    or ``None`` where no row is selected."""
     out = []
     for r in range(cfg.replications):
         seed_r = cfg.seed.with_stream(cfg.seed.stream_id + r)
@@ -249,8 +250,13 @@ def u_space_replications(cfg):
             out.append(estimate_var_once(whole_sample(cfg.spec, cfg.n, seed_r), cfg.spec,
                                          cfg.alpha, cfg.h, cfg.margins))
         except EmptyLevelSetError:
-            pass
+            out.append(None)
     return out
+
+
+def u_space_replications(cfg):
+    """The (estimate, count) of each replication that selects a row."""
+    return [out for out in u_space_outcomes(cfg) if out is not None]
 
 
 class TestRadialSelection:
@@ -290,8 +296,8 @@ class TestRadialSelection:
             r += col
         bounds = sampling._latent_bounds(spec)
         for j in range(64):
-            kept = list(sampling._screened(spec, base, n, Workspace(n), bounds, r[j], r[j]))
-            assert sum(block[0].size for block in kept) == np.count_nonzero(r == r[j])
+            (kept,) = sampling._screened(spec, [base], n, Workspace(n), bounds, r[j], r[j])
+            assert kept.shape[0] == np.count_nonzero(r == r[j])
 
     def test_window_of_every_row_keeps_the_clipped_sample(self, monkeypatch):
         # row 5's first exponential comes from the uniform 1.0, which the
@@ -309,7 +315,7 @@ class TestRadialSelection:
 
         monkeypatch.setattr(rng, "_words", one_word)
         n = 1000
-        got = sampling._level_set(CLAYTON3, 0.5, 0.6)(base, n, Workspace(n))
+        (got,) = sampling._level_set(CLAYTON3, 0.5, 0.6)([base], n, Workspace(n))
         want = sample_copula(CLAYTON3, n, Seed(8)).data
         assert got[5, 0] == np.nextafter(1.0, 0.0)
         assert got.tobytes() == want.tobytes()
@@ -353,9 +359,10 @@ class TestRadialSelection:
         gumbel = McConfig(spec=CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 5),
                           margins=[UniformMargin()] * 5, n=self.N - 5000, replications=2,
                           h=1e-2, alpha=0.5, seed=Seed(8))
-        first, _, again = ([mc._one_replication(cfg, r, ws,
-                                                sampling._level_set(cfg.spec, cfg.alpha, cfg.h))
-                            for r in range(2)]
+        first, _, again = ([(mc._margin_means(rows, cfg.margins), rows.shape[0])
+                            for rows in sampling._level_set(cfg.spec, cfg.alpha, cfg.h)(
+                                [cfg.seed.with_stream(r).base_key() for r in range(2)],
+                                cfg.n, ws)]
                            for cfg in (clayton, gumbel, clayton))
         assert [count for _, count in again] == [count for _, count in first]
         assert all(a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(first, again))
@@ -400,6 +407,78 @@ def test_batches_resolved_early_keep_the_bits(spec, monkeypatch):
     assert len(resolved) > cfg.replications
     assert got.counts.tolist() == want.counts.tolist()
     assert got.estimates.tobytes() == want.estimates.tobytes()
+
+
+# the Table-1 thetas and AMH on both sides of 0: at -0.7 it has no frailty
+# law and draws by conditional inversion
+FAMILY_SPECS = [CopulaSpec(family, theta, 3)
+                for family, theta in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
+                                      (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4))]
+FAMILY_SPECS += [CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, theta, 2) for theta in (0.3, -0.7)]
+
+
+@pytest.mark.parametrize("window", [(0.05, 1e-4), (0.8, 0.25)], ids=lambda w: f"a{w[0]}-h{w[1]}")
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family.value}{s.theta}")
+def test_batches_across_replications_keep_the_bits(spec, window, monkeypatch):
+    # 12 replications of 1,500 rows in blocks of 256, batches cut at 256
+    # candidates: the acceptance window's batches gather several replications,
+    # some of which keep no row, and the open window's, where every row is a
+    # candidate, cut inside each replication
+    alpha, h = window
+    cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d, n=1500, replications=12,
+                   h=h, alpha=alpha, seed=Seed(8))
+    want = u_space_outcomes(cfg)
+    kept = [r for r, out in enumerate(want) if out is not None]
+    if alpha == 0.05:
+        assert None in want[kept[0]:kept[-1]]       # no row kept between two that keep rows
+    resolve, spans = sampling._resolve, []
+
+    def spanning_resolve(spec, batch, *args):
+        spans.append(np.unique(np.concatenate([reps for _, _, reps in batch])).size)
+        return resolve(spec, batch, *args)
+
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(sampling, "_resolve", spanning_resolve)
+    stats = run_study(cfg)
+    assert stats.failed_replications == cfg.replications - len(kept)
+    assert stats.counts.tolist() == [want[r][1] for r in kept]
+    assert stats.estimates.tobytes() == np.stack([want[r][0] for r in kept]).tobytes()
+    if spec.theta != -0.7:
+        assert max(spans) > 1 if alpha == 0.05 else len(spans) > cfg.replications
+
+
+@pytest.mark.parametrize("window", [(0.05, 1e-4), (0.8, 0.25)], ids=lambda w: f"a{w[0]}-h{w[1]}")
+@pytest.mark.parametrize("spec", [CopulaSpec(FamilyId.JOE, 2.4, 3),
+                                  CopulaSpec(FamilyId.ALI_MIKHAIL_HAQ, -0.7, 2)],
+                         ids=lambda s: f"{s.family.value}{s.theta}")
+def test_batched_draw_is_the_same_at_every_jobs(spec, window, monkeypatch):
+    # each worker draws its chunk in one pass, so its batches are cut elsewhere
+    alpha, h = window
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 256)
+    cfg = McConfig(spec=spec, margins=[UniformMargin()] * spec.d, n=1500, replications=12,
+                   h=h, alpha=alpha, seed=Seed(8))
+    first, *others = (run_study(cfg, jobs=jobs) for jobs in (1, 2, 3))
+    for got in others:
+        assert got.failed_replications == first.failed_replications
+        assert got.counts.tolist() == first.counts.tolist()
+        assert got.estimates.tobytes() == first.estimates.tobytes()
+
+
+def test_batched_draw_holds_one_replication():
+    # the open window keeps 16 % of each replication's rows, about 250 KB:
+    # four replications drawn in one pass peak within 10 % of one, as the
+    # draw hands a replication's rows on before it holds the next one's
+    def peak(replications):
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=2 * mc._BLOCK_ROWS + 1234,
+                       replications=replications, h=0.25, alpha=0.8, seed=Seed(8))
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.1 * peak(1)
 
 
 def test_joe_screen_draws_few_latents(monkeypatch):

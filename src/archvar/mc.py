@@ -9,11 +9,9 @@ aggregates mean / SD / bias / RMSE against the quadrature value.
 Each replication's kept rows come from ``sampling._level_set``, built once
 per study: bit for bit the rows of ``sample_copula``'s sample that
 :func:`estimate_var_once` keeps.  Each study worker draws its chunk of
-replications in one batched pass through one workspace, which resolves the
-candidate rows once per block's worth, across replication ends, and hands
-on one replication's rows at a time, so memory is a few blocks and one
-replication's rows whatever ``n`` is.  :func:`estimate_var_once` is the
-independent u-space check of that selection.
+replications in one call and only averages the rows it is handed, one
+replication at a time.  :func:`estimate_var_once` is the independent
+u-space check of that selection.
 """
 from __future__ import annotations
 
@@ -27,8 +25,8 @@ from .errors import (EmptyLevelSetError, ParameterError, StudyError, _check_coun
 from .families import CopulaSpec, copula_cdf
 from .margins import checked_margins
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .rng import Seed, Workspace
-from .sampling import _BLOCK_ROWS, Sample, _level_set
+from .rng import Seed
+from .sampling import Sample, _level_set
 from .var import var_for_spec
 
 __all__ = ["McConfig", "McStats", "estimate_var_once", "run_study", "stats_table_rows"]
@@ -125,13 +123,12 @@ def _margin_means(rows: np.ndarray, margins) -> np.ndarray:
 
 def _replications(cfg: McConfig, reps: range, draw) -> list:
     """The outcomes of replications ``reps``, each its estimate and count or
-    ``None`` when no row is selected, drawn in one pass through one workspace:
-    ``estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r), ...)`` bit for
-    bit, from the study's ``draw``."""
-    ws = Workspace(min(cfg.n, _BLOCK_ROWS))
+    ``None`` when no row is selected, drawn in one call of the study's
+    ``draw``: ``estimate_var_once(sample_copula(cfg.spec, cfg.n, seed_r), ...)``
+    bit for bit."""
     bases = [cfg.seed.with_stream(cfg.seed.stream_id + r).base_key() for r in reps]
     return [(_margin_means(rows, cfg.margins), rows.shape[0]) if rows.shape[0] else None
-            for rows in draw(bases, cfg.n, ws)]
+            for rows in draw(bases, cfg.n)]
 
 
 def run_study(cfg: McConfig, jobs: int = 1) -> McStats:

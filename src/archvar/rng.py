@@ -379,7 +379,7 @@ def stable_interval(u0, e, table, ws: Workspace):
     """
     a, klo, khi, lo_min = table
     m = u0.shape[0]
-    lo, hi = ws.take("v", m), ws.take("stable.2", m)
+    lo, hi = ws.take("stable.lo", m), ws.take("stable.2", m)
     cell = ws.take("mix", m, np.uint64).view(np.intp)
     with np.errstate(over="ignore"):
         e **= a                                 # E's power, in place
@@ -412,7 +412,8 @@ def sibuya_points(u, alpha: float, ws: Workspace):
     (Hofert 2011, CSDA 55); elsewhere 1 twice, where ``ginv`` is below that
     bound, which is under 2.  Masks are applied by arithmetic, far cheaper
     here than a masked copy."""
-    lo, hi = ws.take("v", u.shape[0]), _sibuya_ginv(u, alpha, ws.take("sibuya.0", u.shape[0]))
+    m = u.shape[0]
+    lo, hi = ws.take("sibuya.lo", m), _sibuya_ginv(u, alpha, ws.take("sibuya.0", m))
     np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
     np.multiply(np.ceil(hi, out=hi), u > alpha, out=hi)
     np.maximum(hi, 1.0, out=hi)

@@ -4,10 +4,11 @@ Sampling uses the Marshall-Olkin frailty construction
 ``U_i = phi_inverse(E_i / V)`` with i.i.d. unit exponentials ``E_i`` and a
 latent variable ``V`` whose Laplace transform equals the generator inverse.
 Every draw is keyed by (seed, row, purpose, counter) through
-:mod:`archvar.rng`, so a sample is a pure function of its seed.  It is drawn
-in row blocks through one workspace of block-sized buffers, and so is a
-Monte Carlo study's level set (:func:`_level_set`): a study worker draws its
-chunk of replications in one batched pass, with one resolve of the screened
+:mod:`archvar.rng`, so a sample is a pure function of its seed.  A sample
+and a study's level set (:func:`_level_set`) map generator values to ``U``
+in one place (:func:`_u`) and are drawn in row blocks, each call through one
+workspace of block-sized buffers: a study worker draws its chunk of
+replications in one batched pass, with one resolve of the screened
 candidates per block's worth, whichever replications they come from.
 """
 from __future__ import annotations
@@ -69,9 +70,11 @@ def sample_frailty(family: FamilyId, theta: float, seed: Seed, n: int) -> np.nda
         raise DomainError(
             f"{rec.name} frailty sampling requires {rec.frailty_domain}, got {theta}"
         )
-    keys = rng.substream_keys(seed.base_key(), rng.LABEL_FRAILTY,
-                              np.arange(n, dtype=np.uint64))
-    return rec.frailty(keys, theta)
+    try:
+        rows = np.arange(n, dtype=np.uint64)
+    except (MemoryError, ValueError):   # ValueError: past the largest array
+        raise ParameterError(f"frailty sample of n = {n} does not fit in memory")
+    return rec.frailty(rng.substream_keys(seed.base_key(), rng.LABEL_FRAILTY, rows), theta)
 
 
 def _has_frailty(spec: CopulaSpec) -> bool:
@@ -120,19 +123,24 @@ def _quotients(d: int, ekeys: np.ndarray, v, ws: rng.Workspace) -> list:
     return cols
 
 
-def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
-    """The ``n``-row sample keyed by ``base``, block by block, as ``(start, cols)``.
+def _u(spec: CopulaSpec, s: np.ndarray) -> np.ndarray:
+    """``U = phi_inverse(s)`` of a column of generator values, clipped in place
+    into ``(0, 1)``.  ``s`` is a contiguous column in every draw: numpy's
+    vector loops for exp and log may round a strided one differently."""
+    u = phi_inverse(spec, s)
+    return np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
 
-    Where ``spec`` has a frailty law, ``cols`` holds the generator values
-    ``S_i = E_i / V`` of a block's rows: ``V`` is the frailty times the
-    record's ``latent_scale``, so that ``U_i = phi_inverse(S_i)`` and the
-    row's copula value is ``phi_inverse(sum_i S_i)``.  Elsewhere ``cols``
-    holds the clipped ``U`` columns drawn by conditional inversion.
-    """
+
+def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
+    """The ``n``-row sample keyed by ``base``, block by block, as ``(start,
+    cols)``: the clipped ``U`` columns of a block's rows, ``U_i =
+    phi_inverse(E_i / V)`` where ``spec`` has a frailty law, ``V`` the frailty
+    times the record's ``latent_scale``, and elsewhere drawn by conditional
+    inversion."""
     if _has_frailty(spec):
         for start, ekeys, vkeys in _frailty_blocks(base, n, ws):
             v = _latent(spec, vkeys, ws.take("v", vkeys.shape[0]), ws)
-            yield start, _quotients(spec.d, ekeys, v, ws)
+            yield start, [_u(spec, s) for s in _quotients(spec.d, ekeys, v, ws)]
         return
     rec = FAMILIES[spec.family]
     for start in range(0, n, _BLOCK_ROWS):
@@ -141,16 +149,17 @@ def _blocks(spec: CopulaSpec, base: int, n: int, ws: rng.Workspace):
 
 
 def _level_set(spec: CopulaSpec, alpha: float, h: float):
-    """A study's ``draw(bases, n, ws)``, built once from ``(spec, alpha, h)``:
+    """A study's ``draw(bases, n)``, built once from ``(spec, alpha, h)``:
     for each key of ``bases`` in turn, the clipped rows ``U`` with ``|C(U) -
     alpha| <= h`` of the ``n``-row sample keyed by it, in row order, as a
-    fresh C-contiguous ``(count, d)`` array, drawn through ``ws``:
-    :func:`sample_copula`'s rows bit for bit.  A frailty family keeps
+    fresh C-contiguous ``(count, d)`` array, drawn through one workspace per
+    call: :func:`sample_copula`'s rows bit for bit.  A frailty family keeps
     :func:`_screened`'s rows, on a window of ``R`` computed here; the others
     select each block on the copula CDF.
     """
     if not _has_frailty(spec):
-        def draw(bases, n, ws):
+        def draw(bases, n):
+            ws = rng.Workspace(min(n, _BLOCK_ROWS))
             for base in bases:
                 yield np.concatenate([u[np.abs(copula_cdf(spec, u) - alpha) <= h]
                                       for _, cols in _blocks(spec, base, n, ws) for u in [cols.T]])
@@ -160,7 +169,8 @@ def _level_set(spec: CopulaSpec, alpha: float, h: float):
     # bounds nothing
     r_lo = phi(spec, alpha + h) if alpha + h < 1.0 else 0.0
     r_hi = phi(spec, alpha - h) if alpha - h > 0.0 else np.inf
-    return lambda bases, n, ws: _screened(spec, bases, n, ws, bounds, r_lo, r_hi)
+    return lambda bases, n: _screened(spec, bases, n, rng.Workspace(min(n, _BLOCK_ROWS)),
+                                      bounds, r_lo, r_hi)
 
 
 def _latent_bounds(spec: CopulaSpec):
@@ -272,10 +282,7 @@ def _resolve(spec: CopulaSpec, batch: list, exact: bool, r_lo, r_hi, ws: rng.Wor
     sel = (total >= r_lo) & (total <= r_hi)
     u = np.empty((np.count_nonzero(sel), spec.d))
     for i, x in enumerate(quotients):
-        # a contiguous column, as sample_copula passes: numpy's vector
-        # loops for exp and log may round a strided one differently
-        u[:, i] = phi_inverse(spec, x[sel])
-    np.clip(u, _OPEN_LO, _OPEN_HI, out=u)
+        u[:, i] = _u(spec, x[sel])
     reps = reps[sel]
     starts = np.flatnonzero(np.diff(reps, prepend=-1))   # each replication's first row
     for rep, rows in zip(reps[starts].tolist(), np.split(u, starts[1:])):
@@ -286,28 +293,20 @@ def sample_copula(spec: CopulaSpec, n: int, seed: Seed) -> Sample:
     """Draw ``n`` i.i.d. rows from the copula with uniform margins; a
     :class:`ParameterError` if they do not fit in memory."""
     n = _check_count(n, "sample size")
-    radial = _has_frailty(spec)
     ws = rng.Workspace(min(n, _BLOCK_ROWS))
     data = None
     for start, cols in _blocks(spec, seed.base_key(), n, ws):
         if data is None:
-            # after the workspace's buffers: freed, they leave a hole below
-            # the sample that the allocator keeps, not a free heap top that
-            # it trims.  That does not make a Kendall tau of the sample next
-            # fault-free, as glibc's trims and what ran before decide: at 1e5
-            # rows, repeating each sample_tau bench op, a tau call took
-            # 435-519 minor faults for the frailty families and 87 for AMH
-            # (61-945 with the sample allocated first).  One workspace for
-            # the sample and the tau would retire this order (ROADMAP
-            # direction 17)
+            # after the first block: allocated first, it cost the sample_tau
+            # bench 5 % of its ops_per_s (33.5 against 35.5 on 2 cores), until
+            # one workspace serves the sample and the tau (ROADMAP direction 17)
             try:
                 data = np.empty((n, spec.d))
             except (MemoryError, ValueError):   # ValueError: past the largest array
                 raise ParameterError(f"sample of n = {n}, d = {spec.d} does not fit in memory")
         block = data[start:start + len(cols[0])]
         for i, col in enumerate(cols):
-            block[:, i] = phi_inverse(spec, col) if radial else col
-    np.clip(data, _OPEN_LO, _OPEN_HI, out=data)
+            block[:, i] = col
     return Sample(data, seed, spec)
 
 

@@ -263,7 +263,7 @@ class TestRadialSelection:
     """run_study's streamed radial selection against the u-space oracle."""
 
     # several blocks, the last one partial
-    N = 2 * mc._BLOCK_ROWS + 1234
+    N = 2 * sampling._BLOCK_ROWS + 1234
 
     @pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"a{w[0]}-h{w[1]}")
     @pytest.mark.parametrize("spec", RADIAL_SPECS,
@@ -290,7 +290,9 @@ class TestRadialSelection:
         # a window [R, R] of each of 64 rows' R: S / V, which the screen
         # compares, rounds differently from R, which the selection compares
         n, base = 4096, Seed(8).base_key()
-        _, cols = next(sampling._blocks(spec, base, n, Workspace(n)))
+        ws = Workspace(n)
+        _, ekeys, vkeys = next(sampling._frailty_blocks(base, n, ws))
+        cols = sampling._quotients(spec.d, ekeys, sampling._latent(spec, vkeys, None, ws), ws)
         r = cols[0] + cols[1]
         for col in cols[2:]:
             r += col
@@ -315,7 +317,7 @@ class TestRadialSelection:
 
         monkeypatch.setattr(rng, "_words", one_word)
         n = 1000
-        (got,) = sampling._level_set(CLAYTON3, 0.5, 0.6)([base], n, Workspace(n))
+        (got,) = sampling._level_set(CLAYTON3, 0.5, 0.6)([base], n)
         want = sample_copula(CLAYTON3, n, Seed(8)).data
         assert got[5, 0] == np.nextafter(1.0, 0.0)
         assert got.tobytes() == want.tobytes()
@@ -352,18 +354,23 @@ class TestRadialSelection:
 
     def test_reused_workspace_keeps_no_stale_values(self):
         # Clayton, then Gumbel in another dimension and size, then Clayton
-        # again, all through one workspace: the second Clayton repeats the first
-        ws = Workspace(mc._BLOCK_ROWS)
+        # again, all screened through one workspace: the second Clayton repeats
+        # the first
+        ws = Workspace(sampling._BLOCK_ROWS)
         clayton = McConfig(spec=CLAYTON3, margins=U3, n=self.N, replications=2,
                            h=1e-3, alpha=0.05, seed=Seed(8))
         gumbel = McConfig(spec=CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 5),
                           margins=[UniformMargin()] * 5, n=self.N - 5000, replications=2,
                           h=1e-2, alpha=0.5, seed=Seed(8))
-        first, _, again = ([(mc._margin_means(rows, cfg.margins), rows.shape[0])
-                            for rows in sampling._level_set(cfg.spec, cfg.alpha, cfg.h)(
-                                [cfg.seed.with_stream(r).base_key() for r in range(2)],
-                                cfg.n, ws)]
-                           for cfg in (clayton, gumbel, clayton))
+
+        def screened(cfg):
+            bases = [cfg.seed.with_stream(r).base_key() for r in range(2)]
+            window = phi(cfg.spec, cfg.alpha + cfg.h), phi(cfg.spec, cfg.alpha - cfg.h)
+            return [(mc._margin_means(rows, cfg.margins), rows.shape[0])
+                    for rows in sampling._screened(cfg.spec, bases, cfg.n, ws,
+                                                   sampling._latent_bounds(cfg.spec), *window)]
+
+        first, _, again = (screened(cfg) for cfg in (clayton, gumbel, clayton))
         assert [count for _, count in again] == [count for _, count in first]
         assert all(a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(first, again))
         study = run_study(clayton)
@@ -373,7 +380,7 @@ class TestRadialSelection:
         # n = 1e6, d = 3: the whole-sample path allocated about 115 MB here;
         # the streamed study peaks at 4.8 MB (Clayton, whose gamma frailty
         # has the most temporaries), about 19 columns of one block
-        block_bytes = 8 * mc._BLOCK_ROWS
+        block_bytes = 8 * sampling._BLOCK_ROWS
         cfg = McConfig(spec=CLAYTON3, margins=U3, n=1_000_000, replications=1,
                        h=1e-4, alpha=0.05, seed=Seed(8))
         tracemalloc.start()
@@ -469,7 +476,7 @@ def test_batched_draw_holds_one_replication():
     # four replications drawn in one pass peak within 10 % of one, as the
     # draw hands a replication's rows on before it holds the next one's
     def peak(replications):
-        cfg = McConfig(spec=CLAYTON3, margins=U3, n=2 * mc._BLOCK_ROWS + 1234,
+        cfg = McConfig(spec=CLAYTON3, margins=U3, n=2 * sampling._BLOCK_ROWS + 1234,
                        replications=replications, h=0.25, alpha=0.8, seed=Seed(8))
         tracemalloc.start()
         try:

@@ -416,6 +416,13 @@ class TestMemory:
         with pytest.raises(ParameterError, match=f"n = {2 ** 53}, d = {d} does not fit"):
             sample_copula(CopulaSpec(FamilyId.CLAYTON, 2.0, d), 2 ** 53, Seed(0))
 
+    @pytest.mark.parametrize("n", [2 ** 53, 2 ** 62, 2 ** 64])
+    def test_frailty_too_large_for_memory_is_a_parameter_error(self, n):
+        # 2^53 keys do not fit (numpy's MemoryError), 2^62 and 2^64 are past
+        # the largest array (ValueError)
+        with pytest.raises(ParameterError, match=f"n = {n} does not fit"):
+            sample_frailty(FamilyId.CLAYTON, 2.0, Seed(1), n)
+
 
 class TestExport:
     def test_round_trip_and_header(self, tmp_path):

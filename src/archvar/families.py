@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -374,6 +375,10 @@ _CLAYTON = Family(
 
 # ----------------------------------------------------------------- Frank
 
+# ln of the largest double: e^x overflows above it
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _frank_var_form(spec: CopulaSpec, alpha: float):
     """``theta u/expm1(theta u) (bracket/phi(alpha))^(d-2) (d-1)/phi(alpha)``, theta > 0.
 
@@ -388,6 +393,8 @@ def _frank_var_form(spec: CopulaSpec, alpha: float):
             f"got theta = {th}"
         )
     la = -math.log(alpha)
+    if la > _LOG_MAX:    # alpha * expm1(la - t) would overflow at the nodes near t = 0
+        raise OverflowError("expm1(-ln alpha) overflows")
     c = math.exp(-th * alpha) / math.expm1(-th * alpha)
     phi_a = math.log1p(c * math.expm1(-th * (1.0 - alpha)))
     scale = (d - 1) / phi_a
@@ -518,7 +525,10 @@ def _joe_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
 def _joe_var_form(spec: CopulaSpec, alpha: float):
     """The generator form in ``v = 1 - u = -expm1(-t)``, times ``du/dt = e^-t``."""
     th, d = spec.theta, spec.d
-    phi_a = float(-np.log1p(-((1.0 - alpha) ** th)))
+    lead = (1.0 - alpha) ** th
+    if lead == 1.0:    # phi(alpha) = -ln(1 - lead) is infinite
+        raise OverflowError("phi(alpha) overflows: (1 - alpha)^theta rounds to 1")
+    phi_a = float(-np.log1p(-lead))
     scale = (d - 1) * th / phi_a
 
     def weight(t: np.ndarray) -> np.ndarray:

@@ -1,29 +1,30 @@
 """Adaptive Gauss-Kronrod (G7/K15) quadrature with per-interval error bounds.
 
-Nodes lie strictly inside each interval, so integrable or removable endpoint
-singularities are never evaluated.  A graded initial mesh
-(``graded_breakpoints``) and known kinks passed as breakpoints let most
-integrands converge in the first pass, run ``_CHUNK_INTERVALS`` at a time.
-
-Refinement runs in rounds, like ``scipy.integrate.quad_vec``'s subdivision.
-An integral above its tolerance ``tol`` bisects, largest error first, the
-fewest of its ``N`` intervals with an error above ``tol / (2N)`` that leave
-at most ``tol / 2`` unsplit, but never an interval whose halves' outermost
-nodes would round onto its ends: its error stays in the bound.  It raises
-:class:`QuadratureError` after ``max_subdivisions`` splits (a round splits
-its largest-error intervals up to the budget), when such intervals keep its
-error above ``tol``, or when ``_MAX_STALLS`` splits left value and error
-almost unchanged (QUADPACK QAG's ``iroff1``, Piessens et al. 1983).  QAG's
-second counter, for children whose error exceeds their parent's, is left
-out: it stops integrals that converge, such as ``cos(200 x) e^-x`` on
-``[0, 10]``.  Integrals ``f_b(x) w(x)`` that share ``w`` and an interval run
-in lockstep (``_integrate_all``): a round's halves of all of them go into one
-rule call that evaluates ``w`` once, and each gets the bits it gets alone.
+One call integrates ``f_b(x) w(x)`` for each ``f_b`` of a batch in lockstep
+(``_integrate_all``; :func:`integrate` is its one-integral case) from a
+sorted mesh with both ends: the graded mesh (``graded_breakpoints``) and any
+known kinks.  Nodes lie strictly inside each interval, so integrable or
+removable endpoint singularities are never evaluated.  The first pass calls
+``w`` once on ``_CHUNK_INTERVALS`` intervals of a mesh, then each ``f_b``
+sharing it, and tests their integrals in one reduction; most converge there.
+Then, in rounds like ``scipy.integrate.quad_vec``'s, an integral above its
+tolerance ``tol`` bisects, largest error first, the fewest of its ``N``
+intervals with an error above ``tol / (2N)`` that leave at most ``tol / 2``,
+but never one whose halves' outer nodes would round onto its ends (its
+error stays in the bound).  A round's halves of all integrals go into one
+rule call, and each integral gets the bits it gets alone.  It raises
+:class:`QuadratureError` after ``max_subdivisions`` splits, when
+unsplittable intervals hold more than ``tol``, or when ``_MAX_STALLS`` splits
+left value and error almost unchanged (QUADPACK QAG's ``iroff1``, Piessens
+et al. 1983).  QAG's second counter, for children whose error exceeds their
+parent's, is left out: it stops integrals that converge, such as
+``cos(200 x) e^-x`` on ``[0, 10]``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,46 +99,43 @@ def graded_breakpoints(a: float, b: float) -> np.ndarray:
 
 
 def _errors(resk, resg, resasc) -> np.ndarray:
-    """QUADPACK's per-interval error estimates."""
+    """QUADPACK's per-interval error estimates; ``|K15 - G7|`` where ``resasc`` is 0."""
     raw = np.abs(resk - resg)
+    if np.count_nonzero(resasc) == resasc.size:    # none is flat: np.where would copy
+        return resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
     flat = resasc == 0.0
     scaled = resasc * np.minimum(1.0, (200.0 * raw / np.where(flat, 1.0, resasc)) ** 1.5)
     return np.where(flat, raw, scaled)
 
 
 def _rule(fs, w, mid: np.ndarray, half: np.ndarray, rows=None):
-    """G7/K15 on the intervals ``mid +- half``: ``rows[i]`` of them for ``fs[i](x) w(x)``,
-    or all of them (``rows=None``, the first pass: ``(count, k)`` results).
-
-    ``w`` (``None`` for 1) is called once on all nodes, then each ``f`` on its
-    own.  Returns the values and error bounds of the leading integrands that
-    succeeded, their count, and ``None`` or what stopped the next one: the
-    exception its callable (or ``w``) raised, or ``_NON_FINITE``.  Each gets
-    the bits it gets alone: stacked BLAS sums give each its 2-D sums
-    (``tests/test_elementwise_bits.py``), and einsum's row sums ignore the
-    rows beside them.
-    """
-    nodes = mid[:, None] + half[:, None] * _XK
+    """G7/K15 on the intervals ``mid +- half``: ``rows[i]`` (a slice of the
+    last axis) for ``fs[i](x) w(x)``, or all (``rows=None``, the first pass),
+    ``w`` (``None`` for 1) called once.  Returns the values and error bounds
+    of the leading integrands that succeeded, their count, and ``None`` or
+    what stopped the next: its exception (or ``w``'s), or ``_NON_FINITE``.
+    Each gets the bits it gets alone (``tests/test_elementwise_bits.py``)."""
+    nodes = mid[..., None] + half[..., None] * _XK
     shared = rows is None
-    rows = [slice(None)] * len(fs) if shared else rows
+    slots = range(len(fs)) if shared else [(..., r, slice(None)) for r in rows]
     fv = np.empty((len(fs),) + nodes.shape if shared else nodes.shape)
     done, failure, wv = 0, None, None
     try:
         if w is not None:
             wv = np.asarray(w(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for f, r in zip(fs, rows):
-            x = nodes[r]
-            fv[done if shared else r] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        for f, s in zip(fs, slots):
+            x = nodes if shared else nodes[s]
+            fv[s] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
             done += 1
     except Exception as exc:    # raised once the integrals before it have run on
         failure = exc
-    fv = fv[:done] if shared else fv[:rows[done - 1].stop if done else 0]
+        fv = fv[:done] if shared else fv[..., :rows[done].start, :]
     if wv is not None:
-        fv *= wv if shared else wv[:len(fv)]
+        fv *= wv if shared or failure is None else wv[..., :fv.shape[-2], :]
     # checked before any arithmetic: a matmul over +inf and -inf warns
-    if not np.isfinite(fv).all():
-        done = next(j for j, r in enumerate(rows) if not np.isfinite(fv[j if shared else r]).all())
-        fv = fv[:done] if shared else fv[:rows[done].start]
+    if np.count_nonzero(np.isfinite(fv)) < fv.size:
+        done = next(j for j, s in enumerate(slots) if not np.isfinite(fv[s]).all())
+        fv = fv[:done] if shared else fv[..., :rows[done].start, :]
         failure = _NON_FINITE
     # scale-aware error model: resasc measures the integrand's variation
     if shared:
@@ -145,10 +143,10 @@ def _rule(fs, w, mid: np.ndarray, half: np.ndarray, rows=None):
         resg = half * (_WG @ fv.transpose(0, 2, 1).take(_GAUSS_IDX, axis=1))
         resasc = half * (np.abs(fv - (resk / (2.0 * half))[..., None]) @ _WK)
     else:
-        half = half[:len(fv)]
-        resk = half * np.einsum("ij,j->i", fv, _WK)
-        resg = half * np.einsum("ij,j->i", fv[:, 1::2], _WG)
-        resasc = half * np.einsum("ij,j->i", np.abs(fv - (resk / (2.0 * half))[:, None]), _WK)
+        half = half if failure is None else half[..., :fv.shape[-2]]
+        resk = half * np.einsum("...j,j->...", fv, _WK)
+        resg = half * np.einsum("...j,j->...", fv[..., 1::2], _WG)
+        resasc = half * np.einsum("...j,j->...", np.abs(fv - (resk / (2.0 * half))[..., None]), _WK)
     return resk, _errors(resk, resg, resasc), done, failure
 
 
@@ -166,109 +164,109 @@ def _narrow(left, right, scale: float) -> np.ndarray:
     return near
 
 
-def _integrate_all(fs, w, a: float, b: float, cfg: QuadConfig,
-                   breakpoints) -> list[tuple[float, float]]:
-    """:func:`integrate` each ``f(x) w(x)``, ``f`` in ``fs``, in lockstep.
-
-    ``w`` is ``None`` for 1; ``breakpoints[i]`` seeds the mesh of ``fs[i]``,
-    and integrals given the same object share their first-pass rule calls.
-    Returns ``[(value, error_bound), ...]``, or raises what a loop over ``fs``
-    would raise: once integral ``i`` fails, those after it stop and those
-    before it run on.  A failed round carries the estimate and bound from
-    before it.
-    """
-    _check_bounds(a, b)
+def _integrate_all(fs, w, cfg: QuadConfig, edges) -> list[tuple[float, float, int, int]]:
+    """:func:`integrate` each ``f(x) w(x)``, ``f`` in ``fs``, ``w`` ``None``
+    for 1, in lockstep from the mesh ``edges[i]``; integrals given one object
+    share their first-pass calls.  Returns ``[(value, error_bound,
+    evaluations, splits), ...]``, or raises what a loop over ``fs`` would:
+    once integral ``i`` fails, those after it stop and those before it run
+    on, and a failed round carries the estimate and bound from before it."""
     groups: dict[int, list] = {}
-    for i, points in enumerate(breakpoints):
-        groups.setdefault(id(points), []).append(i)
-    parts = {}    # each integral's partition, by rows: lefts, rights, values, error bounds
+    for i, mesh in enumerate(edges):
+        groups.setdefault(id(mesh), []).append(i)
+    # each refining integral's [partition rows (lefts, rights, values, error
+    # bounds), estimate, bound, splits, stalls]; the narrowest interval made
+    out, state, floor = [None] * len(fs), {}, math.inf
     failure, stop = None, len(fs)    # the integrals from ``stop`` on have stopped
     for members in groups.values():
-        edges = np.unique(np.concatenate([[a, b], np.ravel(breakpoints[members[0]])]))
-        edges = edges[(edges >= a) & (edges <= b)]
-        part = np.empty((len(members), 4, edges.size - 1))
-        part[:, 0], part[:, 1] = edges[:-1], edges[1:]
-        for c in range(0, edges.size - 1, _CHUNK_INTERVALS):
-            lefts, rights = part[0, :2, c:c + _CHUNK_INTERVALS]
+        mesh = edges[members[0]]
+        sums = np.zeros((len(members), 2, mesh.size - 1))    # values and error bounds
+        for c in range(0, mesh.size - 1, _CHUNK_INTERVALS):
             run = [i for i in members if i < stop]
             if not run:
                 break
+            lefts, rights = mesh[:-1][c:c + _CHUNK_INTERVALS], mesh[1:][c:c + _CHUNK_INTERVALS]
             v, e, done, exc = _rule([fs[i] for i in run], w, 0.5 * (lefts + rights),
                                     0.5 * (rights - lefts))
-            part[:done, 2, c:c + lefts.size], part[:done, 3, c:c + lefts.size] = v, e
+            sums[:done, 0, c:c + lefts.size], sums[:done, 1, c:c + lefts.size] = v, e
             if exc is not None:
                 stop = run[done]
                 failure = (QuadratureError(_NON_FINITE, float("nan"), float("inf"))
                            if exc is _NON_FINITE else exc)
-        parts.update((i, part[k]) for k, i in enumerate(members) if i < stop)
-    out: list = [None] * len(fs)
-    splits, stalls = dict.fromkeys(parts, 0), dict.fromkeys(parts, 0)
-    live = sorted(parts)
+        for i, (total, error), part in zip(members, np.add.reduce(sums, axis=2).tolist(), sums):
+            out[i] = (total, error, 15 * part.shape[1], 0)
+            if i < stop and error > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                state[i] = [np.concatenate(([mesh[:-1]], [mesh[1:]], part)), total, error, 0, 0]
+                floor = min(floor, (mesh[1:] - mesh[:-1]).min())
+    scale, live = max(-edges[0][0], edges[0][-1]), sorted(state)
     while live:
-        cuts = []    # (integral, picked intervals, their columns, estimate, bound)
+        cuts = []    # (integral, the columns to split, the partition there)
         for i in live:
             if i >= stop:
                 break
-            part = parts[i]
-            total, error = np.add.reduce(part[2:], axis=1).tolist()
+            part, total, error, splits, stalls = state[i]
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if error <= tol:
-                out[i] = (total, error)
+                out[i] = (total, error, 15 * (part.shape[1] + splits), splits)
                 continue
-            pick = (part[3] > tol / (2 * part.shape[1])).nonzero()[0]
-            cols = part.take(pick, axis=1)
-            narrow, stuck = _narrow(cols[0], cols[1], max(-a, b)), 0.0
-            if narrow.size:
-                stuck = float(cols[3, narrow].sum())
-                pick, cols = np.delete(pick, narrow), np.delete(cols, narrow, axis=1)
-            if stalls[i] >= _MAX_STALLS:
-                why = (f"stopped by roundoff after {splits[i]} subdivisions: {stalls[i]} "
+            if stalls >= _MAX_STALLS:
+                why = (f"stopped by roundoff after {splits} subdivisions: {stalls} "
                        "splits left the estimate and its error bound almost unchanged")
-            elif splits[i] >= cfg.max_subdivisions:
+            elif splits >= cfg.max_subdivisions:
                 why = f"did not converge within {cfg.max_subdivisions} subdivisions"
-            elif stuck > tol or not pick.size:    # the unpicked hold at most tol / 2
-                why = (f"stopped at floating-point resolution after {splits[i]} subdivisions: "
-                       f"intervals too narrow to split hold {stuck:.3e} of the error bound")
             else:
-                if pick.size > 1:    # the fewest, largest first, that leave <= tol / 2
-                    order = (-cols[3]).argsort(kind="stable")
-                    order = order[:cols[3].take(order).cumsum().searchsorted(error - tol / 2) + 1]
-                    pick, cols = pick.take(order), cols.take(order, axis=1)
-                room = cfg.max_subdivisions - splits[i]
-                cuts.append((i, pick[:room], cols[:, :room], total, error))
-                continue
+                errs, thr, stuck = part[3], tol / (2 * part.shape[1]), 0.0
+                narrow = () if floor > 1e-12 * scale else _narrow(part[0], part[1], scale)
+                if len(narrow):    # those above thr hold stuck error, and sort last
+                    narrow = narrow[errs[narrow] > thr]
+                    stuck, errs = float(errs[narrow].sum()), errs.copy()
+                    errs[narrow] = 0.0
+                # the fewest above thr, largest first, that leave at most tol / 2
+                order = (-errs).argsort(kind="stable")
+                errs = errs.take(order)
+                k = min(int(errs.cumsum().searchsorted(error - tol / 2)) + 1, errs.size)
+                pick = order[:k if errs[k - 1] > thr else np.count_nonzero(errs > thr)]
+                if stuck <= tol and pick.size:
+                    pick = pick[:cfg.max_subdivisions - splits]
+                    cuts.append((i, pick, part.take(pick, axis=1)))
+                    continue
+                why = (f"stopped at floating-point resolution after {splits} subdivisions: "
+                       f"intervals too narrow to split hold {stuck:.3e} of the error bound")
             failure, stop = QuadratureError(f"quadrature {why} (estimate {total!r}, error "
-                                            f"bound {error:.3e})", total, error, splits[i]), i
+                                            f"bound {error:.3e})", total, error, splits), i
             break
         if not cuts:
             break
         old = np.concatenate([cut[2] for cut in cuts], axis=1)
-        mids = 0.5 * (old[0] + old[1])
-        # rows 2j and 2j + 1 hold the halves of picked interval j
-        kid_lefts, kid_rights = np.array([[old[0], mids], [mids, old[1]]]).transpose(
-            0, 2, 1).reshape(2, -1)
-        sizes = [2 * cut[1].size for cut in cuts]
-        rows = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
-        v, e, done, exc = _rule([fs[cut[0]] for cut in cuts], w, 0.5 * (kid_lefts + kid_rights),
-                                0.5 * (kid_rights - kid_lefts), rows)
+        bounds = old.take([0, 1, 1], axis=0)    # rows: lefts, mids, rights
+        bounds[1] = 0.5 * (bounds[0] + bounds[2])
+        width = bounds[1:] - bounds[:2]    # of the halves [left; right] of column j of old
+        floor = min(floor, width.min())
+        ends = accumulate(cut[1].size for cut in cuts)
+        rows = [slice(end - cut[1].size, end) for cut, end in zip(cuts, ends)]
+        v, e, done, exc = _rule([fs[cut[0]] for cut in cuts], w, 0.5 * (bounds[:2] + bounds[1:]),
+                                0.5 * width, rows)
         if exc is not None:
-            i, _, _, total, error = cuts[done]
+            i = cuts[done][0]
+            _, total, error, splits, _ = state[i]
             if exc is _NON_FINITE:
-                exc = QuadratureError(_NON_FINITE, total, error, splits[i])
+                exc = QuadratureError(_NON_FINITE, total, error, splits)
             elif isinstance(exc, QuadratureError):
-                exc = QuadratureError(str(exc), exc.estimate, exc.error_bound, splits[i])
+                exc = QuadratureError(str(exc), exc.estimate, exc.error_bound, splits)
             failure, stop = exc, i
-        n = v.size // 2
-        area, area_err = v[0::2] + v[1::2], e[0::2] + e[1::2]
-        stalled = ((np.abs(area - old[2, :n]) <= _STALL_REL_CHANGE * np.abs(area))
-                   & (area_err >= _STALL_ERR_RATIO * old[3, :n]))
-        kids = np.array([kid_lefts[:2 * n], kid_rights[:2 * n], v, e])
-        for (i, pick, *_), r in zip(cuts[:done], rows):
-            stalls[i] += int(np.count_nonzero(stalled[r.start // 2:r.stop // 2]))
-            splits[i] += pick.size
+        n = v.shape[1]
+        kids = np.concatenate((bounds[:2, :n], bounds[1:, :n], v, e)).reshape(4, 2, n)
+        area = kids[2:, 0] + kids[2:, 1]    # the halves' summed values and error bounds
+        stalled = ((np.abs(area[0] - old[2, :n]) <= _STALL_REL_CHANGE * np.abs(area[0]))
+                   & (area[1] >= _STALL_ERR_RATIO * old[3, :n]))
+        for (i, pick, _), r in zip(cuts[:done], rows):
+            st = state[i]
             # the left halves take their parents' places, the right ones follow
-            parts[i][:, pick] = kids[:, r.start:r.stop:2]
-            parts[i] = np.concatenate([parts[i], kids[:, r.start + 1:r.stop:2]], axis=1)
+            st[0] = np.concatenate((st[0], kids[:, 1, r]), axis=1)
+            st[0][:, pick] = kids[:, 0, r]
+            st[1], st[2] = np.add.reduce(st[0][2:], axis=1).tolist()
+            st[3] += pick.size
+            st[4] += int(np.count_nonzero(stalled[r]))
         live = [cut[0] for cut in cuts[:done]]
     if failure is not None:
         raise failure
@@ -288,4 +286,6 @@ def integrate(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD,
     not met within ``cfg.max_subdivisions`` splits, or if roundoff keeps it
     from being met.
     """
-    return _integrate_all([f], None, a, b, cfg, [breakpoints])[0]
+    _check_bounds(a, b)
+    edges = np.unique(np.concatenate(([a, b], np.ravel(breakpoints))))
+    return _integrate_all([f], None, cfg, [edges[(edges >= a) & (edges <= b)]])[0][:2]

@@ -9,14 +9,12 @@ kernel ``-phi'(u) [phi(alpha) - phi(u)]^(d-2)``, in the one variable
 ``t = -ln u`` on ``[0, -ln alpha]``.  ``var_for_spec`` integrates the weight
 of the spec's :class:`~archvar.families.Family` record, its ``var_form``;
 ``var_generic`` works from the generator alone, and ``kernel_mass``
-integrates its weight alone.  One driver, ``_var``, runs them all, a call's
-distinct margins in lockstep, and owns the substitution: margins see
-``u = e^-t`` below 1, and a tabulated margin's knots (its kinks) join the
-initial mesh ``graded_breakpoints(0, -ln alpha)`` at ``-ln level``, at about
-15 integrand evaluations each.  The mesh's 24 intervals reach 1e-11 of the
-width from each end, so that smooth margins, the normal and lognormal
-quantiles with their log singularity at ``u = 1`` (``t = 0``) included,
-mostly converge in the first batched pass.
+integrates its weight alone.  One driver, ``_var``, runs them all: it hands
+the quadrature a call's distinct margins, which see ``u = e^-t`` below 1, to
+integrate in lockstep, each with its finished mesh, the graded one
+(``graded_breakpoints(0, -ln alpha)``, whose 24 intervals let smooth margins
+converge in the first pass) or, for a tabulated margin, that mesh with its
+knots (its kinks) joined at ``-ln level``.
 """
 from __future__ import annotations
 
@@ -41,14 +39,14 @@ class VarResult:
     components: np.ndarray
     abs_error_estimate: np.ndarray
     spec: CopulaSpec
+    n_evals: np.ndarray
+    n_splits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-        object.__setattr__(
-            self, "abs_error_estimate", np.asarray(self.abs_error_estimate, dtype=float)
-        )
-        self.components.flags.writeable = False
-        self.abs_error_estimate.flags.writeable = False
+        for name in ("components", "abs_error_estimate", "n_evals", "n_splits"):
+            value = np.asarray(getattr(self, name), dtype=int if name[:2] == "n_" else float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 # the largest double below 1: e^-t rounds onto 1 for t under about 1e-16,
@@ -64,6 +62,9 @@ def _u(t: np.ndarray) -> np.ndarray:
 def _generic_form(spec: CopulaSpec, alpha: float):
     """The generator-form weight of :func:`var_generic`, any family."""
     phi_a = phi(spec, alpha)
+    with np.errstate(over="ignore", divide="ignore"):    # |phi'| is largest at alpha
+        if not (math.isfinite(phi_a) and math.isfinite(phi_prime(spec, alpha))):
+            raise OverflowError("phi(alpha) or phi'(alpha) overflows")
     d = spec.d
     scale = (d - 1) / phi_a
 
@@ -76,50 +77,49 @@ def _generic_form(spec: CopulaSpec, alpha: float):
 
 
 def _kernel(form, spec: CopulaSpec, alpha: float):
-    """``form(spec, alpha)``, with an underflowed ``phi(alpha)`` as a typed error.
+    """``form(spec, alpha)``, with a kernel out of the double range as a typed error.
 
     Every form divides by a multiple of ``phi(alpha)``, which rounds to 0
     when ``alpha`` is within rounding of 1 on the generator's scale (Frank
-    ``theta = 800`` at ``alpha = 1 - 1e-6``, where ``e^(-theta alpha)``
-    underflows).
+    ``theta = 800`` at ``alpha = 1 - 1e-6``); a form raises ``OverflowError``
+    where a term would overflow at the nodes (``alpha = 5e-324``).
     """
     try:
         return form(spec, alpha)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError) as exc:
+        why = "phi(alpha) underflows to 0" if isinstance(exc, ZeroDivisionError) else exc
         raise QuadratureError(
-            f"phi(alpha) underflows to 0 for {spec.family.value} theta = "
-            f"{spec.theta} at alpha = {alpha}; the VaR kernel cannot be "
-            "normalized in double precision", float("nan"), float("inf"),
+            f"{why} for {spec.family.value} theta = {spec.theta} at alpha = {alpha}; the "
+            "VaR kernel cannot be normalized in double precision", float("nan"), float("inf"),
         ) from None
 
 
 def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarResult:
-    """VaR components from ``form``'s integrand.
-
-    The distinct margins integrate against one weight in lockstep, so
-    components sharing a margin receive bitwise-identical values, each equal
-    to the value it gets alone.  A failure raises the error of the first
-    distinct margin, in margin order, whose integral fails.
-    """
+    """VaR components from ``form``'s integrand.  The distinct margins
+    integrate against one weight in lockstep, each with the bits it gets
+    alone, and a failure raises the error of the first, in margin order."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
     margins = checked_margins(margins, spec.d)
     weight = _kernel(form, spec, alpha)
     la = -math.log(alpha)
-    graded = graded_breakpoints(0.0, la)
+    graded = np.concatenate(([0.0], graded_breakpoints(0.0, la), [la]))    # with its ends
     distinct: list = []
-    slots = []
-    for m in margins:
-        slot = next((j for j, obj in enumerate(distinct) if obj is m or obj == m), None)
-        if slot is None:
-            slot = len(distinct)
+    slot = {}    # each margin object's distinct margin: d copies compare once
+    for key, m in dict(zip(map(id, margins), margins)).items():
+        slot[key] = next((j for j, obj in enumerate(distinct) if obj == m), len(distinct))
+        if slot[key] == len(distinct):
             distinct.append(m)
-        slots.append(slot)
-    breaks = [graded if getattr(m, "knots", None) is None
-              else np.concatenate([graded, -np.log(m.knots)]) for m in distinct]
-    parts = _integrate_all([lambda t, m=m: m(_u(t)) for m in distinct], weight,
-                           0.0, la, cfg, breaks)
-    return VarResult(alpha, [parts[j][0] for j in slots], [parts[j][1] for j in slots], spec)
+    meshes = [graded] * len(distinct)
+    for j, m in enumerate(distinct):
+        if getattr(m, "knots", None) is not None:    # its kinks join the mesh
+            t = -np.log(m.knots)
+            mesh = np.sort(np.concatenate((graded, t[t < la])))    # np.unique, less its overhead
+            meshes[j] = mesh[np.concatenate(([True], mesh[1:] > mesh[:-1]))]
+    parts = _integrate_all([lambda t, m=m: m(_u(t)) for m in distinct], weight, cfg, meshes)
+    # rows: values, bounds, evaluations, splits; one column per component
+    table = np.array(parts).T.take(list(map(slot.__getitem__, map(id, margins))), axis=1)
+    return VarResult(alpha, table[0], table[1], spec, *table[2:].astype(int))
 
 
 def var_generic(spec: CopulaSpec, margins, alpha: float,

@@ -5,25 +5,28 @@
 
 ``compute`` imports ``TREE``'s own ``src/archvar`` and ``tests/test_bitwise.py``
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
-computes and the one the entry declares.  It also prints the outcome, a value
-or an error type, of each case of a VaR domain sweep (``SWEEP_THETAS``), which
-uses only the public API, the sampled outputs, each replication's selection
-count and estimate, of a sweep of ``run_study`` calls (``STUDY_SPECS``) and of
-a sweep of many-replication studies at the same specs (``REPLICATION_M``), and
-the sha256 of each sample of a sweep of ``sample_copula`` calls at the same
-specs: multi-block studies and samples that the one-block ``run_study`` and
-``sample_copula`` digests do not reach.  Run it once per tree, each in its
-own process, on the same machine.  ``compare`` exits 1 when a digest moved between the two
-trees while its ``DIGESTS`` entry stayed the same, or when an entry changed
-while its digest did not move: a change that moves bits must declare the
-move, and a recapture must come with a move.  This holds on any CPU, although
-most digests match their ``DIGESTS`` entries on one numpy build and CPU only.
-It also exits 1 when a sweep case that returns a value in the base tree raises
-in the head tree, when a study's outputs, in either study sweep, moved while
-the ``run_study`` entry stayed the same, and when a sample moved while the
-``sample_copula`` entry stayed the same.  It prints how many sweep values moved, the ten largest
-relative moves with both values, and every case that went from an error to
-a value or back.
+computes and the one the entry declares.  It also prints the outcome (a value
+or error bound, or an error type) of each case of a VaR domain sweep
+(``SWEEP_THETAS``), which uses only the public API; the sampled outputs, each
+replication's selection count and estimate, of a sweep of ``run_study`` calls
+(``STUDY_SPECS``) and of a sweep of many-replication studies at the same specs
+(``REPLICATION_M``); and the sha256 of each sample of a sweep of
+``sample_copula`` calls at the same specs: multi-block studies and samples
+that the one-block ``run_study`` and ``sample_copula`` digests do not reach.
+Run it once per tree, each in its own process, on the same machine.
+
+``compare`` exits 1 when a digest moved between the two trees while its
+``DIGESTS`` entry stayed the same, or when an entry changed while its digest
+did not move: a change that moves bits must declare the move, and a recapture
+must come with a move.  This holds on any CPU, although most digests match
+their ``DIGESTS`` entries on one numpy build and CPU only.  It also exits 1
+when a sweep case that returns a value in the base tree raises in the head
+tree, when a sweep value or error bound moved while the ``var_for_spec`` and
+``kernel_mass`` entries both stayed the same, when a study's outputs, in
+either study sweep, moved while the ``run_study`` entry stayed the same, and
+when a sample moved while the ``sample_copula`` entry stayed the same.  It
+prints how many sweep values moved, the ten largest relative moves with both
+values, and every case that went from an error to a value or back.
 """
 import contextlib
 import io
@@ -46,8 +49,11 @@ CHUNKS = {
 
 
 # The domain sweep: 3 theta per family, d in SWEEP_DIMS (AMH: d = 2 only),
-# alpha in SWEEP_ALPHAS, and uniform, normal and lognormal margins plus
-# kernel_mass: 1,224 cases.
+# alpha in SWEEP_ALPHAS: 306 points.  At each, the first component's value
+# and error bound under uniform, normal and lognormal margins and under a
+# tabulated margin, whose knots join the mesh; those of the first four
+# components under a cycle of four distinct margins, which integrate in
+# lockstep; and kernel_mass: 4,698 cases.
 SWEEP_THETAS = {
     "clayton": (0.5, 2.0, 8.0), "frank": (1.0, 5.74, 12.0), "gumbel": (1.0, 2.0, 4.0),
     "joe": (1.2, 2.4, 5.0), "amh": (-0.7, 0.3, 0.9),
@@ -56,33 +62,60 @@ SWEEP_DIMS = (2, 3, 10, 50)
 SWEEP_ALPHAS = (1e-6, 0.01, 0.5, 0.95, 1.0 - 1e-4, 1.0 - 1e-6)
 
 
-def sweep(archvar) -> dict:
-    """``{case: value or "error: <type>"}`` over the domain sweep."""
+def sweep_margins(archvar) -> tuple:
+    """``({name: margin}, mixed)``: the margins each sweep point takes for all
+    components, the table's knots at levels from 1e-7 to 1 - 1e-7, and the
+    four distinct margins that ``mixed`` cycles, as the bench's ``var_grid``."""
     import numpy as np
     from scipy import special
 
-    margins = {
-        "uniform": archvar.UniformMargin(),
-        "normal": archvar.FunctionMargin(lambda u: 3.0 + special.ndtri(u)),
-        "lognormal": archvar.FunctionMargin(lambda u: np.exp(0.5 * special.ndtri(u))),
-    }
+    def normal(mu, sigma):
+        return archvar.FunctionMargin(lambda u: mu + sigma * special.ndtri(u))
+
+    def lognormal(mu, sigma):
+        return archvar.FunctionMargin(lambda u: np.exp(mu + sigma * special.ndtri(u)))
+
+    tail = np.geomspace(1e-7, 0.5, 30)
+    levels = np.unique(np.concatenate([tail, 1.0 - tail]))
+    margins = {"uniform": archvar.UniformMargin(), "normal": normal(3.0, 1.0),
+               "lognormal": lognormal(0.0, 0.5),
+               "table": archvar.TabulatedMargin(levels, np.exp(0.5 * special.ndtri(levels)))}
+    return margins, (margins["uniform"], normal(2.0, 0.5), lognormal(0.5, 0.25), normal(5.0, 2.0))
+
+
+def sweep(archvar) -> dict:
+    """``{case: value or "error: <type>"}`` over the domain sweep."""
+    margins, mixed = sweep_margins(archvar)
     out = {}
+
+    def record(case, names, call):
+        # the value and error bound of component j, named names[j], or the error
+        try:
+            res = call()
+            values = [(float(res.components[j]), float(res.abs_error_estimate[j]))
+                      for j in range(len(names))]
+        except Exception as exc:
+            values = [(f"error: {type(exc).__name__}",) * 2] * len(names)
+        for name, (value, bound) in zip(names, values):
+            out[f"{case} {name}"], out[f"{case} {name} bound"] = value, bound
+
     with warnings.catch_warnings(record=True):
         for family, thetas in SWEEP_THETAS.items():
             for theta in thetas:
                 for d in (2,) if family == "amh" else SWEEP_DIMS:
                     spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
+                    cycle = [mixed[i % len(mixed)] for i in range(d)]
                     for alpha in SWEEP_ALPHAS:
-                        calls = {name: (lambda m=m: archvar.var_for_spec(
-                                     spec, [m] * d, alpha).components[0])
-                                 for name, m in margins.items()}
-                        calls["kernel_mass"] = lambda: archvar.kernel_mass(spec, alpha)
-                        for name, call in calls.items():
-                            try:
-                                value = float(call())
-                            except Exception as exc:
-                                value = f"error: {type(exc).__name__}"
-                            out[f"{family} theta={theta!r} d={d} alpha={alpha!r} {name}"] = value
+                        case = f"{family} theta={theta!r} d={d} alpha={alpha!r}"
+                        for name, m in margins.items():
+                            record(case, [name], lambda: archvar.var_for_spec(spec, [m] * d, alpha))
+                        record(case, [f"mixed{j}" for j in range(min(d, len(mixed)))],
+                               lambda: archvar.var_for_spec(spec, cycle, alpha))
+                        try:
+                            value = float(archvar.kernel_mass(spec, alpha))
+                        except Exception as exc:
+                            value = f"error: {type(exc).__name__}"
+                        out[f"{case} kernel_mass"] = value
     return out
 
 
@@ -157,8 +190,10 @@ def compare_outputs(kind: str, entry: str, base: dict, head: dict, declared: boo
     return lines, ok
 
 
-def compare_sweep(base: dict, head: dict) -> tuple:
-    """Summary lines, and whether no case went from a value to an error."""
+def compare_sweep(base: dict, head: dict, declared: bool = False) -> tuple:
+    """Summary lines, and whether no case went from a value to an error and
+    no value moved unless the ``var_for_spec`` or ``kernel_mass`` entry
+    changed (``declared``)."""
     lost = [case for case in base
             if isinstance(base[case], float) and not isinstance(head.get(case), float)]
     gained = [case for case in base
@@ -168,14 +203,17 @@ def compare_sweep(base: dict, head: dict) -> tuple:
                     for case in base
                     if isinstance(base[case], float) and isinstance(head.get(case), float)
                     and head[case] != base[case]), reverse=True)
+    ok = not lost and (declared or not moves)
     lines = [f"sweep: {len(base)} cases, {len(moves)} values moved, largest relative "
              f"move {moves[0][0] if moves else 0.0:.3g}; {len(gained)} went from an error "
-             f"to a value, {len(lost)} from a value to an error"]
+             f"to a value, {len(lost)} from a value to an error; var_for_spec and "
+             f"kernel_mass entries {'changed' if declared else 'unchanged'}: "
+             f"{'ok' if ok else 'FAIL'}"]
     lines += [f"  moved {move:.3g}: {case}: {base[case]!r} -> {head[case]!r}"
               for move, case in moves[:10]]
     lines += [f"  {base[case]} -> value {head[case]!r}: {case}" for case in gained]
     lines += [f"  value -> {head.get(case, 'missing')}: {case}" for case in lost]
-    return lines, not lost
+    return lines, ok
 
 
 def cli_digest(bitwise, name: str) -> str:
@@ -239,7 +277,9 @@ def compare(base: dict, head: dict) -> tuple:
         ok &= moved == declared
         lines.append(f"{name}: {'moved' if moved else 'held'}, entry "
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
-    lines_ok = [compare_sweep(base["sweep"], head["sweep"])]
+    entries = [(old.get(name, {}).get("declared"), new.get(name, {}).get("declared"))
+               for name in ("var_for_spec", "kernel_mass")]
+    lines_ok = [compare_sweep(base["sweep"], head["sweep"], any(a != b for a, b in entries))]
     for kind, entry in (("studies", "run_study"), ("replications", "run_study"),
                         ("samples", "sample_copula")):
         lines_ok.append(compare_outputs(kind, entry, base[kind], head[kind],

@@ -116,6 +116,13 @@ class TestVarCommand:
         assert main(["var", "--config", cfg]) == 3
         assert "underflows" in capsys.readouterr().err
 
+    def test_alpha_where_a_kernel_term_overflows_exit_3(self, tmp_path, capsys):
+        # Frank's e^(-ln alpha - t) overflows at alpha = 5e-324; table1 raised
+        # the RuntimeWarning that this suite turns into an error
+        cfg = write_config(tmp_path, TABLE_CONFIG.replace("alpha = 0.05", "alpha = 5e-324"))
+        assert main(["table1", "--config", cfg]) == 3
+        assert "expm1(-ln alpha) overflows for frank" in capsys.readouterr().err
+
     def test_frank_theta_where_expm1_overflows_exit_2(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("family = clayton", "family = frank").replace(
             "theta = 2.0", "theta = -720").replace("d = 3", "d = 2").replace(

@@ -1,6 +1,6 @@
 """``tests/digest_diff.py``'s comparison of two trees' sweeps."""
 from digest_diff import (REPLICATION_DIMS, REPLICATION_M, REPLICATION_N, compare,
-                         compare_outputs, compare_sweep, sample_sweep, study_sweep)
+                         compare_outputs, compare_sweep, sample_sweep, study_sweep, sweep)
 
 ERROR = "error: QuadratureError"
 
@@ -13,7 +13,8 @@ def test_compare_sweep_names_what_moved():
     lines, ok = compare_sweep(base, head)
     assert not ok
     assert lines[0] == ("sweep: 15 cases, 11 values moved, largest relative move 1.1e-08; "
-                        "1 went from an error to a value, 1 from a value to an error")
+                        "1 went from an error to a value, 1 from a value to an error; "
+                        "var_for_spec and kernel_mass entries unchanged: FAIL")
     moved = [line for line in lines if line.startswith("  moved ")]
     assert len(moved) == 10
     assert moved[0] == f"  moved 1.1e-08: case11: 1.0 -> {head['case11']!r}"
@@ -25,8 +26,76 @@ def test_compare_sweep_passes_without_a_lost_value():
     base = {"a": 1.0, "b": ERROR}
     lines, ok = compare_sweep(base, {"a": 1.0, "b": 2.0})
     assert ok and lines == ["sweep: 2 cases, 0 values moved, largest relative move 0; "
-                            "1 went from an error to a value, 0 from a value to an error",
+                            "1 went from an error to a value, 0 from a value to an error; "
+                            "var_for_spec and kernel_mass entries unchanged: ok",
                             f"  {ERROR} -> value 2.0: b"]
+
+
+def test_compare_sweep_fails_on_an_undeclared_move():
+    # a value that moves needs a changed var_for_spec or kernel_mass entry;
+    # a value that turns into an error fails either way
+    base, head = {"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0 + 4e-16}
+    lines, ok = compare_sweep(base, head)
+    assert not ok and lines[0].endswith("1 values moved, largest relative move 2.22e-16; 0 went "
+                                        "from an error to a value, 0 from a value to an error; "
+                                        "var_for_spec and kernel_mass entries unchanged: FAIL")
+    lines, ok = compare_sweep(base, head, declared=True)
+    assert ok and lines[0].endswith("entries changed: ok")
+    _, ok = compare_sweep(base, {"a": ERROR, "b": 2.0}, declared=True)
+    assert not ok
+
+
+def test_compare_reads_the_var_entries():
+    # a moved sweep value fails compare unless the var_for_spec or the
+    # kernel_mass entry changed with its digest
+    entries = {name: {"computed": "c", "declared": "x"} for name in ("var_for_spec", "kernel_mass")}
+    base = {**trees({}, {}), "sweep": {"a": 1.0}}
+    base["digests"] = {**base["digests"], **entries}
+    head = {**base, "sweep": {"a": 1.5}, "digests": {**base["digests"]}}
+    summary = lambda lines: next(line for line in lines if line.startswith("sweep:"))  # noqa: E731
+    lines, ok = compare(base, head)
+    assert not ok and summary(lines).endswith("entries unchanged: FAIL")
+    for name in entries:
+        head["digests"] = {**base["digests"], name: {"computed": "d", "declared": "y"}}
+        lines, ok = compare(base, head)
+        assert ok and summary(lines).endswith("entries changed: ok"), name
+    _, ok = compare(base, {**base, "sweep": {"a": 1.0}})
+    assert ok
+
+
+def test_sweep_cases():
+    # each point's value and error bound under four margins, one of them
+    # tabulated, and under the lockstep cycle of four distinct margins
+    import archvar
+
+    calls = []
+
+    class Result:
+        def __init__(self, d):
+            self.components = self.abs_error_estimate = [0.5] * d
+
+    def fake_var_for_spec(spec, margins, alpha):
+        calls.append(margins)
+        if spec.family is archvar.FamilyId.JOE:
+            raise archvar.QuadratureError("no", 0.0, 1.0)
+        return Result(spec.d)
+
+    class Fake:
+        def __getattr__(self, name):
+            return {"var_for_spec": fake_var_for_spec,
+                    "kernel_mass": lambda spec, alpha: 1.0}.get(name, getattr(archvar, name))
+
+    out = sweep(Fake())
+    assert len(calls) == 5 * 306 and len(out) == 4698
+    point = "clayton theta=2.0 d=10 alpha=0.5"
+    assert [out[f"{point} mixed{j}{bound}"]
+            for j in range(4) for bound in ("", " bound")] == [0.5] * 8
+    assert f"{point} mixed4" not in out and f"amh theta=0.3 d=2 alpha=0.5 mixed2" not in out
+    assert out["joe theta=2.4 d=3 alpha=0.5 table bound"] == "error: QuadratureError"
+    tables = [m[0] for m in calls if isinstance(m[0], archvar.TabulatedMargin)]
+    assert len(tables) == 306 and tables[0].knots.min() <= 1e-6 and tables[0].knots.max() > 1 - 1e-6
+    mixed = [m for m in calls if len(set(map(id, m))) > 1]
+    assert len(mixed) == 306 and all(len(set(map(id, m[:4]))) == min(len(m), 4) for m in mixed)
 
 
 STUDY = {"counts": [3, 4], "estimates": [[0.1, 0.2], [0.3, 0.4]]}

@@ -155,6 +155,23 @@ class TestControl:
         assert sizes == [chunk] * (3000 // chunk) + [3000 % chunk]
         assert value == pytest.approx(1.0, abs=1e-14)
 
+    def test_breakpoints_are_the_sorted_interior_set(self, monkeypatch):
+        # integrate normalises its breakpoints once: unsorted, duplicated, on
+        # an end, outside [a, b] or not finite, they give the bits of the
+        # sorted interior set, on the same mesh
+        def f(x):
+            return np.sin(40.0 * x) * np.exp(-x)
+
+        sizes = count_rule_calls(monkeypatch)
+        want = np.array(integrate(f, 0.0, 3.0, breakpoints=[0.25, 0.5, 1.5, 2.75]))
+        first = sizes[0]
+        for points in ([2.75, 0.5, 1.5, 0.25], [0.5, 0.5, 0.25, 2.75, 1.5, 1.5, 0.25],
+                       [0.0, 3.0, 0.25, 0.5, 1.5, 2.75, 3.0], np.array([[1.5, 0.5], [2.75, 0.25]]),
+                       [-1.0, 0.25, 7.0, 0.5, np.inf, 1.5, np.nan, 2.75, -np.inf]):
+            sizes.clear()
+            got = np.array(integrate(f, 0.0, 3.0, breakpoints=points))
+            assert got.tobytes() == want.tobytes() and sizes[0] == first == 5, points
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             QuadConfig(abs_tol=0.0)
@@ -266,10 +283,52 @@ class TestControl:
         assert abs(excinfo.value.estimate - 3.0) <= excinfo.value.error_bound
 
 
+class TestErrorModel:
+    def test_flat_rows_take_the_raw_difference(self):
+        # where resasc is 0 the estimate is |K15 - G7|, with no 0/0; elsewhere
+        # QUADPACK's scaled form, also when no row is flat
+        resk = np.array([0.0, 1e-17, 2.0, 3.0])
+        resg = np.array([0.0, 3e-17, 2.0 + 1e-9, 3.0 - 1e-3])
+        resasc = np.array([0.0, 0.0, 1e-3, 0.5])
+        raw = np.abs(resk - resg)
+        scaled = resasc[2:] * np.minimum(1.0, (200.0 * raw[2:] / resasc[2:]) ** 1.5)
+        got = quadrature._errors(resk, resg, resasc)
+        assert got.tobytes() == np.concatenate([raw[:2], scaled]).tobytes()
+        assert quadrature._errors(resk[2:], resg[2:], resasc[2:]).tobytes() == scaled.tobytes()
+
+    def test_integrand_zero_on_part_of_the_range(self):
+        # zero on [0, 1], so the first pass's rows there have resasc = 0 among
+        # rows that do not; the sum covers the rest without a warning
+        def f(x):
+            return np.maximum(x - 1.0, 0.0) ** 2
+
+        mesh = np.concatenate(([0.0], graded_breakpoints(0.0, 3.0), [3.0]))
+        mid, half = 0.5 * (mesh[:-1] + mesh[1:]), 0.5 * (mesh[1:] - mesh[:-1])
+        values, errors, done, failure = quadrature._rule([f], None, mid, half)
+        flat = mesh[1:] <= 1.0    # the intervals inside [0, 1]
+        assert done == 1 and failure is None and flat.any() and not flat.all()
+        assert (values[0][flat] == 0.0).all() and (errors[0][flat] == 0.0).all()
+        assert (errors[0][~flat] > 0.0).all()
+        value, err = integrate(f, 0.0, 3.0, breakpoints=[1.0, *graded_breakpoints(0.0, 3.0)])
+        assert value == pytest.approx(8.0 / 3.0, rel=1e-13) and err <= 1e-10
+
+
 def _sequential(fs, w, a, b, cfg, breakpoints):
     """What a loop of ``integrate`` calls over ``fs`` returns or raises."""
     return [integrate(lambda x, f=f: f(x) * w(x), a, b, cfg, bp)
             for f, bp in zip(fs, breakpoints)]
+
+
+def _lockstep(fs, w, a, b, cfg, breakpoints):
+    """``_integrate_all`` on each object of ``breakpoints`` made a mesh as
+    :func:`integrate` makes it, once, so that integrals given the same
+    object share it; the values and bounds only."""
+    meshes = {}
+    for points in breakpoints:
+        edges = np.unique(np.concatenate(([a, b], np.ravel(points))))
+        meshes.setdefault(id(points), edges[(edges >= a) & (edges <= b)])
+    return [result[:2] for result in quadrature._integrate_all(
+        fs, w, cfg, [meshes[id(points)] for points in breakpoints])]
 
 
 def _outcome(call):
@@ -328,7 +387,7 @@ class TestLockstep:
     def test_each_integral_gets_its_bits_alone(self):
         graded = graded_breakpoints(self.A, self.B)
         breaks = [graded, graded, np.linspace(0.0, 3.0, 40), graded, ()]
-        got = quadrature._integrate_all(SMOOTH, _weight, self.A, self.B, self.CFG, breaks)
+        got = _lockstep(SMOOTH, _weight, self.A, self.B, self.CFG, breaks)
         want = _sequential(SMOOTH, _weight, self.A, self.B, self.CFG, breaks)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -339,7 +398,7 @@ class TestLockstep:
         fs = [SMOOTH[0], FAILING[first], SMOOTH[3], FAILING[second], SMOOTH[1]]
         breaks = [graded_breakpoints(self.A, self.B)] * len(fs)
         args = (fs, _weight, self.A, self.B, self.CFG, breaks)
-        got = _outcome(lambda: quadrature._integrate_all(*args))
+        got = _outcome(lambda: _lockstep(*args))
         assert isinstance(got, tuple)
         assert got == _outcome(lambda: _sequential(*args))
 
@@ -354,9 +413,8 @@ class TestLockstep:
             return np.sin(40.0 * x)
 
         with pytest.raises(QuadratureError, match="non-finite"):
-            quadrature._integrate_all([FAILING["first-pass-non-finite"], slow], _weight,
-                                      self.A, self.B, self.CFG,
-                                      [graded_breakpoints(self.A, self.B)] * 2)
+            _lockstep([FAILING["first-pass-non-finite"], slow], _weight, self.A, self.B,
+                      self.CFG, [graded_breakpoints(self.A, self.B)] * 2)
         assert calls == [24 * 15]
 
     def test_first_pass_stops_once_every_integral_has_stopped(self, monkeypatch):
@@ -381,7 +439,7 @@ class TestLockstep:
         graded = graded_breakpoints(self.A, self.B)
         args = ([SMOOTH[0], FAILING["raises"], slow], _weight, self.A, self.B, self.CFG,
                 [graded, np.linspace(self.A, self.B, 7), graded])
-        got = _outcome(lambda: quadrature._integrate_all(*args))
+        got = _outcome(lambda: _lockstep(*args))
         assert calls == [24 * 15]
         assert got == _outcome(lambda: _sequential(*args))
 
@@ -396,8 +454,8 @@ class TestLockstep:
             return np.sin(40.0 * x)
 
         with pytest.raises(QuadratureError, match="integrand gave up") as excinfo:
-            quadrature._integrate_all([fails_in_second_round], _weight, self.A, self.B,
-                                      self.CFG, [graded_breakpoints(self.A, self.B)])
+            _lockstep([fails_in_second_round], _weight, self.A, self.B, self.CFG,
+                      [graded_breakpoints(self.A, self.B)])
         err = excinfo.value
         assert (err.estimate, err.error_bound) == (1.5, 2.5)
         assert err.splits == sizes[1] // 2 > 0
@@ -409,11 +467,11 @@ class TestLockstep:
         alone = []
         for f in SMOOTH[:4]:
             sizes = count_rule_calls(monkeypatch)
-            quadrature._integrate_all([f], _weight, self.A, self.B, self.CFG, breaks[:1])
+            _lockstep([f], _weight, self.A, self.B, self.CFG, breaks[:1])
             alone.append(len(sizes))
             monkeypatch.undo()
         sizes = count_rule_calls(monkeypatch)
-        quadrature._integrate_all(SMOOTH[:4], _weight, self.A, self.B, self.CFG, breaks)
+        _lockstep(SMOOTH[:4], _weight, self.A, self.B, self.CFG, breaks)
         assert len(sizes) == max(alone) < sum(alone)
 
     @pytest.mark.parametrize("k", [2, 11])

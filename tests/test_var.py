@@ -284,6 +284,44 @@ class TestDomainHandling:
                 with pytest.raises(QuadratureError, match="underflows"):
                     call()
 
+    def test_smallest_alpha_gives_a_value_or_a_typed_error(self):
+        # at alpha = 5e-324 these overflowed with a RuntimeWarning (an error
+        # under this suite's filter): Frank's e^(la - t) at the nodes near
+        # t = 0, Joe's phi(alpha) = -ln(1 - (1 - alpha)^theta), Clayton's
+        # phi(alpha) and every family's phi' near alpha in kernel_mass
+        tiny = 5e-324
+        specs = {f: CopulaSpec(f, th, 2 if f is FamilyId.ALI_MIKHAIL_HAQ else 3)
+                 for f, th in ((FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
+                               (FamilyId.GUMBEL_HOUGAARD, 2.0), (FamilyId.JOE, 2.4),
+                               (FamilyId.ALI_MIKHAIL_HAQ, 0.3))}
+        for family, spec in specs.items():
+            with pytest.raises(QuadratureError, match="overflows"):
+                kernel_mass(spec, tiny)
+            with pytest.raises(QuadratureError, match="overflows"):
+                var_generic(spec, [U] * spec.d, tiny)
+            if family in (FamilyId.FRANK, FamilyId.JOE):
+                with pytest.raises(QuadratureError, match="overflows"):
+                    var_for_spec(spec, [U] * spec.d, tiny)
+        # the rest keep their values: Clayton's VaR, about 1.5e-323, is 0
+        # within the absolute tolerance; Gumbel's is about 4/744^2
+        assert var_for_spec(specs[FamilyId.CLAYTON], [U] * 3, tiny).components[0] == 0.0
+        for family, want in ((FamilyId.GUMBEL_HOUGAARD, 7.21765e-06),
+                             (FamilyId.ALI_MIKHAIL_HAQ, 0.0011185)):
+            got = var_for_spec(specs[family], [U] * specs[family].d, tiny).components[0]
+            assert got == pytest.approx(want, rel=1e-4)    # the figures quoted
+            assert got == pytest.approx(_mp_var(family, specs[family].theta, specs[family].d,
+                                                tiny), rel=1e-9)
+
+    def test_frank_alpha_below_the_exponent_range_is_a_quadrature_error(self):
+        # below alpha = e^-709.78, e^(la - t) overflows; the form returned 0.0
+        # with a warning at d = 2 where the VaR is about 4e-4
+        spec = CopulaSpec(FamilyId.FRANK, 5.74, 2)
+        assert var_for_spec(spec, [U] * 2, 1e-300).components[0] == pytest.approx(
+            _mp_var(FamilyId.FRANK, 5.74, 2, 1e-300), rel=1e-9)
+        for alpha in (5.5e-309, 1e-310, 1e-320):
+            with pytest.raises(QuadratureError, match=r"expm1\(-ln alpha\) overflows"):
+                var_for_spec(spec, [U] * 2, alpha)
+
     @pytest.mark.parametrize("family, theta, d, alpha, call", [
         (FamilyId.CLAYTON, 2.0, 10, 1.0 - 1e-6, "lognormal"),
         (FamilyId.GUMBEL_HOUGAARD, 1.0, 50, 1.0 - 1e-6, "normal"),
@@ -473,10 +511,11 @@ def _lognormal(mu: float, sigma: float) -> FunctionMargin:
 
 
 def _var_outcome(spec, margins, alpha):
-    """Components and bounds as bytes, or the exception's type, message and fields."""
+    """Components, bounds and counts as bytes, or the exception's type, message and fields."""
     try:
         res = var_for_spec(spec, margins, alpha)
-        return res.components.tobytes(), res.abs_error_estimate.tobytes()
+        return (res.components.tobytes(), res.abs_error_estimate.tobytes(),
+                res.n_evals.tobytes(), res.n_splits.tobytes())
     except QuadratureError as exc:
         return type(exc), str(exc), repr(exc.estimate), repr(exc.error_bound), exc.splits
     except Exception as exc:
@@ -488,6 +527,15 @@ def _mixed(d: int) -> list:
     cycle = [U, _normal(2.0, 0.5), _lognormal(0.5, 0.25), _normal(5.0, 2.0),
              _lognormal_table(seed=11)]
     return [cycle[i % min(d, len(cycle))] for i in range(d)]
+
+
+def _assert_each_as_alone(got, margins, alone, distinct):
+    """Each component of the outcome ``got`` has the bits of its margin's call alone."""
+    for k, dtype in enumerate((float, float, int, int)):
+        comps = np.frombuffer(got[k], dtype=dtype)
+        for i, m in enumerate(margins):
+            single = np.frombuffer(alone[distinct.index(m)][k], dtype=dtype)
+            assert comps[i].tobytes() == single[0].tobytes(), (k, i)
 
 
 class TestLockstepMargins:
@@ -506,11 +554,23 @@ class TestLockstepMargins:
             # the first distinct margin to fail, in margin order
             assert got == failed[0]
             return
-        comps = np.frombuffer(got[0]), np.frombuffer(got[1])
-        for i, m in enumerate(margins):
-            single = alone[distinct.index(m)]
-            assert comps[0][i].tobytes() == np.frombuffer(single[0])[0].tobytes()
-            assert comps[1][i].tobytes() == np.frombuffer(single[1])[0].tobytes()
+        _assert_each_as_alone(got, margins, alone, distinct)
+
+    @pytest.mark.parametrize("family,theta", [(FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 12.0),
+                                              (FamilyId.JOE, 6.0)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_smooth_margins_and_tables_match_single_margin_calls(self, family, theta, alpha):
+        # four smooth margins share the graded mesh and two tables have
+        # meshes of their own, joined at their knots: each gets the value,
+        # bound and counts it gets alone
+        tables = [_lognormal_table(seed=11), _lognormal_table(seed=12)]
+        margins = [tables[0]] + _mixed(4) + [tables[1], _mixed(4)[1]]
+        spec = CopulaSpec(family, theta, len(margins))
+        distinct = list(dict.fromkeys(margins))
+        alone = [_var_outcome(spec, [m] * spec.d, alpha) for m in distinct]
+        got = _var_outcome(spec, margins, alpha)
+        assert not isinstance(got[0], type)
+        _assert_each_as_alone(got, margins, alone, distinct)
 
     @staticmethod
     def _failing_margins():
@@ -583,6 +643,34 @@ class TestLockstepMargins:
         assert len(calls) == max(alone) < sum(alone)
 
 
+class TestCounts:
+    """``VarResult.n_evals`` and ``n_splits``, one per component, from the driver."""
+
+    def test_first_pass_only_op(self, monkeypatch):
+        # the graded mesh's 24 intervals at 15 nodes each, and no split
+        calls = count_rule_calls(monkeypatch)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U] * 3, 0.5)
+        assert calls == [24]
+        assert res.n_evals.tolist() == [24 * 15] * 3 and res.n_splits.tolist() == [0] * 3
+        assert res.n_evals.dtype.kind == res.n_splits.dtype.kind == "i"
+        assert not (res.n_evals.flags.writeable or res.n_splits.flags.writeable)
+
+    def test_splits_are_the_halves_of_each_round(self, monkeypatch):
+        calls = count_rule_calls(monkeypatch)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 50.0, 3), [U] * 3, 0.05)
+        splits = sum(calls[1:]) // 2
+        assert len(calls) > 1 and res.n_splits.tolist() == [splits] * 3
+        assert res.n_evals.tolist() == [15 * (24 + 2 * splits)] * 3
+
+    def test_a_table_counts_its_own_mesh(self, monkeypatch):
+        table = _lognormal_table(seed=11)
+        calls = count_rule_calls(monkeypatch)
+        res = var_for_spec(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 2), [U, table], 0.05)
+        assert calls[0] == 24 and calls[1] > 24    # the graded mesh, then the table's
+        first = 15 * np.array(calls[:2])
+        assert (res.n_evals == first + 30 * res.n_splits).all()
+
+
 # ---------------------------------------------- graded mesh and the reduced forms
 
 def _mp_generator(family, th):
@@ -638,8 +726,8 @@ def _first_pass_nodes(spec, alpha):
         raise _FirstPass
 
     with pytest.raises(_FirstPass):
-        quadrature._integrate_all([var._u], recording, 0.0, la, quadrature.DEFAULT_QUAD,
-                                  [quadrature.graded_breakpoints(0.0, la)])
+        mesh = np.concatenate(([0.0], quadrature.graded_breakpoints(0.0, la), [la]))
+        quadrature._integrate_all([var._u], recording, quadrature.DEFAULT_QUAD, [mesh])
     return seen[0], weight(seen[0]), la
 
 

@@ -12,7 +12,9 @@ tolerance ``tol`` bisects, largest error first, the fewest of its ``N``
 intervals with an error above ``tol / (2N)`` that leave at most ``tol / 2``,
 but never one whose halves' outer nodes would round onto its ends (its
 error stays in the bound).  A round's halves of all integrals go into one
-rule call, and each integral gets the bits it gets alone.  It raises
+rule call, and each integral gets the bits it gets alone.  So failures need
+no bookkeeping: a call that fails runs each integral again alone, in order,
+and the first of those runs to fail raises, as a loop would.  An integral raises
 :class:`QuadratureError` after ``max_subdivisions`` splits, when
 unsplittable intervals hold more than ``tol``, or when ``_MAX_STALLS`` splits
 left value and error almost unchanged (QUADPACK QAG's ``iroff1``, Piessens
@@ -82,8 +84,10 @@ DEFAULT_QUAD = QuadConfig()
 
 
 def _check_bounds(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ParameterError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
+    # false for NaN too; where true, the half-width is > 0 and any sum of two ends finite
+    if not (0.5 * (b - a) > 0.0 and math.isfinite(2.0 * max(abs(a), abs(b)))):
+        raise ParameterError(f"integration bounds must be finite with a < b, a half-width "
+                             f"above 0 and |a|, |b| below half the largest double, got [{a}, {b}]")
 
 
 def graded_breakpoints(a: float, b: float) -> np.ndarray:
@@ -111,43 +115,32 @@ def _errors(resk, resg, resasc) -> np.ndarray:
 def _rule(fs, w, mid: np.ndarray, half: np.ndarray, rows=None):
     """G7/K15 on the intervals ``mid +- half``: ``rows[i]`` (a slice of the
     last axis) for ``fs[i](x) w(x)``, or all (``rows=None``, the first pass),
-    ``w`` (``None`` for 1) called once.  Returns the values and error bounds
-    of the leading integrands that succeeded, their count, and ``None`` or
-    what stopped the next: its exception (or ``w``'s), or ``_NON_FINITE``.
-    Each gets the bits it gets alone (``tests/test_elementwise_bits.py``)."""
+    ``w`` (``None`` for 1) called once, first.  Returns the values and error
+    bounds, or ``None`` if a value is not finite; an integrand's or ``w``'s
+    exception propagates.  Each integrand gets the bits it gets alone
+    (``tests/test_elementwise_bits.py``)."""
     nodes = mid[..., None] + half[..., None] * _XK
     shared = rows is None
-    slots = range(len(fs)) if shared else [(..., r, slice(None)) for r in rows]
     fv = np.empty((len(fs),) + nodes.shape if shared else nodes.shape)
-    done, failure, wv = 0, None, None
-    try:
-        if w is not None:
-            wv = np.asarray(w(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for f, s in zip(fs, slots):
-            x = nodes if shared else nodes[s]
-            fv[s] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-            done += 1
-    except Exception as exc:    # raised once the integrals before it have run on
-        failure = exc
-        fv = fv[:done] if shared else fv[..., :rows[done].start, :]
+    wv = None if w is None else np.asarray(w(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    for f, s in zip(fs, range(len(fs)) if shared else [(..., r, slice(None)) for r in rows]):
+        x = nodes if shared else nodes[s]
+        fv[s] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if wv is not None:
-        fv *= wv if shared or failure is None else wv[..., :fv.shape[-2], :]
+        fv *= wv
     # checked before any arithmetic: a matmul over +inf and -inf warns
     if np.count_nonzero(np.isfinite(fv)) < fv.size:
-        done = next(j for j, s in enumerate(slots) if not np.isfinite(fv[s]).all())
-        fv = fv[:done] if shared else fv[..., :rows[done].start, :]
-        failure = _NON_FINITE
+        return None
     # scale-aware error model: resasc measures the integrand's variation
     if shared:
         resk = half * (fv @ _WK)
         resg = half * (_WG @ fv.transpose(0, 2, 1).take(_GAUSS_IDX, axis=1))
         resasc = half * (np.abs(fv - (resk / (2.0 * half))[..., None]) @ _WK)
     else:
-        half = half if failure is None else half[..., :fv.shape[-2]]
         resk = half * np.einsum("...j,j->...", fv, _WK)
         resg = half * np.einsum("...j,j->...", fv[..., 1::2], _WG)
         resasc = half * np.einsum("...j,j->...", np.abs(fv - (resk / (2.0 * half))[..., None]), _WK)
-    return resk, _errors(resk, resg, resasc), done, failure
+    return resk, _errors(resk, resg, resasc)
 
 
 def _narrow(left, right, scale: float) -> np.ndarray:
@@ -169,108 +162,105 @@ def _integrate_all(fs, w, cfg: QuadConfig, edges) -> list[tuple[float, float, in
     for 1, in lockstep from the mesh ``edges[i]``; integrals given one object
     share their first-pass calls.  Returns ``[(value, error_bound,
     evaluations, splits), ...]``, or raises what a loop over ``fs`` would:
-    once integral ``i`` fails, those after it stop and those before it run
-    on, and a failed round carries the estimate and bound from before it."""
-    groups: dict[int, list] = {}
-    for i, mesh in enumerate(edges):
-        groups.setdefault(id(mesh), []).append(i)
-    # each refining integral's [partition rows (lefts, rights, values, error
-    # bounds), estimate, bound, splits, stalls]; the narrowest interval made
-    out, state, floor = [None] * len(fs), {}, math.inf
-    failure, stop = None, len(fs)    # the integrals from ``stop`` on have stopped
-    for members in groups.values():
-        mesh = edges[members[0]]
-        sums = np.zeros((len(members), 2, mesh.size - 1))    # values and error bounds
-        for c in range(0, mesh.size - 1, _CHUNK_INTERVALS):
-            run = [i for i in members if i < stop]
-            if not run:
-                break
-            lefts, rights = mesh[:-1][c:c + _CHUNK_INTERVALS], mesh[1:][c:c + _CHUNK_INTERVALS]
-            v, e, done, exc = _rule([fs[i] for i in run], w, 0.5 * (lefts + rights),
-                                    0.5 * (rights - lefts))
-            sums[:done, 0, c:c + lefts.size], sums[:done, 1, c:c + lefts.size] = v, e
-            if exc is not None:
-                stop = run[done]
-                failure = (QuadratureError(_NON_FINITE, float("nan"), float("inf"))
-                           if exc is _NON_FINITE else exc)
-        for i, (total, error), part in zip(members, np.add.reduce(sums, axis=2).tolist(), sums):
-            out[i] = (total, error, 15 * part.shape[1], 0)
-            if i < stop and error > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                state[i] = [np.concatenate(([mesh[:-1]], [mesh[1:]], part)), total, error, 0, 0]
-                floor = min(floor, (mesh[1:] - mesh[:-1]).min())
-    scale, live = max(-edges[0][0], edges[0][-1]), sorted(state)
-    while live:
-        cuts = []    # (integral, the columns to split, the partition there)
-        for i in live:
-            if i >= stop:
-                break
-            part, total, error, splits, stalls = state[i]
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-            if error <= tol:
-                out[i] = (total, error, 15 * (part.shape[1] + splits), splits)
-                continue
-            if stalls >= _MAX_STALLS:
-                why = (f"stopped by roundoff after {splits} subdivisions: {stalls} "
-                       "splits left the estimate and its error bound almost unchanged")
-            elif splits >= cfg.max_subdivisions:
-                why = f"did not converge within {cfg.max_subdivisions} subdivisions"
-            else:
-                errs, thr, stuck = part[3], tol / (2 * part.shape[1]), 0.0
-                narrow = () if floor > 1e-12 * scale else _narrow(part[0], part[1], scale)
-                if len(narrow):    # those above thr hold stuck error, and sort last
-                    narrow = narrow[errs[narrow] > thr]
-                    stuck, errs = float(errs[narrow].sum()), errs.copy()
-                    errs[narrow] = 0.0
-                # the fewest above thr, largest first, that leave at most tol / 2
-                order = (-errs).argsort(kind="stable")
-                errs = errs.take(order)
-                k = min(int(errs.cumsum().searchsorted(error - tol / 2)) + 1, errs.size)
-                pick = order[:k if errs[k - 1] > thr else np.count_nonzero(errs > thr)]
-                if stuck <= tol and pick.size:
-                    pick = pick[:cfg.max_subdivisions - splits]
-                    cuts.append((i, pick, part.take(pick, axis=1)))
+    the first failure of any integral stops the call, each integral then
+    runs again alone, in order, with the bits it got in lockstep, and the
+    first of those runs to fail raises.  A failed round's error carries the
+    estimate, bound and splits from before it."""
+    try:
+        groups: dict[int, list] = {}
+        for i, mesh in enumerate(edges):
+            groups.setdefault(id(mesh), []).append(i)
+        # each refining integral's [partition rows (lefts, rights, values,
+        # error bounds), estimate, bound, splits, stalls]; the narrowest
+        # interval made
+        out, state, floor = [None] * len(fs), {}, math.inf
+        for members in groups.values():
+            mesh = edges[members[0]]
+            sums = np.zeros((len(members), 2, mesh.size - 1))    # values and error bounds
+            for c in range(0, mesh.size - 1, _CHUNK_INTERVALS):
+                lefts, rights = mesh[:-1][c:c + _CHUNK_INTERVALS], mesh[1:][c:c + _CHUNK_INTERVALS]
+                ve = _rule([fs[i] for i in members], w, 0.5 * (lefts + rights),
+                           0.5 * (rights - lefts))
+                if ve is None:
+                    raise QuadratureError(_NON_FINITE, float("nan"), float("inf"))
+                sums[:, 0, c:c + lefts.size], sums[:, 1, c:c + lefts.size] = ve
+            for i, (total, error), part in zip(members, np.add.reduce(sums, axis=2).tolist(), sums):
+                out[i] = (total, error, 15 * part.shape[1], 0)
+                if error > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                    state[i] = [np.concatenate(([mesh[:-1]], [mesh[1:]], part)), total, error, 0, 0]
+                    floor = min(floor, (mesh[1:] - mesh[:-1]).min())
+        scale, live = max(-edges[0][0], edges[0][-1]), sorted(state)
+        while live:
+            cuts = []    # (integral, the columns to split)
+            for i in live:
+                part, total, error, splits, stalls = state[i]
+                tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+                if error <= tol:
+                    out[i] = (total, error, 15 * (part.shape[1] + splits), splits)
                     continue
-                why = (f"stopped at floating-point resolution after {splits} subdivisions: "
-                       f"intervals too narrow to split hold {stuck:.3e} of the error bound")
-            failure, stop = QuadratureError(f"quadrature {why} (estimate {total!r}, error "
-                                            f"bound {error:.3e})", total, error, splits), i
-            break
-        if not cuts:
-            break
-        old = np.concatenate([cut[2] for cut in cuts], axis=1)
-        bounds = old.take([0, 1, 1], axis=0)    # rows: lefts, mids, rights
-        bounds[1] = 0.5 * (bounds[0] + bounds[2])
-        width = bounds[1:] - bounds[:2]    # of the halves [left; right] of column j of old
-        floor = min(floor, width.min())
-        ends = accumulate(cut[1].size for cut in cuts)
-        rows = [slice(end - cut[1].size, end) for cut, end in zip(cuts, ends)]
-        v, e, done, exc = _rule([fs[cut[0]] for cut in cuts], w, 0.5 * (bounds[:2] + bounds[1:]),
-                                0.5 * width, rows)
-        if exc is not None:
-            i = cuts[done][0]
-            _, total, error, splits, _ = state[i]
-            if exc is _NON_FINITE:
-                exc = QuadratureError(_NON_FINITE, total, error, splits)
-            elif isinstance(exc, QuadratureError):
-                exc = QuadratureError(str(exc), exc.estimate, exc.error_bound, splits)
-            failure, stop = exc, i
-        n = v.shape[1]
-        kids = np.concatenate((bounds[:2, :n], bounds[1:, :n], v, e)).reshape(4, 2, n)
-        area = kids[2:, 0] + kids[2:, 1]    # the halves' summed values and error bounds
-        stalled = ((np.abs(area[0] - old[2, :n]) <= _STALL_REL_CHANGE * np.abs(area[0]))
-                   & (area[1] >= _STALL_ERR_RATIO * old[3, :n]))
-        for (i, pick, _), r in zip(cuts[:done], rows):
-            st = state[i]
-            # the left halves take their parents' places, the right ones follow
-            st[0] = np.concatenate((st[0], kids[:, 1, r]), axis=1)
-            st[0][:, pick] = kids[:, 0, r]
-            st[1], st[2] = np.add.reduce(st[0][2:], axis=1).tolist()
-            st[3] += pick.size
-            st[4] += int(np.count_nonzero(stalled[r]))
-        live = [cut[0] for cut in cuts[:done]]
-    if failure is not None:
-        raise failure
-    return out
+                if stalls >= _MAX_STALLS:
+                    why = (f"stopped by roundoff after {splits} subdivisions: {stalls} "
+                           "splits left the estimate and its error bound almost unchanged")
+                elif splits >= cfg.max_subdivisions:
+                    why = f"did not converge within {cfg.max_subdivisions} subdivisions"
+                else:
+                    errs, thr, stuck = part[3], tol / (2 * part.shape[1]), 0.0
+                    narrow = () if floor > 1e-12 * scale else _narrow(part[0], part[1], scale)
+                    if len(narrow):    # those above thr hold stuck error, and sort last
+                        narrow = narrow[errs[narrow] > thr]
+                        stuck, errs = float(errs[narrow].sum()), errs.copy()
+                        errs[narrow] = 0.0
+                    # the fewest above thr, largest first, that leave at most tol / 2
+                    order = (-errs).argsort(kind="stable")
+                    errs = errs.take(order)
+                    k = min(int(errs.cumsum().searchsorted(error - tol / 2)) + 1, errs.size)
+                    pick = order[:k if errs[k - 1] > thr else np.count_nonzero(errs > thr)]
+                    if stuck <= tol and pick.size:
+                        cuts.append((i, pick[:cfg.max_subdivisions - splits]))
+                        continue
+                    why = (f"stopped at floating-point resolution after {splits} subdivisions: "
+                           f"intervals too narrow to split hold {stuck:.3e} of the error bound")
+                raise QuadratureError(f"quadrature {why} (estimate {total!r}, error "
+                                      f"bound {error:.3e})", total, error, splits)
+            if not cuts:
+                return out
+            old = np.concatenate([state[i][0].take(pick, axis=1) for i, pick in cuts], axis=1)
+            bounds = old.take([0, 1, 1], axis=0)    # rows: lefts, mids, rights
+            bounds[1] = 0.5 * (bounds[0] + bounds[2])
+            width = bounds[1:] - bounds[:2]    # of the halves [left; right] of column j of old
+            floor = min(floor, width.min())
+            ends = accumulate(pick.size for _, pick in cuts)
+            rows = [slice(end - pick.size, end) for (_, pick), end in zip(cuts, ends)]
+            _, total, error, splits, _ = state[cuts[0][0]]    # those of a lone run
+            try:
+                ve = _rule([fs[i] for i, _ in cuts], w, 0.5 * (bounds[:2] + bounds[1:]),
+                           0.5 * width, rows)
+            except QuadratureError as exc:
+                raise QuadratureError(str(exc), exc.estimate, exc.error_bound, splits) from None
+            if ve is None:
+                raise QuadratureError(_NON_FINITE, total, error, splits)
+            kids = np.concatenate((bounds[:2], bounds[1:], *ve)).reshape(4, 2, -1)
+            area = kids[2:, 0] + kids[2:, 1]    # the halves' summed values and error bounds
+            stalled = ((np.abs(area[0] - old[2]) <= _STALL_REL_CHANGE * np.abs(area[0]))
+                       & (area[1] >= _STALL_ERR_RATIO * old[3]))
+            for (i, pick), r in zip(cuts, rows):
+                st = state[i]
+                # the left halves take their parents' places, the right ones follow
+                st[0] = np.concatenate((st[0], kids[:, 1, r]), axis=1)
+                st[0][:, pick] = kids[:, 0, r]
+                st[1], st[2] = np.add.reduce(st[0][2:], axis=1).tolist()
+                st[3] += pick.size
+                st[4] += int(np.count_nonzero(stalled[r]))
+            live = [i for i, _ in cuts]
+        return out
+    except Exception as exc:
+        if len(fs) == 1:
+            raise
+        lockstep = exc
+    # each integral alone, in order: the first to fail raises
+    for f, mesh in zip(fs, edges):
+        _integrate_all([f], w, cfg, [mesh])
+    raise lockstep
 
 
 def integrate(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD,
@@ -279,7 +269,8 @@ def integrate(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD,
 
     ``f`` must accept a 1-D array of nodes (all strictly inside ``(a, b)``)
     and return values of the same shape.  Returns ``(value, error_bound)``.
-    Raises :class:`ParameterError` unless ``a < b`` are finite, and
+    Raises :class:`ParameterError` unless ``0.5 (b - a) > 0`` and
+    ``2 max(|a|, |b|)`` is finite, and
     :class:`QuadratureError`, carrying the partial estimate, its error bound
     and the number of intervals split, if ``f`` returns a non-finite value
     (in the first pass: estimate ``nan``, bound ``inf``), if the tolerance is

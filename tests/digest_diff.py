@@ -6,13 +6,15 @@
 ``compute`` imports ``TREE``'s own ``src/archvar`` and ``tests/test_bitwise.py``
 and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome (a value
-or error bound, or an error type) of each case of a VaR domain sweep
-(``SWEEP_THETAS``), which uses only the public API; the sampled outputs, each
-replication's selection count and estimate, of a sweep of ``run_study`` calls
-(``STUDY_SPECS``) and of a sweep of many-replication studies at the same specs
-(``REPLICATION_M``); and the sha256 of each sample of a sweep of
-``sample_copula`` calls at the same specs: multi-block studies and samples
-that the one-block ``run_study`` and ``sample_copula`` digests do not reach.
+or error bound, or an error record: its type, message and, for a
+``QuadratureError``, estimate, error bound and splits) of each case of a VaR
+domain sweep (``SWEEP_THETAS``), which uses only the public API; the sampled
+outputs, each replication's selection count and estimate, of a sweep of
+``run_study`` calls (``STUDY_SPECS``) and of a sweep of many-replication
+studies at the same specs (``REPLICATION_M``); and the sha256 of each sample
+of a sweep of ``sample_copula`` calls at the same specs: multi-block studies
+and samples that the one-block ``run_study`` and ``sample_copula`` digests do
+not reach.
 Run it once per tree, each in its own process, on the same machine.
 
 ``compare`` exits 1 when a digest moved between the two trees while its
@@ -21,12 +23,13 @@ did not move: a change that moves bits must declare the move, and a recapture
 must come with a move.  This holds on any CPU, although most digests match
 their ``DIGESTS`` entries on one numpy build and CPU only.  It also exits 1
 when a sweep case that returns a value in the base tree raises in the head
-tree, when a sweep value or error bound moved while the ``var_for_spec`` and
-``kernel_mass`` entries both stayed the same, when a study's outputs, in
-either study sweep, moved while the ``run_study`` entry stayed the same, and
-when a sample moved while the ``sample_copula`` entry stayed the same.  It
-prints how many sweep values moved, the ten largest relative moves with both
-values, and every case that went from an error to a value or back.
+tree, when a sweep value or error bound moved or a recorded error changed
+while the ``var_for_spec`` and ``kernel_mass`` entries both stayed the same,
+when a study's outputs, in either study sweep, moved while the ``run_study``
+entry stayed the same, and when a sample moved while the ``sample_copula``
+entry stayed the same.  It prints how many sweep values moved, the ten
+largest relative moves with both values, the first ten changed errors, and
+every case that went from an error to a value or back.
 """
 import contextlib
 import io
@@ -83,8 +86,18 @@ def sweep_margins(archvar) -> tuple:
     return margins, (margins["uniform"], normal(2.0, 0.5), lognormal(0.5, 0.25), normal(5.0, 2.0))
 
 
+def error_record(archvar, exc) -> str:
+    """``"error: <type>: <message>"``, and a ``QuadratureError``'s estimate,
+    error bound and splits: what tells two failures apart."""
+    record = f"error: {type(exc).__name__}: {exc}"
+    if isinstance(exc, archvar.QuadratureError):
+        record += (f" [estimate {exc.estimate!r}, error_bound {exc.error_bound!r}, "
+                   f"splits {exc.splits}]")
+    return record
+
+
 def sweep(archvar) -> dict:
-    """``{case: value or "error: <type>"}`` over the domain sweep."""
+    """``{case: value or error record}`` over the domain sweep."""
     margins, mixed = sweep_margins(archvar)
     out = {}
 
@@ -95,7 +108,7 @@ def sweep(archvar) -> dict:
             values = [(float(res.components[j]), float(res.abs_error_estimate[j]))
                       for j in range(len(names))]
         except Exception as exc:
-            values = [(f"error: {type(exc).__name__}",) * 2] * len(names)
+            values = [(error_record(archvar, exc),) * 2] * len(names)
         for name, (value, bound) in zip(names, values):
             out[f"{case} {name}"], out[f"{case} {name} bound"] = value, bound
 
@@ -114,7 +127,7 @@ def sweep(archvar) -> dict:
                         try:
                             value = float(archvar.kernel_mass(spec, alpha))
                         except Exception as exc:
-                            value = f"error: {type(exc).__name__}"
+                            value = error_record(archvar, exc)
                         out[f"{case} kernel_mass"] = value
     return out
 
@@ -137,7 +150,7 @@ REPLICATION_N, REPLICATION_M, REPLICATION_DIMS = 40_000, 12, (3,)
 
 
 def study_sweep(archvar, n=STUDY_N, replications=STUDY_M, dims=STUDY_DIMS) -> dict:
-    """``{case: {"counts", "estimates"} or "error: <type>"}`` over the study
+    """``{case: {"counts", "estimates"} or error record}`` over the study
     sweep, or over the many-replication sweep at its ``n``, ``replications``
     and ``dims``."""
     out = {}
@@ -154,13 +167,13 @@ def study_sweep(archvar, n=STUDY_N, replications=STUDY_M, dims=STUDY_DIMS) -> di
                         value = {"counts": stats.counts.tolist(),
                                  "estimates": stats.estimates.tolist()}
                     except Exception as exc:
-                        value = f"error: {type(exc).__name__}"
+                        value = error_record(archvar, exc)
                     out[f"{family} theta={theta!r} d={d} alpha={alpha!r} h={h!r}"] = value
     return out
 
 
 def sample_sweep(archvar) -> dict:
-    """``{case: sha256 of the rows or "error: <type>"}``: ``sample_copula`` at
+    """``{case: sha256 of the rows or error record}``: ``sample_copula`` at
     each spec and dimension of the study sweep, ``STUDY_N`` rows from
     ``Seed(8)``: 26 samples over several blocks, the last one partial."""
     import hashlib
@@ -174,7 +187,7 @@ def sample_sweep(archvar) -> dict:
                     sample = archvar.sample_copula(spec, STUDY_N, archvar.Seed(8))
                     value = hashlib.sha256(sample.data.tobytes()).hexdigest()
                 except Exception as exc:
-                    value = f"error: {type(exc).__name__}"
+                    value = error_record(archvar, exc)
                 out[f"{family} theta={theta!r} d={d}"] = value
     return out
 
@@ -192,8 +205,9 @@ def compare_outputs(kind: str, entry: str, base: dict, head: dict, declared: boo
 
 def compare_sweep(base: dict, head: dict, declared: bool = False) -> tuple:
     """Summary lines, and whether no case went from a value to an error and
-    no value moved unless the ``var_for_spec`` or ``kernel_mass`` entry
-    changed (``declared``)."""
+    no value moved and no recorded error changed unless the ``var_for_spec``
+    or ``kernel_mass`` entry changed (``declared``).  An error counts once per
+    case: its ``bound`` twin repeats it."""
     lost = [case for case in base
             if isinstance(base[case], float) and not isinstance(head.get(case), float)]
     gained = [case for case in base
@@ -203,14 +217,18 @@ def compare_sweep(base: dict, head: dict, declared: bool = False) -> tuple:
                     for case in base
                     if isinstance(base[case], float) and isinstance(head.get(case), float)
                     and head[case] != base[case]), reverse=True)
-    ok = not lost and (declared or not moves)
+    changed = sorted(case for case in base
+                     if isinstance(base[case], str) and isinstance(head.get(case), str)
+                     and head[case] != base[case] and not case.endswith(" bound"))
+    ok = not lost and (declared or not (moves or changed))
     lines = [f"sweep: {len(base)} cases, {len(moves)} values moved, largest relative "
-             f"move {moves[0][0] if moves else 0.0:.3g}; {len(gained)} went from an error "
-             f"to a value, {len(lost)} from a value to an error; var_for_spec and "
-             f"kernel_mass entries {'changed' if declared else 'unchanged'}: "
-             f"{'ok' if ok else 'FAIL'}"]
+             f"move {moves[0][0] if moves else 0.0:.3g}; {len(changed)} recorded errors "
+             f"changed; {len(gained)} went from an error to a value, {len(lost)} from a "
+             f"value to an error; var_for_spec and kernel_mass entries "
+             f"{'changed' if declared else 'unchanged'}: {'ok' if ok else 'FAIL'}"]
     lines += [f"  moved {move:.3g}: {case}: {base[case]!r} -> {head[case]!r}"
               for move, case in moves[:10]]
+    lines += [f"  changed: {case}: {base[case]} -> {head[case]}" for case in changed[:10]]
     lines += [f"  {base[case]} -> value {head[case]!r}: {case}" for case in gained]
     lines += [f"  value -> {head.get(case, 'missing')}: {case}" for case in lost]
     return lines, ok

@@ -1,6 +1,7 @@
 """``tests/digest_diff.py``'s comparison of two trees' sweeps."""
 from digest_diff import (REPLICATION_DIMS, REPLICATION_M, REPLICATION_N, compare,
-                         compare_outputs, compare_sweep, sample_sweep, study_sweep, sweep)
+                         compare_outputs, compare_sweep, error_record, sample_sweep,
+                         study_sweep, sweep)
 
 ERROR = "error: QuadratureError"
 
@@ -13,8 +14,9 @@ def test_compare_sweep_names_what_moved():
     lines, ok = compare_sweep(base, head)
     assert not ok
     assert lines[0] == ("sweep: 15 cases, 11 values moved, largest relative move 1.1e-08; "
-                        "1 went from an error to a value, 1 from a value to an error; "
-                        "var_for_spec and kernel_mass entries unchanged: FAIL")
+                        "0 recorded errors changed; 1 went from an error to a value, 1 from "
+                        "a value to an error; var_for_spec and kernel_mass entries "
+                        "unchanged: FAIL")
     moved = [line for line in lines if line.startswith("  moved ")]
     assert len(moved) == 10
     assert moved[0] == f"  moved 1.1e-08: case11: 1.0 -> {head['case11']!r}"
@@ -26,8 +28,9 @@ def test_compare_sweep_passes_without_a_lost_value():
     base = {"a": 1.0, "b": ERROR}
     lines, ok = compare_sweep(base, {"a": 1.0, "b": 2.0})
     assert ok and lines == ["sweep: 2 cases, 0 values moved, largest relative move 0; "
-                            "1 went from an error to a value, 0 from a value to an error; "
-                            "var_for_spec and kernel_mass entries unchanged: ok",
+                            "0 recorded errors changed; 1 went from an error to a value, "
+                            "0 from a value to an error; var_for_spec and kernel_mass "
+                            "entries unchanged: ok",
                             f"  {ERROR} -> value 2.0: b"]
 
 
@@ -36,13 +39,53 @@ def test_compare_sweep_fails_on_an_undeclared_move():
     # a value that turns into an error fails either way
     base, head = {"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0 + 4e-16}
     lines, ok = compare_sweep(base, head)
-    assert not ok and lines[0].endswith("1 values moved, largest relative move 2.22e-16; 0 went "
-                                        "from an error to a value, 0 from a value to an error; "
-                                        "var_for_spec and kernel_mass entries unchanged: FAIL")
+    assert not ok and lines[0].endswith("1 values moved, largest relative move 2.22e-16; 0 "
+                                        "recorded errors changed; 0 went from an error to a "
+                                        "value, 0 from a value to an error; var_for_spec and "
+                                        "kernel_mass entries unchanged: FAIL")
     lines, ok = compare_sweep(base, head, declared=True)
     assert ok and lines[0].endswith("entries changed: ok")
     _, ok = compare_sweep(base, {"a": ERROR, "b": 2.0}, declared=True)
     assert not ok
+
+
+def test_compare_sweep_fails_on_an_undeclared_error_change():
+    # an error whose message, estimate, bound or splits changed needs a changed
+    # var_for_spec or kernel_mass entry, as a moved value does; its bound twin
+    # repeats it and is not counted again
+    import archvar
+
+    record = lambda *args: error_record(archvar, archvar.QuadratureError(*args))  # noqa: E731
+    base = {"a": record("stopped", 1.0, 2.0, 3), "a bound": record("stopped", 1.0, 2.0, 3),
+            "b": 1.0, "c": ERROR}
+    assert base["a"] == "error: QuadratureError: stopped [estimate 1.0, error_bound 2.0, splits 3]"
+    for args in (("halted", 1.0, 2.0, 3), ("stopped", 1.5, 2.0, 3), ("stopped", 1.0, 2.5, 3),
+                 ("stopped", 1.0, 2.0, 4)):
+        head = {**base, "a": record(*args), "a bound": record(*args)}
+        lines, ok = compare_sweep(base, head)
+        assert not ok and "; 1 recorded errors changed; " in lines[0], args
+        assert lines[1] == f"  changed: a: {base['a']} -> {head['a']}"
+        lines, ok = compare_sweep(base, head, declared=True)
+        assert ok and lines[0].endswith("entries changed: ok")
+    _, ok = compare_sweep(base, {**base, "c": "error: ParameterError: bad"})
+    assert not ok
+    lines, ok = compare_sweep(base, dict(base))
+    assert ok and "; 0 recorded errors changed; " in lines[0] and len(lines) == 1
+    assert error_record(archvar, ValueError("bad")) == "error: ValueError: bad"
+
+
+def test_compare_fails_on_a_changed_error():
+    # through compare: the var_for_spec and kernel_mass entries decide
+    entries = {name: {"computed": "c", "declared": "x"} for name in ("var_for_spec", "kernel_mass")}
+    base = {**trees({}, {}), "sweep": {"a": ERROR}}
+    base["digests"] = {**base["digests"], **entries}
+    head = {**base, "sweep": {"a": "error: QuadratureError: other"}}
+    lines, ok = compare(base, head)
+    assert not ok
+    assert "  changed: a: error: QuadratureError -> error: QuadratureError: other" in lines
+    head["digests"] = {**base["digests"], "kernel_mass": {"computed": "d", "declared": "y"}}
+    _, ok = compare(base, head)
+    assert ok
 
 
 def test_compare_reads_the_var_entries():
@@ -91,7 +134,8 @@ def test_sweep_cases():
     assert [out[f"{point} mixed{j}{bound}"]
             for j in range(4) for bound in ("", " bound")] == [0.5] * 8
     assert f"{point} mixed4" not in out and f"amh theta=0.3 d=2 alpha=0.5 mixed2" not in out
-    assert out["joe theta=2.4 d=3 alpha=0.5 table bound"] == "error: QuadratureError"
+    assert out["joe theta=2.4 d=3 alpha=0.5 table bound"] == (
+        "error: QuadratureError: no [estimate 0.0, error_bound 1.0, splits 0]")
     tables = [m[0] for m in calls if isinstance(m[0], archvar.TabulatedMargin)]
     assert len(tables) == 306 and tables[0].knots.min() <= 1e-6 and tables[0].knots.max() > 1 - 1e-6
     mixed = [m for m in calls if len(set(map(id, m))) > 1]
@@ -158,7 +202,7 @@ def test_study_sweep_cases():
 
     out = study_sweep(Fake())
     assert len(out) == len(calls) == 78
-    assert set(out.values()) == {"error: StudyError"}
+    assert set(out.values()) == {"error: StudyError: empty"}
     assert {(c.n, c.replications) for c in calls} == {(2 * 2 ** 15 + 1234, 2)}
     assert "joe theta=60.0 d=10 alpha=0.5 h=0.01" in out
     assert "amh theta=-0.7 d=2 alpha=0.05 h=0.0001" in out
@@ -233,7 +277,7 @@ def test_sample_sweep_cases():
 
     out = sample_sweep(Fake())
     assert len(out) == len(calls) == 26
-    assert set(out.values()) == {"error: DomainError"}
+    assert set(out.values()) == {"error: DomainError: no sampler"}
     assert {(n, seed) for _, n, seed in calls} == {(2 * 2 ** 15 + 1234, archvar.Seed(8))}
     assert "joe theta=60.0 d=10" in out and "amh theta=-0.7 d=2" in out
     assert "amh theta=0.3 d=3" not in out

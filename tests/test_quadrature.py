@@ -136,13 +136,25 @@ class TestControl:
             integrate(np.exp, 1.0, 0.0)
 
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
-                                      (0.0, np.nan), (1.0, 0.0), (1.0, 1.0)])
+                                      (0.0, np.nan), (1.0, 0.0), (1.0, 1.0),
+                                      (-1e308, 1e308), (1e308, 1.5e308), (5e-324, 1e-323)])
     def test_bounds_must_be_finite_and_ordered(self, a, b):
         # an infinite end made NaN nodes, reported as a non-finite integrand
-        # value after a RuntimeWarning; a reversed mesh was silently empty
+        # value after a RuntimeWarning; a reversed mesh was silently empty; a
+        # width or a sum of ends that overflows gave a mesh point at inf or an
+        # inf value, and a half-width that rounds to 0 divided 0 by 0
         for call in (lambda: integrate(np.exp, a, b), lambda: graded_breakpoints(a, b)):
             with pytest.raises(ParameterError, match="must be finite with a < b"):
                 call()
+
+    @pytest.mark.parametrize("b", [8.98e307, 1e-323])
+    def test_widest_and_narrowest_bounds(self, b):
+        # the largest end whose sums stay finite, and a half-width of one
+        # denormal step: no warning (an error under this suite)
+        value, err = integrate(np.ones_like, 0.0, b)
+        assert value == pytest.approx(b, rel=1e-14) and err <= 1e-14 * b
+        points = graded_breakpoints(0.0, b)
+        assert 0.0 < points.min() and points.max() < b
 
     def test_first_pass_runs_in_chunks(self, monkeypatch):
         sizes = count_rule_calls(monkeypatch)
@@ -304,9 +316,9 @@ class TestErrorModel:
 
         mesh = np.concatenate(([0.0], graded_breakpoints(0.0, 3.0), [3.0]))
         mid, half = 0.5 * (mesh[:-1] + mesh[1:]), 0.5 * (mesh[1:] - mesh[:-1])
-        values, errors, done, failure = quadrature._rule([f], None, mid, half)
+        values, errors = quadrature._rule([f], None, mid, half)
         flat = mesh[1:] <= 1.0    # the intervals inside [0, 1]
-        assert done == 1 and failure is None and flat.any() and not flat.all()
+        assert flat.any() and not flat.all()
         assert (values[0][flat] == 0.0).all() and (errors[0][flat] == 0.0).all()
         assert (errors[0][~flat] > 0.0).all()
         value, err = integrate(f, 0.0, 3.0, breakpoints=[1.0, *graded_breakpoints(0.0, 3.0)])
@@ -403,9 +415,10 @@ class TestLockstep:
         assert got == _outcome(lambda: _sequential(*args))
 
     def test_integrals_after_a_failure_stop(self):
-        # integral 0 fails in the first pass, so integral 1 is evaluated
-        # there only, on the 24 graded intervals, though alone it needs many
-        # splits
+        # integral 0 fails in the first pass, which stops the call; run again
+        # alone, integral 0 fails first, so integral 1 is evaluated in the
+        # first pass only, on the 24 graded intervals, though alone it needs
+        # many splits
         calls = []
 
         def slow(x):
@@ -428,8 +441,9 @@ class TestLockstep:
 
     def test_integral_after_a_later_group_failure_stops(self):
         # integrals 0 and 2 share a mesh and pass the first pass together;
-        # integral 1, on its own mesh, then fails there, so integral 0 runs
-        # on and integral 2 is not evaluated again
+        # integral 1, on its own mesh, then fails there and stops the call;
+        # run again alone, integral 0 converges and integral 1 fails, so
+        # integral 2 is not evaluated again
         calls = []
 
         def slow(x):
@@ -445,7 +459,8 @@ class TestLockstep:
 
     def test_quadrature_error_from_an_integrand_carries_the_splits(self, monkeypatch):
         # an integrand's own QuadratureError keeps its message, estimate and
-        # bound, and takes the splits made before the round that raised it
+        # bound, and takes the splits made before the round that raised it;
+        # a lone integral raises at once, with no rerun
         sizes = count_rule_calls(monkeypatch)
 
         def fails_in_second_round(x):
@@ -458,7 +473,23 @@ class TestLockstep:
                       [graded_breakpoints(self.A, self.B)])
         err = excinfo.value
         assert (err.estimate, err.error_bound) == (1.5, 2.5)
-        assert err.splits == sizes[1] // 2 > 0
+        assert err.splits == sizes[1] // 2 > 0 and len(sizes) == 3
+
+    def test_a_lockstep_failure_no_lone_run_repeats_stands(self, monkeypatch):
+        # an integrand that fails on its first call only: the lockstep fails,
+        # both lone runs converge, and the lockstep's error is raised
+        sizes, calls = count_rule_calls(monkeypatch), []
+
+        def fails_once(x):
+            calls.append(x.size)
+            if len(calls) == 1:
+                raise ArithmeticError("first call failed")
+            return np.cos(7.0 * x) + 2.0
+
+        with pytest.raises(ArithmeticError, match="first call failed"):
+            _lockstep([SMOOTH[2], fails_once], _weight, self.A, self.B, self.CFG,
+                      [graded_breakpoints(self.A, self.B)] * 2)
+        assert sizes[0] == 24 and len(calls) > 1 and len(sizes) > 2
 
     def test_batched_steps(self, monkeypatch):
         # every round splits intervals of each running integral, so the
@@ -488,9 +519,8 @@ class TestLockstep:
         ends = np.cumsum(np.r_[0, sizes])
         for n in range(1, 9):
             rows = [slice(ends[i], ends[i + 1]) for i in range(n)]
-            values, errors, done, failure = quadrature._rule(
+            values, errors = quadrature._rule(
                 fs[:n], _weight, np.concatenate(mids[:n]), np.concatenate(halves[:n]), rows)
-            assert failure is None and done == n
             shared = quadrature._rule(fs[:n], _weight, mids[0], halves[0])
             for i, r in enumerate(rows):
                 resk, resg, resasc = _rule_2d(fs[i], mids[i], halves[i], blas=False)

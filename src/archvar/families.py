@@ -197,8 +197,8 @@ def copula_cdf(spec: CopulaSpec, u) -> float | np.ndarray:
         )
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0) or np.any(np.isnan(u_arr)):
         raise DomainError("copula arguments must lie in [0, 1]")
-    # a zero coordinate reaches 0 through an exact infinity (Clayton, Gumbel,
-    # Joe) or an exact zero product (Frank, Ali-Mikhail-Haq); no row needs a
+    # a zero coordinate reaches 0 through an exact infinity (Clayton, Frank,
+    # Gumbel, Joe) or an exact zero product (Ali-Mikhail-Haq); no row needs a
     # path of its own
     with np.errstate(divide="ignore", over="ignore"):
         out = FAMILIES[spec.family].cdf(spec.theta, spec.d, u_arr.reshape(-1, spec.d))
@@ -447,6 +447,22 @@ _FRANK_TAU_MIN = _frank_tau(-709.78)
 _FRANK_FRAILTY_MAX = 37.42994775023704
 
 
+def _frank_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
+    # -ln(1 + prod_i expm1(-theta u_i) / expm1(-theta)^(d-1)) / theta, in
+    # logs: with a = |theta|, ln|expm1(-theta x)| is ln(1 - e^(-a x)), plus
+    # a x for theta < 0, and the ratio is -e^log_ratio for theta > 0 and
+    # e^log_ratio for theta < 0, log_ratio the sum of those logs at the u_i
+    # less d - 1 times the one at x = 1
+    a = abs(th)
+    terms, at_one = _log1m_exp(-a * pts), _log1m_exp(np.float64(-a))
+    if th < 0:
+        terms, at_one = terms + a * pts, at_one + a
+    log_ratio = np.sum(terms, axis=1) - (d - 1) * at_one
+    if th > 0:      # log_ratio <= 0 but for rounding
+        return -_log1m_exp(np.minimum(log_ratio, 0.0)) / th
+    return np.logaddexp(0.0, log_ratio) / a
+
+
 _FRANK = Family(
     name="Frank", aliases=("frank",),
     theta_ok=_frank_theta_ok,
@@ -460,8 +476,7 @@ _FRANK = Family(
     phi_prime=lambda th, t: -th / np.expm1(th * t),
     phi_inverse=lambda th, s: np.where(
         s == 0.0, 1.0, -np.log1p(np.exp(-s) * np.expm1(-th)) / th),
-    cdf=lambda th, d, pts: -np.log1p(
-        np.prod(np.expm1(-th * pts), axis=1) / np.expm1(-th) ** (d - 1)) / th,
+    cdf=_frank_cdf,
     frailty=lambda keys, th, **buf: rng.log_series(keys, -np.expm1(-th), **buf),
     frailty_ok=lambda th: 0 < th <= _FRANK_FRAILTY_MAX,
     frailty_domain=f"0 < theta <= {_FRANK_FRAILTY_MAX!r} (1 - e^-theta must round below 1)",
@@ -518,7 +533,7 @@ def _joe_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
     return np.where(
         log_prod == 0.0,
         1.0,
-        0.0 - np.expm1(np.log(-np.expm1(log_prod)) / th),
+        0.0 - np.expm1(_log1m_exp(log_prod) / th),
     )
 
 

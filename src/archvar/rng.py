@@ -408,36 +408,31 @@ def sibuya_points(u, alpha: float, ws: Workspace):
     """Arrays ``lo`` and ``hi`` in ``ws``, as the pairs ``(lo, lo)`` and
     ``(hi, hi)``, one of which is the :func:`sibuyas` variate drawn from the
     uniform ``u``: where ``u > alpha`` the floor and the ceiling of the
-    inversion's ``ginv``, at least ``Gamma(2 - alpha)^(-1/alpha) >= 1``
-    (Hofert 2011, CSDA 55); elsewhere 1 twice, where ``ginv`` is below that
-    bound, which is under 2.  Masks are applied by arithmetic, far cheaper
-    here than a masked copy."""
+    asymptotic inverse ``((1 - u) Gamma(1 - alpha))^(-1/alpha)``, at least
+    ``Gamma(2 - alpha)^(-1/alpha) >= 1`` (Hofert 2011, CSDA 55), inf where
+    ``u`` is 1 or the power overflows; elsewhere 1 twice, where the inverse
+    is below that bound, which is under 2.  Masks are applied by arithmetic,
+    far cheaper here than a masked copy."""
     m = u.shape[0]
-    lo, hi = ws.take("sibuya.lo", m), _sibuya_ginv(u, alpha, ws.take("sibuya.0", m))
+    lo, hi = ws.take("sibuya.lo", m), ws.take("sibuya.0", m)
+    np.subtract(1.0, u, out=hi)
+    hi *= np.exp(gammaln(1.0 - alpha))
+    with np.errstate(divide="ignore", over="ignore"):
+        hi **= -1.0 / alpha
     np.maximum(np.floor(hi, out=lo), 1.0, out=lo)
     np.multiply(np.ceil(hi, out=hi), u > alpha, out=hi)
     np.maximum(hi, 1.0, out=hi)
     return (lo, lo), (hi, hi)
 
 
-def _sibuya_ginv(u, alpha: float, out: np.ndarray) -> np.ndarray:
-    """:func:`sibuyas`' asymptotic inverse ``((1 - u) Gamma(1 - alpha))^(-1/alpha)``
-    of the uniforms ``u``, in ``out``: inf where ``u`` is 1 or the power
-    overflows, as it does for a large ``1 / alpha``."""
-    np.subtract(1.0, u, out=out)
-    out *= np.exp(gammaln(1.0 - alpha))
-    with np.errstate(divide="ignore", over="ignore"):
-        out **= -1.0 / alpha
-    return out
-
-
 def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
             ws: Workspace | None = None) -> np.ndarray:
     """Sibuya(alpha) variates (pgf ``1 - (1-z)^alpha``), one uniform each.
 
-    Inversion of the exact survival function ``P(V > n) = 1/(n B(n, 1-alpha))``
-    through its asymptotic inverse, corrected by one comparison; ``alpha = 1``
-    is the point mass at 1.
+    Inversion of the exact survival function ``P(V > n) = 1/(n B(n, 1-alpha))``:
+    of the two :func:`sibuya_points`, the ceiling where ``1 - u`` is below
+    the survival at the floor, else the floor; ``alpha = 1`` is the point
+    mass at 1.
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"Sibuya index must lie in (0, 1], got {alpha}")
@@ -449,12 +444,12 @@ def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
     big = np.greater(u, alpha, out=ws.take("sibuya.big", n, np.bool_))
     k = int(np.count_nonzero(big))
     if k:
-        ub, ginv, fl, log_surv, tmp = (ws.take(f"sibuya.{i}", k) for i in range(5))
-        _sibuya_ginv(np.compress(big, u, out=ub), alpha, ginv)
-        # where ginv is inf, so is the variate, whose survival is then inf - inf
+        ub = np.compress(big, u, out=ws.take("sibuya.ub", k))
+        (fl, _), (ceil, _) = sibuya_points(ub, alpha, ws)
+        log_surv, tmp = ws.take("sibuya.surv", k), ws.take("sibuya.tmp", k)
+        # where the points are inf, so is the variate, whose survival is then inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
-            np.floor(ginv, out=fl)
-            # survival at floor(ginv): 1/(fl * B(fl, 1-alpha))
+            # survival at the floor: 1/(fl * B(fl, 1-alpha))
             np.log(fl, out=log_surv)
             log_surv += gammaln(fl, out=tmp)
             log_surv += gammaln(1.0 - alpha)
@@ -464,8 +459,7 @@ def sibuyas(keys: np.ndarray, alpha: float, out: np.ndarray | None = None,
         np.negative(log_surv, out=log_surv)
         with np.errstate(divide="ignore"):      # -inf where u is 1
             np.log1p(np.negative(ub, out=tmp), out=tmp)
-        np.ceil(ginv, out=ginv)
-        np.copyto(fl, ginv, where=np.less(tmp, log_surv, out=ws.take("sibuya.up", k, np.bool_)))
+        np.copyto(fl, ceil, where=np.less(tmp, log_surv, out=ws.take("sibuya.up", k, np.bool_)))
         out[big] = fl
     return out
 

@@ -14,7 +14,8 @@ outputs, each replication's selection count and estimate, of a sweep of
 studies at the same specs (``REPLICATION_M``); and the sha256 of each sample
 of a sweep of ``sample_copula`` calls at the same specs: multi-block studies
 and samples that the one-block ``run_study`` and ``sample_copula`` digests do
-not reach.
+not reach; and each ``copula_cdf`` value of a CDF sweep (``SWEEP_THETAS`` in
+``CDF_DIMS``, at seeded points with coordinates near 0 and near 1).
 Run it once per tree, each in its own process, on the same machine.
 
 ``compare`` exits 1 when a digest moved between the two trees while its
@@ -26,10 +27,12 @@ when a sweep case that returns a value in the base tree raises in the head
 tree, when a sweep value or error bound moved or a recorded error changed
 while the ``var_for_spec`` and ``kernel_mass`` entries both stayed the same,
 when a study's outputs, in either study sweep, moved while the ``run_study``
-entry stayed the same, and when a sample moved while the ``sample_copula``
-entry stayed the same.  It prints how many sweep values moved, the ten
-largest relative moves with both values, the first ten changed errors, and
-every case that went from an error to a value or back.
+entry stayed the same, when a sample moved while the ``sample_copula``
+entry stayed the same, and when a CDF sweep value moved while the
+``copula_cdf`` entry stayed the same.  It prints how many sweep values moved,
+the ten largest relative moves with both values, the first ten changed
+errors, and every case that went from an error to a value or back; and how
+many CDF sweep values moved, per family, with the largest relative move.
 """
 import contextlib
 import io
@@ -192,6 +195,64 @@ def sample_sweep(archvar) -> dict:
     return out
 
 
+# The CDF sweep: SWEEP_THETAS in d = CDF_DIMS (AMH: d = 2 only), each at the
+# same CDF_POINTS seeded points per d, whose coordinates are near 0 (10^-x,
+# x uniform in [1, 12]), near 1 (1 - 10^-x) or uniform: 1,248 values.
+CDF_DIMS, CDF_POINTS = (2, 3, 10), 32
+
+
+def cdf_points(d: int):
+    """The CDF sweep's ``(CDF_POINTS, d)`` points in ``d`` dimensions."""
+    import numpy as np
+
+    gen = np.random.default_rng(d)
+    tail = 10.0 ** -gen.uniform(1.0, 12.0, size=(CDF_POINTS, d))
+    kind = gen.integers(0, 3, size=(CDF_POINTS, d))
+    return np.choose(kind, [tail, 1.0 - tail, gen.uniform(size=(CDF_POINTS, d))])
+
+
+def cdf_sweep(archvar) -> dict:
+    """``{case: value or error record}``: ``copula_cdf`` at each point of the
+    CDF sweep, one case per point."""
+    out = {}
+    with warnings.catch_warnings(record=True):
+        for family, thetas in SWEEP_THETAS.items():
+            for theta in thetas:
+                for d in (2,) if family == "amh" else CDF_DIMS:
+                    spec = archvar.CopulaSpec(archvar.FamilyId.from_string(family), theta, d)
+                    try:
+                        values = archvar.copula_cdf(spec, cdf_points(d)).tolist()
+                    except Exception as exc:
+                        values = [error_record(archvar, exc)] * CDF_POINTS
+                    out.update((f"{family} theta={theta!r} d={d} point={i}", value)
+                               for i, value in enumerate(values))
+    return out
+
+
+def compare_cdf(base: dict, head: dict, declared: bool) -> tuple:
+    """Summary lines for the CDF sweep, and whether no value moved unless the
+    ``copula_cdf`` entry changed (``declared``).  A value moves when its repr
+    does, so that a zero's sign counts."""
+    cases = set(base) | set(head)
+    moved = sorted(case for case in cases if repr(base.get(case)) != repr(head.get(case)))
+    per_family = dict.fromkeys(sorted({case.split()[0] for case in cases}), 0)
+    for case in moved:
+        per_family[case.split()[0]] += 1
+    # a zero that flips its sign moves by 0
+    moves = sorted(((abs(head[case] - base[case]) / abs(base[case]) if base[case]
+                     else float("inf") if head[case] else 0.0, case) for case in moved
+                    if isinstance(base.get(case), float) and isinstance(head.get(case), float)),
+                   reverse=True)
+    ok = declared or not moved
+    lines = [f"cdf: {len(head)} values, {len(moved)} moved ("
+             + ", ".join(f"{family} {count}" for family, count in per_family.items())
+             + f"), largest relative move {moves[0][0] if moves else 0.0:.3g}; copula_cdf "
+             f"entry {'changed' if declared else 'unchanged'}: {'ok' if ok else 'FAIL'}"]
+    lines += [f"  moved {move:.3g}: {case}: {base[case]!r} -> {head[case]!r}"
+              for move, case in moves[:10]]
+    return lines, ok
+
+
 def compare_outputs(kind: str, entry: str, base: dict, head: dict, declared: bool) -> tuple:
     """Summary lines for the ``kind`` outputs, and whether none moved or the
     ``entry`` digest's ``DIGESTS`` entry changed (``declared``)."""
@@ -278,7 +339,7 @@ def compute(tree: str) -> dict:
     return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar),
             "replications": study_sweep(archvar, REPLICATION_N, REPLICATION_M,
                                         REPLICATION_DIMS),
-            "samples": sample_sweep(archvar)}
+            "samples": sample_sweep(archvar), "cdf": cdf_sweep(archvar)}
 
 
 def compare(base: dict, head: dict) -> tuple:
@@ -302,6 +363,8 @@ def compare(base: dict, head: dict) -> tuple:
                         ("samples", "sample_copula")):
         lines_ok.append(compare_outputs(kind, entry, base[kind], head[kind],
                                         old[entry]["declared"] != new[entry]["declared"]))
+    lines_ok.append(compare_cdf(base["cdf"], head["cdf"],
+                                old["copula_cdf"]["declared"] != new["copula_cdf"]["declared"]))
     for more, more_ok in lines_ok:
         lines += more
         ok &= more_ok

@@ -23,7 +23,13 @@ recaptured when it gained a Gumbel theta = 60 study in an open window: the
 stable sampler now draws from logs the rows where a factor of Kanter's form
 leaves the normal range, which had come out NaN, inf or inexact (that
 study's estimates moved by about 1.3e-8 relative, its counts did not); the
-Table-1 studies held.  ``base_key``,
+Table-1 studies held.  The ``copula_cdf`` digest was recaptured when the
+Frank CDF moved into logs (``log1m_exp`` terms for theta > 0,
+``logaddexp`` for theta < 0) and Joe's took ``ln(1 - prod)`` as a
+``log1m_exp``: 416 of its 2,560 values moved, by up to 4.8e-13 relative
+(Frank theta = 12, d = 2); against an mpmath reference
+(``tests/test_cdf_oracle.py``) the moved values' worst error went from
+4.8e-13 to 1.2e-15 relative.  ``base_key``,
 ``rng_words`` and ``kendall_ties`` use integer operations only, besides one
 correctly rounded division and square root per tau, and hold on any CPU;
 the others are pinned to one numpy build and CPU.
@@ -56,7 +62,7 @@ DIGESTS = {
     "cli_sample": "cf7df035920ca5a84b44398f5428441b3f855e6a9342ed5c8e198351c99a9770",
     "kernel_mass": "b12efd54208b1aa16ce337fe4ecc8e647d1a4497af59e212af0af2db40dfa460",
     "generator": "a3b8f9f3fec6fc10de5f16cf87d613695178508db32888370fab2c90a6078a68",
-    "copula_cdf": "636cf605fa60d32834a95f69cab3c0e40253abec6f9885d00e7a4f61e1d4cef9",
+    "copula_cdf": "768437dc83a5b299109d5ad50c6b994dd269aefe4da3f8f6983aaf13edb5f898",
     "base_key": "e54731120b9fc42d03436b86f0994479af72ebc5cb253d30b0129a6c87b68900",
     "sample_frailty": "f2674f7d9ee5f00d55ca6ffa865820a75b3b9797865744b691dfe490a23fd5a6",
     "rng_words": "7e90b44c6fabf251d2e2cbe0fe4b294241e6baaa9aec6702a5542c0a4ecd61f7",

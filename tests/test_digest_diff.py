@@ -1,7 +1,7 @@
 """``tests/digest_diff.py``'s comparison of two trees' sweeps."""
-from digest_diff import (REPLICATION_DIMS, REPLICATION_M, REPLICATION_N, compare,
-                         compare_outputs, compare_sweep, error_record, sample_sweep,
-                         study_sweep, sweep)
+from digest_diff import (CDF_POINTS, REPLICATION_DIMS, REPLICATION_M, REPLICATION_N,
+                         cdf_sweep, compare, compare_cdf, compare_outputs, compare_sweep,
+                         error_record, sample_sweep, study_sweep, sweep)
 
 ERROR = "error: QuadratureError"
 
@@ -145,15 +145,16 @@ def test_sweep_cases():
 STUDY = {"counts": [3, 4], "estimates": [[0.1, 0.2], [0.3, 0.4]]}
 
 
-def digests(run_study_entry, sample_copula_entry="s"):
+def digests(run_study_entry, sample_copula_entry="s", copula_cdf_entry="f"):
     return {"run_study": {"computed": "c", "declared": run_study_entry},
-            "sample_copula": {"computed": "c", "declared": sample_copula_entry}}
+            "sample_copula": {"computed": "c", "declared": sample_copula_entry},
+            "copula_cdf": {"computed": "c", "declared": copula_cdf_entry}}
 
 
-def trees(studies, samples, replications=None):
+def trees(studies, samples, replications=None, cdf=None):
     """A compute output with no digest or sweep case, and the given outputs."""
     return {"digests": digests("x"), "sweep": {}, "studies": studies,
-            "replications": replications or {}, "samples": samples}
+            "replications": replications or {}, "samples": samples, "cdf": cdf or {}}
 
 
 def test_compare_studies_fails_on_an_undeclared_move():
@@ -281,3 +282,71 @@ def test_sample_sweep_cases():
     assert {(n, seed) for _, n, seed in calls} == {(2 * 2 ** 15 + 1234, archvar.Seed(8))}
     assert "joe theta=60.0 d=10" in out and "amh theta=-0.7 d=2" in out
     assert "amh theta=0.3 d=3" not in out
+
+
+def test_compare_cdf_counts_moves_per_family():
+    # every family of the sweep is named, with its count of moved values; a
+    # zero whose sign flipped has moved, and a value turned error has too
+    base = {"clayton theta=2.0 d=2 point=0": 0.5, "frank theta=1.0 d=2 point=0": 0.25,
+            "frank theta=1.0 d=2 point=1": 0.0, "joe theta=2.4 d=3 point=0": 0.125,
+            "joe theta=2.4 d=3 point=1": 0.5}
+    head = {**base, "frank theta=1.0 d=2 point=0": 0.25 * (1.0 + 2e-15),
+            "frank theta=1.0 d=2 point=1": -0.0, "joe theta=2.4 d=3 point=0": 0.125 * (1.0 - 4e-13),
+            "joe theta=2.4 d=3 point=1": "error: DomainError: bad"}
+    lines, ok = compare_cdf(base, head, declared=False)
+    assert not ok
+    assert lines[0] == ("cdf: 5 values, 4 moved (clayton 0, frank 2, joe 2), largest relative "
+                        "move 4e-13; copula_cdf entry unchanged: FAIL")
+    assert lines[1].startswith("  moved 4e-13: joe theta=2.4 d=3 point=0: 0.125 -> ")
+    assert lines[2].startswith("  moved 2e-15: frank theta=1.0 d=2 point=0: 0.25 -> ")
+    assert lines[3] == "  moved 0: frank theta=1.0 d=2 point=1: 0.0 -> -0.0" and len(lines) == 4
+    lines, ok = compare_cdf(base, head, declared=True)
+    assert ok and lines[0].endswith("copula_cdf entry changed: ok")
+    lines, ok = compare_cdf(base, dict(base), declared=False)
+    assert ok and lines == ["cdf: 5 values, 0 moved (clayton 0, frank 0, joe 0), largest "
+                            "relative move 0; copula_cdf entry unchanged: ok"]
+
+
+def test_compare_reads_the_copula_cdf_entry():
+    # a moved CDF value fails compare unless the copula_cdf entry changed with it
+    base, head = trees({}, {}, cdf={"a": 0.5}), trees({}, {}, cdf={"a": 0.75})
+    lines, ok = compare(base, head)
+    assert not ok and lines[-2:] == ["cdf: 1 values, 1 moved (a 1), largest relative move 0.5; "
+                                     "copula_cdf entry unchanged: FAIL", "  moved 0.5: a: 0.5 -> 0.75"]
+    head["digests"] = digests("x", "s", "g")
+    head["digests"]["copula_cdf"]["computed"] = "d"
+    lines, ok = compare(base, head)
+    assert ok and lines[-2].endswith("copula_cdf entry changed: ok")
+    _, ok = compare(base, {**head, "cdf": {"a": 0.5}})
+    assert ok                       # a recapture need not move a sweep value
+
+
+def test_cdf_sweep_cases():
+    # SWEEP_THETAS in d = 2, 3 and 10 (AMH: d = 2), the same points per d,
+    # with coordinates near 0 and near 1; a raising case records its error
+    # for each point
+    import archvar
+    import numpy as np
+
+    calls = []
+
+    def fake_copula_cdf(spec, u):
+        calls.append((spec, u))
+        if spec.family is archvar.FamilyId.JOE:
+            raise archvar.DomainError("no")
+        return u[:, 0]
+
+    class Fake:
+        def __getattr__(self, name):
+            return fake_copula_cdf if name == "copula_cdf" else getattr(archvar, name)
+
+    out = cdf_sweep(Fake())
+    assert len(calls) == 39 and len(out) == 39 * CDF_POINTS == 1248
+    assert {u.shape for _, u in calls} == {(CDF_POINTS, d) for d in (2, 3, 10)}
+    pts = [u for spec, u in calls if spec.d == 10]
+    assert all(np.array_equal(u, pts[0]) for u in pts)
+    assert pts[0].min() < 1e-9 and pts[0].max() > 1.0 - 1e-9
+    assert np.mean((pts[0] > 0.1) & (pts[0] < 0.9)) < 0.5
+    assert out["clayton theta=2.0 d=10 point=5"] == pts[0][5, 0]
+    assert out["joe theta=5.0 d=10 point=31"] == "error: DomainError: no"
+    assert "amh theta=0.3 d=2 point=0" in out and "amh theta=0.3 d=3 point=0" not in out

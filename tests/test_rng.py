@@ -182,6 +182,28 @@ class TestDistributions:
     def test_sibuya_degenerate(self):
         np.testing.assert_array_equal(rng.sibuyas(keys_for(10), 1.0), 1.0)
 
+    def test_sibuya_inverts_at_an_exact_tie(self, monkeypatch):
+        # at alpha = 1/2 the survival P(V > n) = C(2n, n) / 4^n is dyadic, so
+        # u = 1 - P(V > 2) = 0.625 is F(2) exactly, and inversion's
+        # min{n : F(n) >= u} is 2; a row just past it is 3, and one at alpha 1
+        u = np.array([0.625, np.nextafter(0.625, 1.0), 0.5])
+
+        def fixed_uniforms(keys, counter, out=None, ws=None):
+            out = np.empty(keys.shape[0]) if out is None else out
+            out[:] = u
+            return out
+
+        monkeypatch.setattr(rng, "uniforms", fixed_uniforms)
+        assert rng.sibuyas(np.zeros(3, dtype=np.uint64), 0.5).tolist() == [2.0, 3.0, 1.0]
+
+    @pytest.mark.parametrize("alpha", [1.0 / 1.001, 0.5, 1.0 / 60.0])
+    def test_sibuya_points_are_one_twice_up_to_alpha(self, alpha):
+        # V = 1 wherever u <= alpha, so both points are 1 there, though the
+        # inverse's ceiling is 2 on some of those rows
+        u = np.linspace(0.0, alpha, 1001)[1:]
+        (lo, _), (hi, _) = rng.sibuya_points(u, alpha, rng.Workspace(0))
+        assert (lo == 1.0).all() and (hi == 1.0).all()
+
     def test_log_series_distribution(self):
         theta = 5.74
         p = -np.expm1(-theta)

@@ -447,6 +447,20 @@ _FRANK_TAU_MIN = _frank_tau(-709.78)
 _FRANK_FRAILTY_MAX = 37.42994775023704
 
 
+def _frank_phi(th: float, t: np.ndarray) -> np.ndarray:
+    """``-ln r``, ``r = expm1(-theta t)/expm1(-theta)``, positive for either
+    sign of theta.  Where ``r > 1/2`` it is ``-log1p(r - 1)``, with ``r - 1 =
+    -e^(-theta t) expm1(-theta (1 - t))/expm1(-theta)`` taken from ``1 - t``:
+    near ``t = 1``, ``r`` rounds to 1 by as much as ``phi`` itself."""
+    em = np.expm1(-th)
+    r = np.expm1(-th * t) / em
+    out, near = -np.log(r), r > 0.5
+    if near.any():    # each branch only where it is taken, so neither warns
+        tn = t[near]
+        out[near] = -np.log1p(-np.exp(-th * tn) * np.expm1(-th * (1.0 - tn)) / em)
+    return out
+
+
 def _frank_cdf(th: float, d: int, pts: np.ndarray) -> np.ndarray:
     # -ln(1 + prod_i expm1(-theta u_i) / expm1(-theta)^(d-1)) / theta, in
     # logs: with a = |theta|, ln|expm1(-theta x)| is ln(1 - e^(-a x)), plus
@@ -470,9 +484,7 @@ _FRANK = Family(
     # theta < 0 gives a copula in d = 2 only: in d = 3 at theta = -5 the box
     # [0.30, 0.32] x [0.98, 1]^2 has C-volume -2.46e-5
     bivariate_only=lambda th: th < 0,
-    # -ln[(e^(-theta t) - 1)/(e^(-theta) - 1)]; the ratio is positive
-    # for either sign of theta
-    phi=lambda th, t: -np.log(np.expm1(-th * t) / np.expm1(-th)),
+    phi=_frank_phi,
     phi_prime=lambda th, t: -th / np.expm1(th * t),
     phi_inverse=lambda th, s: np.where(
         s == 0.0, 1.0, -np.log1p(np.exp(-s) * np.expm1(-th)) / th),

@@ -2,9 +2,10 @@
 
 One call integrates ``f_b(x) w(x)`` for each ``f_b`` of a batch in lockstep
 (``_integrate_all``; :func:`integrate` is its one-integral case) from a
-sorted mesh with both ends: the graded mesh (``graded_breakpoints``) and any
-known kinks.  Nodes lie strictly inside each interval, so integrable or
-removable endpoint singularities are never evaluated.  The first pass calls
+sorted mesh with both ends: the graded mesh (``graded_breakpoints``, deep
+toward the left end, where an integrand may be singular) and any known
+kinks.  Nodes lie strictly inside each interval, so integrable or removable
+endpoint singularities are never evaluated.  The first pass calls
 ``w`` once on ``_CHUNK_INTERVALS`` intervals of a mesh, then each ``f_b``
 sharing it, and tests their integrals in one reduction; most converge there.
 Then, in rounds like ``scipy.integrate.quad_vec``'s, an integral above its
@@ -46,14 +47,18 @@ _G = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959
 _WG = np.concatenate([_G, _G[-2::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
-# Initial intervals per batch of the first pass, more than the graded mesh's 24.
+# Initial intervals per batch of the first pass, more than the graded mesh's 31.
 _CHUNK_INTERVALS = 1024
 
-# The graded mesh: its points' distances from each end as fractions of the
-# width, ascending; the last, 0.5, is the midpoint.  It is deep enough that
-# the log singularity of a normal or lognormal quantile at u = 1 and a
-# smooth integrand's middle converge in the first pass.
-_GRADED = np.array([1e-11, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
+# The graded mesh: its points' distances from the left end as fractions of
+# the width, ascending.  Half-decade steps from 1e-11 to 0.1 resolve a
+# singularity at the left end, such as the log singularity of a normal or
+# lognormal quantile at u = 1 (t = 0), and nine points grade the rest lightly
+# toward the smooth right end, so that both converge in the first pass.
+# The decades are parsed, not powers, so that each is the double nearest it.
+_DECADES = [float(f"1e{k}") for k in range(-11, 0)]
+_GRADED = np.array(sorted(_DECADES + [x * math.sqrt(10.0) for x in _DECADES[:-1]])
+                   + [0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.98, 0.995])
 
 # A split is a stall when its children's summed value lies within
 # _STALL_REL_CHANGE of the parent's and their summed error bound is at least
@@ -91,15 +96,13 @@ def _check_bounds(a: float, b: float) -> None:
 
 
 def graded_breakpoints(a: float, b: float) -> np.ndarray:
-    """Initial mesh at ``_GRADED`` fractions of the width from each end, the
-    midpoint once, less those that round onto an end or onto their neighbour."""
+    """Initial mesh at ``_GRADED`` fractions of the width from ``a``, graded
+    toward ``a``, less the points that round onto an end or onto their
+    neighbour."""
     _check_bounds(a, b)
-    dist = (b - a) * _GRADED
-    # ascending as built, so one comparison drops the duplicates; the last
-    # point kept then equals b, and is cut
-    pts = np.concatenate(([a], a + dist, b - dist[-2::-1], [b]))
-    pts = pts[1:][pts[1:] > pts[:-1]]
-    return pts[:-1]
+    # ascending as built, so one comparison drops the duplicates
+    pts = np.concatenate(([a], a + (b - a) * _GRADED))
+    return pts[1:][(pts[1:] > pts[:-1]) & (pts[1:] < b)]
 
 
 def _errors(resk, resg, resasc) -> np.ndarray:

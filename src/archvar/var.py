@@ -12,7 +12,9 @@ of the spec's :class:`~archvar.families.Family` record, its ``var_form``;
 integrates its weight alone.  One driver, ``_var``, runs them all: it hands
 the quadrature a call's distinct margins, which see ``u = e^-t`` below 1, to
 integrate in lockstep, each with its finished mesh, the graded one
-(``graded_breakpoints(0, -ln alpha)``, whose 24 intervals let smooth margins
+(``graded_breakpoints(0, -ln alpha)``, graded toward the quantile's
+singularity at ``t = 0``, less its points below ``t = 1e-12``, where ``u``
+stops resolving ``1 - u``: up to 31 intervals, on which smooth margins
 converge in the first pass) or, for a tabulated margin, that mesh with its
 knots (its kinks) joined at ``-ln level``.
 """
@@ -54,9 +56,20 @@ class VarResult:
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
+# the graded mesh has no point below this t: under it u = e^-t keeps fewer
+# than 4 digits of 1 - u, and intervals there resolve only its rounding
+_T_FLOOR = 1e-12
+
+
 def _u(t: np.ndarray) -> np.ndarray:
     """The level ``u = e^-t`` of the nodes ``t``, below 1."""
     return np.minimum(np.exp(-t), _BELOW_ONE)
+
+
+def _graded_mesh(la: float) -> np.ndarray:
+    """``graded_breakpoints(0, la)`` at or above ``_T_FLOOR``, with both ends."""
+    pts = graded_breakpoints(0.0, la)
+    return np.concatenate(([0.0], pts[pts >= _T_FLOOR], [la]))
 
 
 def _generic_form(spec: CopulaSpec, alpha: float):
@@ -103,7 +116,7 @@ def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarR
     margins = checked_margins(margins, spec.d)
     weight = _kernel(form, spec, alpha)
     la = -math.log(alpha)
-    graded = np.concatenate(([0.0], graded_breakpoints(0.0, la), [la]))    # with its ends
+    graded = _graded_mesh(la)
     distinct: list = []
     slot = {}    # each margin object's distinct margin: d copies compare once
     for key, m in dict(zip(map(id, margins), margins)).items():

@@ -8,7 +8,8 @@ and prints, for each entry of that tree's ``DIGESTS``, the digest this machine
 computes and the one the entry declares.  It also prints the outcome (a value
 or error bound, or an error record: its type, message and, for a
 ``QuadratureError``, estimate, error bound and splits) of each case of a VaR
-domain sweep (``SWEEP_THETAS``), which uses only the public API; the sampled
+domain sweep (``SWEEP_THETAS``), which uses only the public API, and the
+splits (``n_splits``) of each case that returns a value; the sampled
 outputs, each replication's selection count and estimate, of a sweep of
 ``run_study`` calls (``STUDY_SPECS``) and of a sweep of many-replication
 studies at the same specs (``REPLICATION_M``); and the sha256 of each sample
@@ -31,8 +32,10 @@ entry stayed the same, when a sample moved while the ``sample_copula``
 entry stayed the same, and when a CDF sweep value moved while the
 ``copula_cdf`` entry stayed the same.  It prints how many sweep values moved,
 the ten largest relative moves with both values, the first ten changed
-errors, and every case that went from an error to a value or back; and how
-many CDF sweep values moved, per family, with the largest relative move.
+errors, and every case that went from an error to a value or back; the
+share of the sweep's values that converged in the first pass (no split) in
+each tree; and how many CDF sweep values moved, per family, with the largest
+relative move.
 """
 import contextlib
 import io
@@ -99,10 +102,11 @@ def error_record(archvar, exc) -> str:
     return record
 
 
-def sweep(archvar) -> dict:
-    """``{case: value or error record}`` over the domain sweep."""
+def sweep(archvar) -> tuple:
+    """``({case: value or error record}, {case: splits})`` over the domain
+    sweep; each ``var_for_spec`` case that returns a value has its splits."""
     margins, mixed = sweep_margins(archvar)
-    out = {}
+    out, splits = {}, {}
 
     def record(case, names, call):
         # the value and error bound of component j, named names[j], or the error
@@ -110,6 +114,8 @@ def sweep(archvar) -> dict:
             res = call()
             values = [(float(res.components[j]), float(res.abs_error_estimate[j]))
                       for j in range(len(names))]
+            splits.update((f"{case} {name}", int(res.n_splits[j]))
+                          for j, name in enumerate(names))
         except Exception as exc:
             values = [(error_record(archvar, exc),) * 2] * len(names)
         for name, (value, bound) in zip(names, values):
@@ -132,7 +138,7 @@ def sweep(archvar) -> dict:
                         except Exception as exc:
                             value = error_record(archvar, exc)
                         out[f"{case} kernel_mass"] = value
-    return out
+    return out, splits
 
 
 # The study sweep: the Table-1 theta, Gumbel and Joe at 6 and 60 and AMH at
@@ -264,6 +270,12 @@ def compare_outputs(kind: str, entry: str, base: dict, head: dict, declared: boo
     return lines, ok
 
 
+def first_pass_share(splits: dict) -> str:
+    """How many of the sweep's values took no split: converged in the first pass."""
+    first = sum(n == 0 for n in splits.values())
+    return f"{first} of {len(splits)} ({100.0 * first / max(len(splits), 1):.1f} %)"
+
+
 def compare_sweep(base: dict, head: dict, declared: bool = False) -> tuple:
     """Summary lines, and whether no case went from a value to an error and
     no value moved and no recorded error changed unless the ``var_for_spec``
@@ -336,7 +348,9 @@ def compute(tree: str) -> dict:
         else:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
-    return {"digests": digests, "sweep": sweep(archvar), "studies": study_sweep(archvar),
+    values, splits = sweep(archvar)
+    return {"digests": digests, "sweep": values, "splits": splits,
+            "studies": study_sweep(archvar),
             "replications": study_sweep(archvar, REPLICATION_N, REPLICATION_M,
                                         REPLICATION_DIMS),
             "samples": sample_sweep(archvar), "cdf": cdf_sweep(archvar)}
@@ -358,7 +372,10 @@ def compare(base: dict, head: dict) -> tuple:
                      f"{'changed' if declared else 'unchanged'}: {verdict}")
     entries = [(old.get(name, {}).get("declared"), new.get(name, {}).get("declared"))
                for name in ("var_for_spec", "kernel_mass")]
-    lines_ok = [compare_sweep(base["sweep"], head["sweep"], any(a != b for a, b in entries))]
+    lines_ok = [compare_sweep(base["sweep"], head["sweep"], any(a != b for a, b in entries)),
+                ([f"first pass: base {first_pass_share(base['splits'])}, head "
+                  f"{first_pass_share(head['splits'])} of the sweep's var_for_spec values"],
+                 True)]
     for kind, entry in (("studies", "run_study"), ("replications", "run_study"),
                         ("samples", "sample_copula")):
         lines_ok.append(compare_outputs(kind, entry, base[kind], head[kind],

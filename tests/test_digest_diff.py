@@ -88,6 +88,15 @@ def test_compare_fails_on_a_changed_error():
     assert ok
 
 
+def test_compare_prints_the_first_pass_share():
+    # the share of sweep values with no split, in each tree; it fails nothing
+    base = {**trees({}, {}), "splits": {"a": 0, "b": 3, "c": 0, "d": 1}}
+    head = {**base, "splits": {"a": 0, "b": 0, "c": 0}}
+    lines, ok = compare(base, head)
+    assert ok and "first pass: base 2 of 4 (50.0 %), head 3 of 3 (100.0 %) of the sweep's " \
+        "var_for_spec values" in lines
+
+
 def test_compare_reads_the_var_entries():
     # a moved sweep value fails compare unless the var_for_spec or the
     # kernel_mass entry changed with its digest
@@ -116,6 +125,7 @@ def test_sweep_cases():
     class Result:
         def __init__(self, d):
             self.components = self.abs_error_estimate = [0.5] * d
+            self.n_splits = list(range(d))
 
     def fake_var_for_spec(spec, margins, alpha):
         calls.append(margins)
@@ -128,7 +138,7 @@ def test_sweep_cases():
             return {"var_for_spec": fake_var_for_spec,
                     "kernel_mass": lambda spec, alpha: 1.0}.get(name, getattr(archvar, name))
 
-    out = sweep(Fake())
+    out, splits = sweep(Fake())
     assert len(calls) == 5 * 306 and len(out) == 4698
     point = "clayton theta=2.0 d=10 alpha=0.5"
     assert [out[f"{point} mixed{j}{bound}"]
@@ -136,6 +146,12 @@ def test_sweep_cases():
     assert f"{point} mixed4" not in out and f"amh theta=0.3 d=2 alpha=0.5 mixed2" not in out
     assert out["joe theta=2.4 d=3 alpha=0.5 table bound"] == (
         "error: QuadratureError: no [estimate 0.0, error_bound 1.0, splits 0]")
+    # each component's splits where a value came back, and none for an error
+    # or for kernel_mass
+    assert [splits[f"{point} mixed{j}"] for j in range(4)] == [0, 1, 2, 3]
+    assert splits[f"{point} table"] == 0 and f"joe theta=2.4 d=3 alpha=0.5 table" not in splits
+    assert set(splits) == {case for case, value in out.items() if isinstance(value, float)
+                           and not case.endswith((" bound", " kernel_mass"))}
     tables = [m[0] for m in calls if isinstance(m[0], archvar.TabulatedMargin)]
     assert len(tables) == 306 and tables[0].knots.min() <= 1e-6 and tables[0].knots.max() > 1 - 1e-6
     mixed = [m for m in calls if len(set(map(id, m))) > 1]
@@ -153,7 +169,7 @@ def digests(run_study_entry, sample_copula_entry="s", copula_cdf_entry="f"):
 
 def trees(studies, samples, replications=None, cdf=None):
     """A compute output with no digest or sweep case, and the given outputs."""
-    return {"digests": digests("x"), "sweep": {}, "studies": studies,
+    return {"digests": digests("x"), "sweep": {}, "splits": {}, "studies": studies,
             "replications": replications or {}, "samples": samples, "cdf": cdf or {}}
 
 

@@ -158,8 +158,9 @@ class TestControl:
 
     def test_first_pass_runs_in_chunks(self, monkeypatch):
         sizes = count_rule_calls(monkeypatch)
-        integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0, breakpoints=graded_breakpoints(0.0, 1.0))
-        assert sizes == [24]
+        graded = graded_breakpoints(0.0, 1.0)
+        integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0, breakpoints=graded)
+        assert sizes == [graded.size + 1]
         sizes.clear()
         value, _ = integrate(lambda x: 7.0 * x ** 6, 0.0, 1.0,
                              breakpoints=np.linspace(0.0, 1.0, 3001))
@@ -216,23 +217,28 @@ class TestControl:
                 with pytest.raises(ParameterError):
                     graded_breakpoints(a, b)
                 continue
-            dist = (b - a) * quadrature._GRADED
-            pts = np.concatenate([a + dist, b - dist[:-1]])
+            pts = a + (b - a) * quadrature._GRADED
             want = np.unique(pts[(pts > a) & (pts < b)])
             got = graded_breakpoints(a, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b)
 
     def test_graded_mesh_depth(self):
+        # half-decade steps from 1e-11 to 0.1 of the width from the left end,
+        # then nine points graded lightly toward the right end
         pts = graded_breakpoints(0.0, 1.0)
-        assert pts.size == 23 and pts[0] == 1e-11 and pts[11] == 0.5
-        assert pts[-1] == 1.0 - 1e-11
+        assert pts.size == 30 and pts[0] == 1e-11 and pts[20] == 0.1 and pts[-1] == 0.995
+        assert np.allclose(pts[1:21] / pts[:20], np.sqrt(10.0), rtol=1e-15, atol=0.0)
+        assert pts[2:21:2].tolist() == [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1]
+        steps = np.diff(pts[20:])    # from 0.1 to 0.995: shrinking past 0.65
+        assert steps.max() < 0.16 and (np.diff(steps[4:]) < 0.0).all()
         # on [0, la] every point stays however narrow the interval (la is
-        # 1e-6 at alpha = 1 - 1e-6); next to 1, those that round onto it go
+        # 1e-6 at alpha = 1 - 1e-6); next to a = 1 - 1e-6, those that round
+        # onto it or onto their neighbour go
         for hi in (1e-6, 1e-13, 1e-300):
             pts = graded_breakpoints(0.0, hi)
-            assert pts.size == 23 and pts[0] == hi * 1e-11
+            assert pts.size == 30 and pts[0] == hi * 1e-11
         pts = graded_breakpoints(1.0 - 1e-6, 1.0)
-        assert pts.size == 21 and np.all(pts < 1.0)
+        assert pts.size == 28 and np.all((pts > 1.0 - 1e-6) & (pts < 1.0))
 
     def test_nodes_strictly_interior(self):
         seen = []
@@ -417,7 +423,7 @@ class TestLockstep:
     def test_integrals_after_a_failure_stop(self):
         # integral 0 fails in the first pass, which stops the call; run again
         # alone, integral 0 fails first, so integral 1 is evaluated in the
-        # first pass only, on the 24 graded intervals, though alone it needs
+        # first pass only, on the graded intervals, though alone it needs
         # many splits
         calls = []
 
@@ -425,10 +431,11 @@ class TestLockstep:
             calls.append(x.size)
             return np.sin(40.0 * x)
 
+        graded = graded_breakpoints(self.A, self.B)
         with pytest.raises(QuadratureError, match="non-finite"):
             _lockstep([FAILING["first-pass-non-finite"], slow], _weight, self.A, self.B,
-                      self.CFG, [graded_breakpoints(self.A, self.B)] * 2)
-        assert calls == [24 * 15]
+                      self.CFG, [graded] * 2)
+        assert calls == [(graded.size + 1) * 15]
 
     def test_first_pass_stops_once_every_integral_has_stopped(self, monkeypatch):
         # the 3,000 intervals take three first-pass chunks; the integral
@@ -454,7 +461,7 @@ class TestLockstep:
         args = ([SMOOTH[0], FAILING["raises"], slow], _weight, self.A, self.B, self.CFG,
                 [graded, np.linspace(self.A, self.B, 7), graded])
         got = _outcome(lambda: _lockstep(*args))
-        assert calls == [24 * 15]
+        assert calls == [(graded.size + 1) * 15]
         assert got == _outcome(lambda: _sequential(*args))
 
     def test_quadrature_error_from_an_integrand_carries_the_splits(self, monkeypatch):
@@ -486,10 +493,10 @@ class TestLockstep:
                 raise ArithmeticError("first call failed")
             return np.cos(7.0 * x) + 2.0
 
+        graded = graded_breakpoints(self.A, self.B)
         with pytest.raises(ArithmeticError, match="first call failed"):
-            _lockstep([SMOOTH[2], fails_once], _weight, self.A, self.B, self.CFG,
-                      [graded_breakpoints(self.A, self.B)] * 2)
-        assert sizes[0] == 24 and len(calls) > 1 and len(sizes) > 2
+            _lockstep([SMOOTH[2], fails_once], _weight, self.A, self.B, self.CFG, [graded] * 2)
+        assert sizes[0] == graded.size + 1 and len(calls) > 1 and len(sizes) > 2
 
     def test_batched_steps(self, monkeypatch):
         # every round splits intervals of each running integral, so the

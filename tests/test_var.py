@@ -325,25 +325,28 @@ class TestDomainHandling:
     @pytest.mark.parametrize("family, theta, d, alpha, call", [
         (FamilyId.CLAYTON, 2.0, 10, 1.0 - 1e-6, "lognormal"),
         (FamilyId.GUMBEL_HOUGAARD, 1.0, 50, 1.0 - 1e-6, "normal"),
-        (FamilyId.FRANK, 40.0, 10, 0.5, "mass"),
     ])
     def test_roundoff_limited_integral_stops_early(self, monkeypatch, family, theta,
                                                    d, alpha, call):
         # these integrals lose their digits to roundoff (see ROADMAP's
         # carry-over defects): near u = 1 the quantile of e^-t is a staircase
-        # at the spacing of the doubles, and Frank's public phi cancels; the
-        # quadrature stops once roundoff stalls it instead of making all
-        # 2000 splits
+        # at the spacing of the doubles; the quadrature stops once roundoff
+        # stalls it instead of making all 2000 splits
         calls = count_rule_calls(monkeypatch)
         spec = CopulaSpec(family, theta, d)
+        margin = _lognormal(0.0, 0.5) if call == "lognormal" else _normal(3.0, 1.0)
         with pytest.raises(QuadratureError, match="roundoff") as excinfo:
-            if call == "mass":
-                kernel_mass(spec, alpha)
-            else:
-                margin = _lognormal(0.0, 0.5) if call == "lognormal" else _normal(3.0, 1.0)
-                var_for_spec(spec, [margin] * d, alpha)
+            var_for_spec(spec, [margin] * d, alpha)
         assert len(calls) <= 25
         assert excinfo.value.splits == sum(calls[1:]) // 2    # the halves of each round
+
+    def test_frank_large_theta_kernel_mass_converges(self, monkeypatch):
+        # it stopped by roundoff: Frank's public phi took -ln r with r near
+        # 1, which cancels; -log1p(r - 1), with r - 1 from 1 - t, keeps the
+        # digits, and the mass converges to 1 - 2.3e-15 in a few rounds
+        calls = count_rule_calls(monkeypatch)
+        mass = kernel_mass(CopulaSpec(FamilyId.FRANK, 40.0, 10), 0.5)
+        assert mass == pytest.approx(1.0, rel=0.0, abs=1e-13) and len(calls) <= 5
 
     def test_margin_count_mismatch(self):
         spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 3)
@@ -618,7 +621,7 @@ class TestLockstepMargins:
 
         raising = FunctionMargin(fails_at_first_split)
         pair = [infinite_tail, raising] if order == "infinite-first" else [raising, infinite_tail]
-        spec = CopulaSpec(FamilyId.CLAYTON, 50.0, 3)    # a uniform margin needs a split
+        spec = CopulaSpec(FamilyId.CLAYTON, 100.0, 3)    # a uniform margin needs a split
         if order == "infinite-first":
             with pytest.raises(QuadratureError, match="non-finite"):
                 var_for_spec(spec, [U] + pair, 0.05)
@@ -644,30 +647,37 @@ class TestLockstepMargins:
         assert len(calls) == max(alone) < sum(alone)
 
 
+def _graded_intervals(alpha: float) -> int:
+    """The intervals of the graded mesh of a VaR at ``alpha``."""
+    return var._graded_mesh(-math.log(alpha)).size - 1
+
+
 class TestCounts:
     """``VarResult.n_evals`` and ``n_splits``, one per component, from the driver."""
 
     def test_first_pass_only_op(self, monkeypatch):
-        # the graded mesh's 24 intervals at 15 nodes each, and no split
+        # the graded mesh's intervals at 15 nodes each, and no split
         calls = count_rule_calls(monkeypatch)
         res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 2.0, 3), [U] * 3, 0.5)
-        assert calls == [24]
-        assert res.n_evals.tolist() == [24 * 15] * 3 and res.n_splits.tolist() == [0] * 3
+        n = _graded_intervals(0.5)
+        assert calls == [n] and n == quadrature._GRADED.size + 1
+        assert res.n_evals.tolist() == [n * 15] * 3 and res.n_splits.tolist() == [0] * 3
         assert res.n_evals.dtype.kind == res.n_splits.dtype.kind == "i"
         assert not (res.n_evals.flags.writeable or res.n_splits.flags.writeable)
 
     def test_splits_are_the_halves_of_each_round(self, monkeypatch):
         calls = count_rule_calls(monkeypatch)
-        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 50.0, 3), [U] * 3, 0.05)
+        res = var_for_spec(CopulaSpec(FamilyId.CLAYTON, 100.0, 3), [U] * 3, 0.05)
         splits = sum(calls[1:]) // 2
         assert len(calls) > 1 and res.n_splits.tolist() == [splits] * 3
-        assert res.n_evals.tolist() == [15 * (24 + 2 * splits)] * 3
+        assert res.n_evals.tolist() == [15 * (_graded_intervals(0.05) + 2 * splits)] * 3
 
     def test_a_table_counts_its_own_mesh(self, monkeypatch):
         table = _lognormal_table(seed=11)
         calls = count_rule_calls(monkeypatch)
         res = var_for_spec(CopulaSpec(FamilyId.GUMBEL_HOUGAARD, 2.0, 2), [U, table], 0.05)
-        assert calls[0] == 24 and calls[1] > 24    # the graded mesh, then the table's
+        n = _graded_intervals(0.05)
+        assert calls[0] == n and calls[1] > n    # the graded mesh, then the table's
         first = 15 * np.array(calls[:2])
         assert (res.n_evals == first + 30 * res.n_splits).all()
 
@@ -727,8 +737,8 @@ def _first_pass_nodes(spec, alpha):
         raise _FirstPass
 
     with pytest.raises(_FirstPass):
-        mesh = np.concatenate(([0.0], quadrature.graded_breakpoints(0.0, la), [la]))
-        quadrature._integrate_all([var._u], recording, quadrature.DEFAULT_QUAD, [mesh])
+        quadrature._integrate_all([var._u], recording, quadrature.DEFAULT_QUAD,
+                                  [var._graded_mesh(la)])
     return seen[0], weight(seen[0]), la
 
 
@@ -747,7 +757,7 @@ MESH_ALPHAS = tuple(TAILS) + tuple(1.0 - TAILS[::-1])
 def _assert_nodes_inside(family, theta, alpha):
     spec = CopulaSpec(family, theta, 2 if family is FamilyId.ALI_MIKHAIL_HAQ else 3)
     t, w, la = _first_pass_nodes(spec, alpha)
-    assert t.size == 15 * (quadrature.graded_breakpoints(0.0, la).size + 1)
+    assert t.size == 15 * (var._graded_mesh(la).size - 1)
     assert np.all((t > 0.0) & (t < la)), (family, theta, alpha)
     u = var._u(t)
     assert np.all((u > 0.0) & (u < 1.0)), (family, theta, alpha)
@@ -800,6 +810,63 @@ class TestGradedMesh:
         assert got == pytest.approx(_mp_var(FamilyId.JOE, 1.2, 3, alpha, _mp_lognormal),
                                     rel=1e-10)
         assert var._u(np.array([0.0, 1e-17, 1e-15]))[:2].tolist() == [np.nextafter(1.0, 0.0)] * 2
+
+
+# a grid like the bench's var_grid: each family's Table-1 theta and a strong
+# one, its d and alpha, three closed-form margins and a lockstep cycle
+FIRST_PASS_THETAS = {
+    FamilyId.CLAYTON: (2.0, 10.0),
+    FamilyId.FRANK: (5.74, 12.0),
+    FamilyId.GUMBEL_HOUGAARD: (2.0, 6.0),
+    FamilyId.JOE: (2.4, 6.0),
+    FamilyId.ALI_MIKHAIL_HAQ: (0.3, 0.95),
+}
+
+
+def _cycle() -> tuple:
+    """Four distinct smooth margins, and their quantiles in mpmath."""
+    def ndtri(u):
+        return mpmath.sqrt(2) * mpmath.erfinv(2 * u - 1)
+
+    return ([U, _normal(2.0, 0.5), _lognormal(0.5, 0.25), _normal(5.0, 2.0)],
+            [lambda u: u, lambda u: 2 + 0.5 * ndtri(u),
+             lambda u: mpmath.exp(0.5 + 0.25 * ndtri(u)), lambda u: 5 + 2 * ndtri(u)])
+
+
+class TestFirstPass:
+    """The graded mesh resolves a quantile's singularity at ``t = 0`` and the
+    kernel's middle, so most integrals converge without a split."""
+
+    def test_most_calls_take_no_split(self):
+        # 544 calls; 536 take no split (Clayton theta = 10, d = 50 at small
+        # alpha split), against 345 on the symmetric mesh of decade steps
+        closed, cycle = [U, _normal(3.0, 1.0), _lognormal(0.0, 0.5)], _cycle()[0]
+        first = []
+        for family, thetas in FIRST_PASS_THETAS.items():
+            for theta in thetas:
+                for d in (2,) if family is FamilyId.ALI_MIKHAIL_HAQ else (2, 3, 10, 50):
+                    spec = CopulaSpec(family, theta, d)
+                    for alpha in (0.01, 0.05, 0.5, 0.95):
+                        for margins in [[m] * d for m in closed] + [
+                                [cycle[i % 4] for i in range(d)]]:
+                            first.append(var_for_spec(spec, margins, alpha).n_splits.max() == 0)
+        assert len(first) == 544 and sum(first) >= 0.97 * len(first)
+
+    @pytest.mark.parametrize("family, theta", [(FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
+                                               (FamilyId.GUMBEL_HOUGAARD, 1.0)])
+    def test_mixed_margins_near_one(self, family, theta):
+        # at d = 10, alpha = 1 - 1e-6 the symmetric mesh's lockstep stopped by
+        # roundoff on the lognormal margin; each component now converges
+        alpha, (cycle, quantiles) = 1.0 - 1e-6, _cycle()
+        got = var_for_spec(CopulaSpec(family, theta, 10), [cycle[i % 4] for i in range(10)],
+                           alpha).components
+        for j, q in enumerate(quantiles):
+            assert got[j] == pytest.approx(_mp_var(family, theta, 10, alpha, q), rel=1e-8), j
+
+    def test_frank_kernel_mass_near_one(self):
+        # it stopped by roundoff, where Frank's public phi cancelled near 1
+        mass = kernel_mass(CopulaSpec(FamilyId.FRANK, 12.0, 50), 1.0 - 1e-6)
+        assert mass == pytest.approx(1.0, rel=0.0, abs=1e-8)
 
 
 class TestReducedFormsAgainstMpmath:

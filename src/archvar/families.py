@@ -451,13 +451,18 @@ def _frank_phi(th: float, t: np.ndarray) -> np.ndarray:
     """``-ln r``, ``r = expm1(-theta t)/expm1(-theta)``, positive for either
     sign of theta.  Where ``r > 1/2`` it is ``-log1p(r - 1)``, with ``r - 1 =
     -e^(-theta t) expm1(-theta (1 - t))/expm1(-theta)`` taken from ``1 - t``:
-    near ``t = 1``, ``r`` rounds to 1 by as much as ``phi`` itself."""
+    near ``t = 1``, ``r`` rounds to 1 by as much as ``phi`` itself.  Where
+    ``r`` is below the smallest normal double (theta = -700 below t = 3e-7),
+    it loses digits and then underflows, so it is taken in logs."""
     em = np.expm1(-th)
     r = np.expm1(-th * t) / em
-    out, near = -np.log(r), r > 0.5
-    if near.any():    # each branch only where it is taken, so neither warns
+    near, tiny = r > 0.5, r < sys.float_info.min    # the smallest normal double
+    out = -np.log(np.maximum(r, sys.float_info.min))
+    if near.any():    # each branch only where it is taken, so none warns
         tn = t[near]
         out[near] = -np.log1p(-np.exp(-th * tn) * np.expm1(-th * (1.0 - tn)) / em)
+    if tiny.any():
+        out[tiny] = np.log(np.abs(em)) - np.log(np.abs(np.expm1(-th * t[tiny])))
     return out
 
 

@@ -1,33 +1,31 @@
 """Adaptive Gauss-Kronrod (G7/K15) quadrature with per-interval error bounds.
 
-One call integrates ``f_b(x) w(x)`` for each ``f_b`` of a batch in lockstep
+One call integrates ``f_b(x) w(x)`` for each ``f_b`` of a batch
 (``_integrate_all``; :func:`integrate` is its one-integral case) from a
 sorted mesh with both ends: the graded mesh (``graded_breakpoints``, deep
 toward the left end, where an integrand may be singular) and any known
 kinks.  Nodes lie strictly inside each interval, so integrable or removable
 endpoint singularities are never evaluated.  The first pass calls
 ``w`` once on ``_CHUNK_INTERVALS`` intervals of a mesh, then each ``f_b``
-sharing it, and tests their integrals in one reduction; most converge there.
-Then, in rounds like ``scipy.integrate.quad_vec``'s, an integral above its
-tolerance ``tol`` bisects, largest error first, the fewest of its ``N``
-intervals with an error above ``tol / (2N)`` that leave at most ``tol / 2``,
-but never one whose halves' outer nodes would round onto its ends (its
-error stays in the bound).  A round's halves of all integrals go into one
-rule call, and each integral gets the bits it gets alone.  So failures need
-no bookkeeping: a call that fails runs each integral again alone, in order,
-and the first of those runs to fail raises, as a loop would.  An integral raises
-:class:`QuadratureError` after ``max_subdivisions`` splits, when
-unsplittable intervals hold more than ``tol``, or when ``_MAX_STALLS`` splits
-left value and error almost unchanged (QUADPACK QAG's ``iroff1``, Piessens
-et al. 1983).  QAG's second counter, for children whose error exceeds their
-parent's, is left out: it stops integrals that converge, such as
-``cos(200 x) e^-x`` on ``[0, 10]``.
+sharing it, and tests their integrals in one reduction; most converge there,
+each with the bits it gets alone.  A first pass that fails runs each
+integral again alone, in order, and the first of those runs to fail raises,
+as a loop would.  Then each integral above its tolerance ``tol`` refines
+alone, in order (``_refine``), in rounds like ``scipy.integrate.quad_vec``'s:
+it bisects, largest error first, the fewest of its ``N`` intervals with an
+error above ``tol / (2N)`` that leave at most ``tol / 2``, but never one
+whose halves' outer nodes would round onto its ends (its error stays in the
+bound).  An integral raises :class:`QuadratureError` after
+``max_subdivisions`` splits, when unsplittable intervals hold more than
+``tol``, or when ``_MAX_STALLS`` splits left value and error almost
+unchanged (QUADPACK QAG's ``iroff1``, Piessens et al. 1983).  QAG's second
+counter, for children whose error exceeds their parent's, is left out: it
+stops integrals that converge, such as ``cos(200 x) e^-x`` on ``[0, 10]``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -115,27 +113,26 @@ def _errors(resk, resg, resasc) -> np.ndarray:
     return np.where(flat, raw, scaled)
 
 
-def _rule(fs, w, mid: np.ndarray, half: np.ndarray, rows=None):
-    """G7/K15 on the intervals ``mid +- half``: ``rows[i]`` (a slice of the
-    last axis) for ``fs[i](x) w(x)``, or all (``rows=None``, the first pass),
-    ``w`` (``None`` for 1) called once, first.  Returns the values and error
-    bounds, or ``None`` if a value is not finite; an integrand's or ``w``'s
-    exception propagates.  Each integrand gets the bits it gets alone
-    (``tests/test_elementwise_bits.py``)."""
+def _rule(fs, w, mid: np.ndarray, half: np.ndarray):
+    """G7/K15 for each ``fs[i](x) w(x)`` on the intervals ``mid +- half``,
+    ``w`` (``None`` for 1) called once, first: the first pass's (1-D
+    ``mid``), summed as stacked gemv calls, or a round's halves (``mid`` of
+    shape ``(2, n)``), summed by ``einsum``.  Returns the values and error
+    bounds, one row per integrand, or ``None`` if a value is not finite; an
+    integrand's or ``w``'s exception propagates.  In the first pass each
+    integrand gets the bits it gets alone (``tests/test_elementwise_bits.py``)."""
     nodes = mid[..., None] + half[..., None] * _XK
-    shared = rows is None
-    fv = np.empty((len(fs),) + nodes.shape if shared else nodes.shape)
+    fv = np.empty((len(fs),) + nodes.shape)
     wv = None if w is None else np.asarray(w(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    for f, s in zip(fs, range(len(fs)) if shared else [(..., r, slice(None)) for r in rows]):
-        x = nodes if shared else nodes[s]
-        fv[s] = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    for f, row in zip(fs, fv):
+        row[...] = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if wv is not None:
         fv *= wv
     # checked before any arithmetic: a matmul over +inf and -inf warns
     if np.count_nonzero(np.isfinite(fv)) < fv.size:
         return None
     # scale-aware error model: resasc measures the integrand's variation
-    if shared:
+    if mid.ndim == 1:
         resk = half * (fv @ _WK)
         resg = half * (_WG @ fv.transpose(0, 2, 1).take(_GAUSS_IDX, axis=1))
         resasc = half * (np.abs(fv - (resk / (2.0 * half))[..., None]) @ _WK)
@@ -160,23 +157,81 @@ def _narrow(left, right, scale: float) -> np.ndarray:
     return near
 
 
+def _refine(f, w, cfg: QuadConfig, mesh: np.ndarray, sums: np.ndarray, total: float,
+            error: float) -> tuple[float, float, int, int]:
+    """Bisect the intervals of one integral's first pass on ``mesh``, whose
+    values and error bounds are the rows of ``sums``, in rounds until it
+    meets its tolerance.  Returns ``(value, error_bound, evaluations,
+    splits)``; a failed round's error carries the estimate, bound and splits
+    from before it."""
+    if error <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):    # most stop here
+        return total, error, 15 * sums.shape[1], 0
+    part = np.concatenate(([mesh[:-1]], [mesh[1:]], sums))    # lefts, rights, values, bounds
+    scale, splits, stalls = max(-mesh[0], mesh[-1]), 0, 0
+    while True:
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if error <= tol:
+            return total, error, 15 * (part.shape[1] + splits), splits
+        if stalls >= _MAX_STALLS:
+            why = (f"stopped by roundoff after {splits} subdivisions: {stalls} "
+                   "splits left the estimate and its error bound almost unchanged")
+        elif splits >= cfg.max_subdivisions:
+            why = f"did not converge within {cfg.max_subdivisions} subdivisions"
+        else:
+            errs, thr, stuck = part[3], tol / (2 * part.shape[1]), 0.0
+            narrow = _narrow(part[0], part[1], scale)
+            if narrow.size:    # those above thr hold stuck error, and sort last
+                narrow = narrow[errs[narrow] > thr]
+                stuck, errs = float(errs[narrow].sum()), errs.copy()
+                errs[narrow] = 0.0
+            # the fewest above thr, largest first, that leave at most tol / 2
+            order = (-errs).argsort(kind="stable")
+            errs = errs.take(order)
+            k = min(int(errs.cumsum().searchsorted(error - tol / 2)) + 1, errs.size)
+            pick = order[:k if errs[k - 1] > thr else np.count_nonzero(errs > thr)]
+            pick = pick[:cfg.max_subdivisions - splits]
+            if stuck <= tol and pick.size:
+                old = part.take(pick, axis=1)
+                bounds = old.take([0, 1, 1], axis=0)    # rows: lefts, mids, rights
+                bounds[1] = 0.5 * (bounds[0] + bounds[2])
+                width = bounds[1:] - bounds[:2]    # of the halves [left; right] of column j of old
+                try:
+                    ve = _rule([f], w, 0.5 * (bounds[:2] + bounds[1:]), 0.5 * width)
+                except QuadratureError as exc:
+                    raise QuadratureError(str(exc), exc.estimate, exc.error_bound, splits) from None
+                if ve is None:
+                    raise QuadratureError(_NON_FINITE, total, error, splits)
+                (values,), (errors,) = ve    # the rows of its one integrand
+                kids = np.concatenate((bounds[:2], bounds[1:], values, errors)).reshape(4, 2, -1)
+                area = kids[2:, 0] + kids[2:, 1]    # the halves' summed values and error bounds
+                stalls += int(np.count_nonzero(
+                    (np.abs(area[0] - old[2]) <= _STALL_REL_CHANGE * np.abs(area[0]))
+                    & (area[1] >= _STALL_ERR_RATIO * old[3])))
+                # the left halves take their parents' places, the right ones follow
+                part = np.concatenate((part, kids[:, 1]), axis=1)
+                part[:, pick] = kids[:, 0]
+                total, error = np.add.reduce(part[2:], axis=1).tolist()
+                splits += pick.size
+                continue
+            why = (f"stopped at floating-point resolution after {splits} subdivisions: "
+                   f"intervals too narrow to split hold {stuck:.3e} of the error bound")
+        raise QuadratureError(f"quadrature {why} (estimate {total!r}, error "
+                              f"bound {error:.3e})", total, error, splits)
+
+
 def _integrate_all(fs, w, cfg: QuadConfig, edges) -> list[tuple[float, float, int, int]]:
     """:func:`integrate` each ``f(x) w(x)``, ``f`` in ``fs``, ``w`` ``None``
-    for 1, in lockstep from the mesh ``edges[i]``; integrals given one object
-    share their first-pass calls.  Returns ``[(value, error_bound,
-    evaluations, splits), ...]``, or raises what a loop over ``fs`` would:
-    the first failure of any integral stops the call, each integral then
-    runs again alone, in order, with the bits it got in lockstep, and the
-    first of those runs to fail raises.  A failed round's error carries the
-    estimate, bound and splits from before it."""
+    for 1, from the mesh ``edges[i]``; integrals given one object share
+    their first-pass calls, then each refines alone, in order.  Returns
+    ``[(value, error_bound, evaluations, splits), ...]``, or raises what a
+    loop over ``fs`` would: a round's failure at once, and a failed first
+    pass by running each integral again alone, in order, with the bits it
+    got there; the first of those runs to fail raises."""
+    groups: dict[int, list] = {}
+    for i, mesh in enumerate(edges):
+        groups.setdefault(id(mesh), []).append(i)
+    first = [None] * len(fs)    # each integral's mesh, sums, estimate and bound
     try:
-        groups: dict[int, list] = {}
-        for i, mesh in enumerate(edges):
-            groups.setdefault(id(mesh), []).append(i)
-        # each refining integral's [partition rows (lefts, rights, values,
-        # error bounds), estimate, bound, splits, stalls]; the narrowest
-        # interval made
-        out, state, floor = [None] * len(fs), {}, math.inf
         for members in groups.values():
             mesh = edges[members[0]]
             sums = np.zeros((len(members), 2, mesh.size - 1))    # values and error bounds
@@ -188,82 +243,17 @@ def _integrate_all(fs, w, cfg: QuadConfig, edges) -> list[tuple[float, float, in
                     raise QuadratureError(_NON_FINITE, float("nan"), float("inf"))
                 sums[:, 0, c:c + lefts.size], sums[:, 1, c:c + lefts.size] = ve
             for i, (total, error), part in zip(members, np.add.reduce(sums, axis=2).tolist(), sums):
-                out[i] = (total, error, 15 * part.shape[1], 0)
-                if error > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                    state[i] = [np.concatenate(([mesh[:-1]], [mesh[1:]], part)), total, error, 0, 0]
-                    floor = min(floor, (mesh[1:] - mesh[:-1]).min())
-        scale, live = max(-edges[0][0], edges[0][-1]), sorted(state)
-        while live:
-            cuts = []    # (integral, the columns to split)
-            for i in live:
-                part, total, error, splits, stalls = state[i]
-                tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-                if error <= tol:
-                    out[i] = (total, error, 15 * (part.shape[1] + splits), splits)
-                    continue
-                if stalls >= _MAX_STALLS:
-                    why = (f"stopped by roundoff after {splits} subdivisions: {stalls} "
-                           "splits left the estimate and its error bound almost unchanged")
-                elif splits >= cfg.max_subdivisions:
-                    why = f"did not converge within {cfg.max_subdivisions} subdivisions"
-                else:
-                    errs, thr, stuck = part[3], tol / (2 * part.shape[1]), 0.0
-                    narrow = () if floor > 1e-12 * scale else _narrow(part[0], part[1], scale)
-                    if len(narrow):    # those above thr hold stuck error, and sort last
-                        narrow = narrow[errs[narrow] > thr]
-                        stuck, errs = float(errs[narrow].sum()), errs.copy()
-                        errs[narrow] = 0.0
-                    # the fewest above thr, largest first, that leave at most tol / 2
-                    order = (-errs).argsort(kind="stable")
-                    errs = errs.take(order)
-                    k = min(int(errs.cumsum().searchsorted(error - tol / 2)) + 1, errs.size)
-                    pick = order[:k if errs[k - 1] > thr else np.count_nonzero(errs > thr)]
-                    if stuck <= tol and pick.size:
-                        cuts.append((i, pick[:cfg.max_subdivisions - splits]))
-                        continue
-                    why = (f"stopped at floating-point resolution after {splits} subdivisions: "
-                           f"intervals too narrow to split hold {stuck:.3e} of the error bound")
-                raise QuadratureError(f"quadrature {why} (estimate {total!r}, error "
-                                      f"bound {error:.3e})", total, error, splits)
-            if not cuts:
-                return out
-            old = np.concatenate([state[i][0].take(pick, axis=1) for i, pick in cuts], axis=1)
-            bounds = old.take([0, 1, 1], axis=0)    # rows: lefts, mids, rights
-            bounds[1] = 0.5 * (bounds[0] + bounds[2])
-            width = bounds[1:] - bounds[:2]    # of the halves [left; right] of column j of old
-            floor = min(floor, width.min())
-            ends = accumulate(pick.size for _, pick in cuts)
-            rows = [slice(end - pick.size, end) for (_, pick), end in zip(cuts, ends)]
-            _, total, error, splits, _ = state[cuts[0][0]]    # those of a lone run
-            try:
-                ve = _rule([fs[i] for i, _ in cuts], w, 0.5 * (bounds[:2] + bounds[1:]),
-                           0.5 * width, rows)
-            except QuadratureError as exc:
-                raise QuadratureError(str(exc), exc.estimate, exc.error_bound, splits) from None
-            if ve is None:
-                raise QuadratureError(_NON_FINITE, total, error, splits)
-            kids = np.concatenate((bounds[:2], bounds[1:], *ve)).reshape(4, 2, -1)
-            area = kids[2:, 0] + kids[2:, 1]    # the halves' summed values and error bounds
-            stalled = ((np.abs(area[0] - old[2]) <= _STALL_REL_CHANGE * np.abs(area[0]))
-                       & (area[1] >= _STALL_ERR_RATIO * old[3]))
-            for (i, pick), r in zip(cuts, rows):
-                st = state[i]
-                # the left halves take their parents' places, the right ones follow
-                st[0] = np.concatenate((st[0], kids[:, 1, r]), axis=1)
-                st[0][:, pick] = kids[:, 0, r]
-                st[1], st[2] = np.add.reduce(st[0][2:], axis=1).tolist()
-                st[3] += pick.size
-                st[4] += int(np.count_nonzero(stalled[r]))
-            live = [i for i, _ in cuts]
-        return out
+                first[i] = (mesh, part, total, error)
     except Exception as exc:
         if len(fs) == 1:
             raise
-        lockstep = exc
+        failed = exc
+    else:
+        return [_refine(f, w, cfg, *start) for f, start in zip(fs, first)]
     # each integral alone, in order: the first to fail raises
     for f, mesh in zip(fs, edges):
         _integrate_all([f], w, cfg, [mesh])
-    raise lockstep
+    raise failed
 
 
 def integrate(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD,

@@ -11,7 +11,7 @@ of the spec's :class:`~archvar.families.Family` record, its ``var_form``;
 ``var_generic`` works from the generator alone, and ``kernel_mass``
 integrates its weight alone.  One driver, ``_var``, runs them all: it hands
 the quadrature a call's distinct margins, which see ``u = e^-t`` below 1, to
-integrate in lockstep, each with its finished mesh, the graded one
+integrate against one weight, each with its finished mesh, the graded one
 (``graded_breakpoints(0, -ln alpha)``, graded toward the quantile's
 singularity at ``t = 0``, less its points below ``t = 1e-12``, where ``u``
 stops resolving ``1 - u``: up to 31 intervals, on which smooth margins
@@ -108,9 +108,10 @@ def _kernel(form, spec: CopulaSpec, alpha: float):
 
 
 def _var(spec: CopulaSpec, margins, alpha: float, cfg: QuadConfig, form) -> VarResult:
-    """VaR components from ``form``'s integrand.  The distinct margins
-    integrate against one weight in lockstep, each with the bits it gets
-    alone, and a failure raises the error of the first, in margin order."""
+    """VaR components from ``form``'s integrand.  The distinct margins on
+    one mesh share its first pass, then each refines alone, in margin order;
+    each gets the bits it gets alone, and a failure raises the error of the
+    first, in margin order."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"confidence level alpha must lie in (0, 1), got {alpha}")
     margins = checked_margins(margins, spec.d)

@@ -9,7 +9,8 @@ computes and the one the entry declares.  It also prints the outcome (a value
 or error bound, or an error record: its type, message and, for a
 ``QuadratureError``, estimate, error bound and splits) of each case of a VaR
 domain sweep (``SWEEP_THETAS``), which uses only the public API, and the
-splits (``n_splits``) of each case that returns a value; the sampled
+splits and evaluations (``n_splits``, ``n_evals``) of each case that returns
+a value; the sampled
 outputs, each replication's selection count and estimate, of a sweep of
 ``run_study`` calls (``STUDY_SPECS``) and of a sweep of many-replication
 studies at the same specs (``REPLICATION_M``); and the sha256 of each sample
@@ -33,8 +34,9 @@ entry stayed the same, and when a CDF sweep value moved while the
 ``copula_cdf`` entry stayed the same.  It prints how many sweep values moved,
 the ten largest relative moves with both values, the first ten changed
 errors, and every case that went from an error to a value or back; the
-share of the sweep's values that converged in the first pass (no split) in
-each tree; and how many CDF sweep values moved, per family, with the largest
+share of the sweep's values that converged in the first pass (no split) and
+their summed evaluations in each tree, which show whether a change did the
+same work; and how many CDF sweep values moved, per family, with the largest
 relative move.
 """
 import contextlib
@@ -61,8 +63,8 @@ CHUNKS = {
 # alpha in SWEEP_ALPHAS: 306 points.  At each, the first component's value
 # and error bound under uniform, normal and lognormal margins and under a
 # tabulated margin, whose knots join the mesh; those of the first four
-# components under a cycle of four distinct margins, which integrate in
-# lockstep; and kernel_mass: 4,698 cases.
+# components under a cycle of four distinct margins, which share the first
+# pass; and kernel_mass: 4,698 cases.
 SWEEP_THETAS = {
     "clayton": (0.5, 2.0, 8.0), "frank": (1.0, 5.74, 12.0), "gumbel": (1.0, 2.0, 4.0),
     "joe": (1.2, 2.4, 5.0), "amh": (-0.7, 0.3, 0.9),
@@ -103,10 +105,11 @@ def error_record(archvar, exc) -> str:
 
 
 def sweep(archvar) -> tuple:
-    """``({case: value or error record}, {case: splits})`` over the domain
-    sweep; each ``var_for_spec`` case that returns a value has its splits."""
+    """``({case: value or error record}, {case: splits}, {case: evaluations})``
+    over the domain sweep; each ``var_for_spec`` case that returns a value
+    has its splits and evaluations."""
     margins, mixed = sweep_margins(archvar)
-    out, splits = {}, {}
+    out, splits, evals = {}, {}, {}
 
     def record(case, names, call):
         # the value and error bound of component j, named names[j], or the error
@@ -116,6 +119,8 @@ def sweep(archvar) -> tuple:
                       for j in range(len(names))]
             splits.update((f"{case} {name}", int(res.n_splits[j]))
                           for j, name in enumerate(names))
+            evals.update((f"{case} {name}", int(res.n_evals[j]))
+                         for j, name in enumerate(names))
         except Exception as exc:
             values = [(error_record(archvar, exc),) * 2] * len(names)
         for name, (value, bound) in zip(names, values):
@@ -138,7 +143,7 @@ def sweep(archvar) -> tuple:
                         except Exception as exc:
                             value = error_record(archvar, exc)
                         out[f"{case} kernel_mass"] = value
-    return out, splits
+    return out, splits, evals
 
 
 # The study sweep: the Table-1 theta, Gumbel and Joe at 6 and 60 and AMH at
@@ -348,8 +353,8 @@ def compute(tree: str) -> dict:
         else:
             computed = cli_digest(bitwise, name)
         digests[name] = {"computed": computed, "declared": declared}
-    values, splits = sweep(archvar)
-    return {"digests": digests, "sweep": values, "splits": splits,
+    values, splits, evals = sweep(archvar)
+    return {"digests": digests, "sweep": values, "splits": splits, "evals": evals,
             "studies": study_sweep(archvar),
             "replications": study_sweep(archvar, REPLICATION_N, REPLICATION_M,
                                         REPLICATION_DIMS),
@@ -374,7 +379,9 @@ def compare(base: dict, head: dict) -> tuple:
                for name in ("var_for_spec", "kernel_mass")]
     lines_ok = [compare_sweep(base["sweep"], head["sweep"], any(a != b for a, b in entries)),
                 ([f"first pass: base {first_pass_share(base['splits'])}, head "
-                  f"{first_pass_share(head['splits'])} of the sweep's var_for_spec values"],
+                  f"{first_pass_share(head['splits'])} of the sweep's var_for_spec values",
+                  f"evaluations: base {sum(base['evals'].values()):,}, head "
+                  f"{sum(head['evals'].values()):,} over the sweep's var_for_spec values"],
                  True)]
     for kind, entry in (("studies", "run_study"), ("replications", "run_study"),
                         ("samples", "sample_copula")):

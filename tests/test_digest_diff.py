@@ -97,6 +97,18 @@ def test_compare_prints_the_first_pass_share():
         "var_for_spec values" in lines
 
 
+def test_compare_prints_the_summed_evaluations():
+    # the evaluations of the sweep's values, summed in each tree; they fail nothing
+    base = {**trees({}, {}), "evals": {"a": 465, "b": 1455, "c": 465}}
+    head = {**base, "evals": {"a": 465, "b": 525}}
+    lines, ok = compare(base, head)
+    assert ok and "evaluations: base 2,385, head 990 over the sweep's var_for_spec " \
+        "values" in lines
+    lines, ok = compare(base, base)
+    assert ok and "evaluations: base 2,385, head 2,385 over the sweep's var_for_spec " \
+        "values" in lines
+
+
 def test_compare_reads_the_var_entries():
     # a moved sweep value fails compare unless the var_for_spec or the
     # kernel_mass entry changed with its digest
@@ -117,7 +129,7 @@ def test_compare_reads_the_var_entries():
 
 def test_sweep_cases():
     # each point's value and error bound under four margins, one of them
-    # tabulated, and under the lockstep cycle of four distinct margins
+    # tabulated, and under the cycle of four distinct margins
     import archvar
 
     calls = []
@@ -126,6 +138,7 @@ def test_sweep_cases():
         def __init__(self, d):
             self.components = self.abs_error_estimate = [0.5] * d
             self.n_splits = list(range(d))
+            self.n_evals = [465 + 30 * j for j in range(d)]
 
     def fake_var_for_spec(spec, margins, alpha):
         calls.append(margins)
@@ -138,7 +151,7 @@ def test_sweep_cases():
             return {"var_for_spec": fake_var_for_spec,
                     "kernel_mass": lambda spec, alpha: 1.0}.get(name, getattr(archvar, name))
 
-    out, splits = sweep(Fake())
+    out, splits, evals = sweep(Fake())
     assert len(calls) == 5 * 306 and len(out) == 4698
     point = "clayton theta=2.0 d=10 alpha=0.5"
     assert [out[f"{point} mixed{j}{bound}"]
@@ -150,8 +163,11 @@ def test_sweep_cases():
     # or for kernel_mass
     assert [splits[f"{point} mixed{j}"] for j in range(4)] == [0, 1, 2, 3]
     assert splits[f"{point} table"] == 0 and f"joe theta=2.4 d=3 alpha=0.5 table" not in splits
-    assert set(splits) == {case for case, value in out.items() if isinstance(value, float)
-                           and not case.endswith((" bound", " kernel_mass"))}
+    assert set(splits) == set(evals) == {case for case, value in out.items()
+                                         if isinstance(value, float)
+                                         and not case.endswith((" bound", " kernel_mass"))}
+    # and their evaluations, next to the splits
+    assert [evals[f"{point} mixed{j}"] for j in range(4)] == [465, 495, 525, 555]
     tables = [m[0] for m in calls if isinstance(m[0], archvar.TabulatedMargin)]
     assert len(tables) == 306 and tables[0].knots.min() <= 1e-6 and tables[0].knots.max() > 1 - 1e-6
     mixed = [m for m in calls if len(set(map(id, m))) > 1]
@@ -169,7 +185,7 @@ def digests(run_study_entry, sample_copula_entry="s", copula_cdf_entry="f"):
 
 def trees(studies, samples, replications=None, cdf=None):
     """A compute output with no digest or sweep case, and the given outputs."""
-    return {"digests": digests("x"), "sweep": {}, "splits": {}, "studies": studies,
+    return {"digests": digests("x"), "sweep": {}, "splits": {}, "evals": {}, "studies": studies,
             "replications": replications or {}, "samples": samples, "cdf": cdf or {}}
 
 

@@ -135,6 +135,23 @@ class TestPhi:
     def test_frank_at_one(self):
         assert phi(CopulaSpec(FamilyId.FRANK, 1.0, 2), 1.0) == 0.0
 
+    @pytest.mark.parametrize("theta", [-700.0, -709.0])
+    def test_frank_negative_theta_near_zero_matches_mpmath(self, theta):
+        # expm1(-theta t)/expm1(-theta) falls below the smallest normal
+        # double under t = 3e-7 and underflows to 0 near t = 1e-300, where
+        # -ln of it gave +inf with a warning; the oracle is the definition at
+        # 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        t = np.array([1e-6, 1e-7, 1e-12, 1e-290, 1e-300, 1e-310, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi(CopulaSpec(FamilyId.FRANK, theta, 2), t)
+        with mpmath.workdps(60):
+            th = mpmath.mpf(theta)
+            want = np.array([float(-mpmath.log(mpmath.expm1(-th * mpmath.mpf(x))
+                                               / mpmath.expm1(-th))) for x in t])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("spec", list(all_specs()), ids=str)
     def test_phi_one_is_zero(self, spec):
         assert phi(spec, 1.0) == 0.0

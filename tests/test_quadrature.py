@@ -42,17 +42,17 @@ class TestRule:
 def count_rule_calls(monkeypatch) -> list:
     """Patch ``quadrature._rule`` to record each rule evaluation.
 
-    Every call is one evaluation: a first-pass chunk or a refinement round,
-    which splits intervals of each integral still running.  Each entry is
-    the number of intervals in that call: those the first pass's integrands
-    share, or all halves of a round.
+    Every call is one evaluation: a first-pass chunk, which the integrands
+    sharing a mesh share, or a round of one integral.  Each entry is the
+    number of intervals in that call: those of the chunk, or all halves of
+    the round.
     """
     sizes = []
     rule = quadrature._rule
 
-    def counting(fs, w, mid, half, rows=None):
+    def counting(fs, w, mid, half):
         sizes.append(half.size)
-        return rule(fs, w, mid, half, rows)
+        return rule(fs, w, mid, half)
 
     monkeypatch.setattr(quadrature, "_rule", counting)
     return sizes
@@ -363,21 +363,15 @@ def _weight(x):
     return np.exp(-x) * (1.0 + x)
 
 
-def _rule_2d(f, mid, half, blas=True):
+def _rule_2d(f, mid, half):
     """The sums of one integrand ``f(x) _weight(x)`` on its own intervals, as
-    a 2-D G7/K15 rule forms them with BLAS (the first pass) or with einsum
-    (refinement); the reference for ``quadrature._rule``."""
+    a 2-D G7/K15 rule forms them with BLAS; the reference for the first
+    pass's ``quadrature._rule``."""
     nodes = mid[:, None] + half[:, None] * quadrature._XK[None, :]
     fv = (f(nodes.ravel()) * _weight(nodes.ravel())).reshape(nodes.shape)
-    if blas:
-        resk = half * (fv @ quadrature._WK)
-        resg = half * (fv[:, quadrature._GAUSS_IDX] @ quadrature._WG)
-        resasc = half * (np.abs(fv - (resk / (2.0 * half))[:, None]) @ quadrature._WK)
-    else:
-        resk = half * np.einsum("ij,j->i", fv, quadrature._WK)
-        resg = half * np.einsum("ij,j->i", fv[:, 1::2], quadrature._WG)
-        resasc = half * np.einsum("ij,j->i", np.abs(fv - (resk / (2.0 * half))[:, None]),
-                                  quadrature._WK)
+    resk = half * (fv @ quadrature._WK)
+    resg = half * (fv[:, quadrature._GAUSS_IDX] @ quadrature._WG)
+    resasc = half * (np.abs(fv - (resk / (2.0 * half))[:, None]) @ quadrature._WK)
     return resk, resg, resasc
 
 
@@ -483,8 +477,9 @@ class TestLockstep:
         assert err.splits == sizes[1] // 2 > 0 and len(sizes) == 3
 
     def test_a_lockstep_failure_no_lone_run_repeats_stands(self, monkeypatch):
-        # an integrand that fails on its first call only: the lockstep fails,
-        # both lone runs converge, and the lockstep's error is raised
+        # an integrand that fails on its first call only: the shared first
+        # pass fails, both lone runs converge, and the first pass's error is
+        # raised
         sizes, calls = count_rule_calls(monkeypatch), []
 
         def fails_once(x):
@@ -498,41 +493,44 @@ class TestLockstep:
             _lockstep([SMOOTH[2], fails_once], _weight, self.A, self.B, self.CFG, [graded] * 2)
         assert sizes[0] == graded.size + 1 and len(calls) > 1 and len(sizes) > 2
 
-    def test_batched_steps(self, monkeypatch):
-        # every round splits intervals of each running integral, so the
-        # calls are those of the slowest integral, not the sum
+    def test_shared_first_pass_then_lone_rounds(self, monkeypatch):
+        # the integrals share one first-pass call on their mesh; then each
+        # that missed its tolerance refines alone, in order, in the rounds of
+        # its call alone, and a round calls its own integrand only
+        calls = []
+
+        def recording(k, f):
+            return lambda x: calls.append((k, x.size)) or f(x)
+
         breaks = [graded_breakpoints(self.A, self.B)] * 4
-        alone = []
-        for f in SMOOTH[:4]:
+        first = [(k, 15 * (breaks[0].size + 1)) for k in range(4)]
+        rounds = []
+        for k, f in enumerate(SMOOTH[:4]):
+            calls.clear()
             sizes = count_rule_calls(monkeypatch)
-            _lockstep([f], _weight, self.A, self.B, self.CFG, breaks[:1])
-            alone.append(len(sizes))
+            _lockstep([recording(k, f)], _weight, self.A, self.B, self.CFG, breaks[:1])
+            assert calls[0] == first[k] and sizes == [n // 15 for _, n in calls]
+            rounds.append(calls[1:])
             monkeypatch.undo()
+        assert len(rounds[0]) > len(rounds[3]) > 0 == len(rounds[1]) + len(rounds[2])
+        calls.clear()
         sizes = count_rule_calls(monkeypatch)
-        _lockstep(SMOOTH[:4], _weight, self.A, self.B, self.CFG, breaks)
-        assert len(sizes) == max(alone) < sum(alone)
+        _lockstep([recording(k, f) for k, f in enumerate(SMOOTH[:4])], _weight, self.A, self.B,
+                  self.CFG, breaks)
+        assert calls == first + sum(rounds, [])
+        assert sizes == [breaks[0].size + 1] + [n // 15 for _, n in sum(rounds, [])]
 
     @pytest.mark.parametrize("k", [2, 11])
     def test_batched_rule_matches_2d_rule(self, k):
-        # each integrand of a batched call, sharing the intervals or on its
-        # own rows, gets the bits of its sums alone, whatever the batch and
-        # the row counts
+        # each integrand of a first-pass call, sharing the intervals, gets
+        # the bits of its sums alone, whatever the batch and the row count
         rng = np.random.default_rng(k)
         fs = [lambda x, c=c: np.exp(c * x) * np.sin(9.0 * x) for c in rng.uniform(-3, 3, 8)]
-        sizes = rng.integers(1, 2 * k, 8)
-        meshes = [np.sort(rng.uniform(0.0, 1.0, size + 1)) for size in sizes]
-        mids = [0.5 * (m[:-1] + m[1:]) for m in meshes]
-        halves = [0.5 * (m[1:] - m[:-1]) for m in meshes]
-        ends = np.cumsum(np.r_[0, sizes])
+        mesh = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 2 * k, 8)[0] + 1))
+        mid, half = 0.5 * (mesh[:-1] + mesh[1:]), 0.5 * (mesh[1:] - mesh[:-1])
         for n in range(1, 9):
-            rows = [slice(ends[i], ends[i + 1]) for i in range(n)]
-            values, errors = quadrature._rule(
-                fs[:n], _weight, np.concatenate(mids[:n]), np.concatenate(halves[:n]), rows)
-            shared = quadrature._rule(fs[:n], _weight, mids[0], halves[0])
-            for i, r in enumerate(rows):
-                resk, resg, resasc = _rule_2d(fs[i], mids[i], halves[i], blas=False)
-                assert values[r].tobytes() == resk.tobytes()
-                assert errors[r].tobytes() == quadrature._errors(resk, resg, resasc).tobytes()
-                resk, resg, resasc = _rule_2d(fs[i], mids[0], halves[0])
-                assert shared[0][i].tobytes() == resk.tobytes()
-                assert shared[1][i].tobytes() == quadrature._errors(resk, resg, resasc).tobytes()
+            values, errors = quadrature._rule(fs[:n], _weight, mid, half)
+            for i in range(n):
+                resk, resg, resasc = _rule_2d(fs[i], mid, half)
+                assert values[i].tobytes() == resk.tobytes()
+                assert errors[i].tobytes() == quadrature._errors(resk, resg, resasc).tobytes()

@@ -356,19 +356,20 @@ class TestDomainHandling:
 
 # ------------------------------------------------------------ tabulated margins
 
-# (phi, phi_inverse) from the paper's generator table, in plain floats: the
-# oracle below shares no code with archvar
+# (phi, phi_inverse) from the paper's generator table, evaluated with the
+# module m: math for floats, or mpmath at the precision in force.  The
+# oracles below share no code with archvar.
 ORACLE_GENERATORS = {
-    FamilyId.CLAYTON: (lambda th, t: math.expm1(-th * math.log(t)) / th,
-                       lambda th, s: math.exp(-math.log1p(th * s) / th)),
-    FamilyId.FRANK: (lambda th, t: -math.log(math.expm1(-th * t) / math.expm1(-th)),
-                     lambda th, s: -math.log1p(math.exp(-s) * math.expm1(-th)) / th),
-    FamilyId.GUMBEL_HOUGAARD: (lambda th, t: (-math.log(t)) ** th,
-                               lambda th, s: math.exp(-(s ** (1.0 / th)))),
-    FamilyId.JOE: (lambda th, t: -math.log1p(-((1.0 - t) ** th)),
-                   lambda th, s: 1.0 - (-math.expm1(-s)) ** (1.0 / th)),
-    FamilyId.ALI_MIKHAIL_HAQ: (lambda th, t: math.log1p(-th * (1.0 - t)) - math.log(t),
-                               lambda th, s: (1.0 - th) / (math.exp(s) - th)),
+    FamilyId.CLAYTON: (lambda th, t, m=math: m.expm1(-th * m.log(t)) / th,
+                       lambda th, s, m=math: m.exp(-m.log1p(th * s) / th)),
+    FamilyId.FRANK: (lambda th, t, m=math: -m.log(m.expm1(-th * t) / m.expm1(-th)),
+                     lambda th, s, m=math: -m.log1p(m.exp(-s) * m.expm1(-th)) / th),
+    FamilyId.GUMBEL_HOUGAARD: (lambda th, t, m=math: (-m.log(t)) ** th,
+                               lambda th, s, m=math: m.exp(-(s ** (1.0 / th)))),
+    FamilyId.JOE: (lambda th, t, m=math: -m.log1p(-((1.0 - t) ** th)),
+                   lambda th, s, m=math: 1.0 - (-m.expm1(-s)) ** (1.0 / th)),
+    FamilyId.ALI_MIKHAIL_HAQ: (lambda th, t, m=math: m.log1p(-th * (1.0 - t)) - m.log(t),
+                               lambda th, s, m=math: (1.0 - th) / (m.exp(s) - th)),
 }
 TABLE_THETAS = {
     FamilyId.CLAYTON: 2.0,
@@ -488,11 +489,11 @@ class TestTabulatedMargins:
         assert peak < 12e6
 
 
-# ------------------------------------------------------- lockstep margins
+# ------------------------------------------------------- several margins
 
 # the benchmark's VaR grid: each family's Table-1 (AMH: acceptance) value and
 # a strong one; at d = 10 also alpha = 1 - 1e-6, where the lognormal margin of
-# Clayton and Frank stops by roundoff, so a real failure meets the lockstep
+# Clayton and Frank stopped by roundoff on the symmetric mesh
 LOCKSTEP_THETAS = {
     FamilyId.CLAYTON: (2.0, 10.0),
     FamilyId.FRANK: (5.74, 12.0),
@@ -543,7 +544,8 @@ def _assert_each_as_alone(got, margins, alone, distinct):
 
 
 class TestLockstepMargins:
-    """A call's distinct margins refine together, each as it would alone."""
+    """A call's distinct margins share the first pass, then each refines
+    alone, and each gets what it gets in a call of its own."""
 
     @pytest.mark.parametrize("family,theta,d,alpha", LOCKSTEP_CASES,
                              ids=[f"{f.value}-{t}-d{d}-a{a}" for f, t, d, a in LOCKSTEP_CASES])
@@ -608,7 +610,7 @@ class TestLockstepMargins:
     @pytest.mark.parametrize("order", ["infinite-first", "raising-first"])
     def test_margins_before_a_failure_run_on(self, order):
         # the raising margin fails at its first split; the infinite one fails
-        # in the first pass, so lockstep meets it first, yet a margin loop
+        # in the first pass, which the call meets first, yet a margin loop
         # meets whichever comes first in margin order
         infinite_tail = self._failing_margins()[0]
         steps = []
@@ -631,20 +633,23 @@ class TestLockstepMargins:
                 var_for_spec(spec, [U] + pair, 0.05)
             assert steps == [1]
 
-    def test_calls_are_those_of_the_slowest_margin(self, monkeypatch):
-        # smooth margins share the graded first pass, and each step splits
-        # one interval of every margin still running
-        spec = CopulaSpec(FamilyId.CLAYTON, 2.0, 10)
+    def test_calls_are_the_first_pass_then_each_margins_rounds(self, monkeypatch):
+        # smooth margins share the graded first pass; then each that missed
+        # its tolerance refines alone, in margin order, in the rounds of its
+        # call alone (at theta = 100 all four split)
+        spec = CopulaSpec(FamilyId.CLAYTON, 100.0, 10)
         margins = _mixed(4) * 2 + _mixed(4)[:2]
-        alone = []
+        rounds = []
         for m in dict.fromkeys(margins):
             calls = count_rule_calls(monkeypatch)
             var_for_spec(spec, [m] * 10, 0.05)
-            alone.append(len(calls))
+            assert calls[0] == _graded_intervals(0.05)
+            rounds.append(calls[1:])
             monkeypatch.undo()
+        assert len(rounds) == 5 and all(rounds)
         calls = count_rule_calls(monkeypatch)
         var_for_spec(spec, margins, 0.05)
-        assert len(calls) == max(alone) < sum(alone)
+        assert calls == [_graded_intervals(0.05)] + sum(rounds, [])
 
 
 def _graded_intervals(alpha: float) -> int:
@@ -684,36 +689,18 @@ class TestCounts:
 
 # ---------------------------------------------- graded mesh and the reduced forms
 
-def _mp_generator(family, th):
-    """``(phi, phi_inverse)`` of ``family`` at the mpmath precision in force."""
-    mp = mpmath
-    if family is FamilyId.CLAYTON:
-        return (lambda t: mp.expm1(-th * mp.log(t)) / th,
-                lambda s: mp.exp(-mp.log1p(th * s) / th))
-    if family is FamilyId.FRANK:
-        return (lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th)),
-                lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th)
-    if family is FamilyId.GUMBEL_HOUGAARD:
-        return lambda t: (-mp.log(t)) ** th, lambda s: mp.exp(-s ** (1 / th))
-    if family is FamilyId.JOE:
-        return (lambda t: -mp.log1p(-(1 - t) ** th),
-                lambda s: 1 - (-mp.expm1(-s)) ** (1 / th))
-    if family is FamilyId.ALI_MIKHAIL_HAQ:
-        return (lambda t: mp.log1p(-th * (1 - t)) - mp.log(t),
-                lambda s: (1 - th) / (mp.exp(s) - th))
-    raise ValueError(f"no mpmath generator for {family!r}")
-
-
 def _mp_var(family, theta, d, alpha, q=lambda u: u):
     """VaR at 40 digits in the Beta form ``(d-1) int_0^1 q(phi^-1(phi(alpha) x))
     (1-x)^(d-2) dx``, which shares no integrand with the program's forms."""
-    mp = mpmath
+    if family not in ORACLE_GENERATORS:
+        raise ValueError(f"no mpmath generator for {family!r}")
+    mp, (phi, inv) = mpmath, ORACLE_GENERATORS[family]
     with mp.workdps(40):
-        phi, inv = _mp_generator(family, mp.mpf(theta))
-        pa = phi(mp.mpf(alpha))
+        th = mp.mpf(theta)
+        pa = phi(th, mp.mpf(alpha), mp)
         # below x = 1e-30, u rounds to 1 at 40 digits; the piece left out is
         # below 1e-26 for the margins used here
-        return float((d - 1) * mp.quad(lambda x: q(inv(pa * x)) * (1 - x) ** (d - 2),
+        return float((d - 1) * mp.quad(lambda x: q(inv(th, pa * x, mp)) * (1 - x) ** (d - 2),
                                        [mp.mpf("1e-30"), 0.5, 1]))
 
 
@@ -813,7 +800,7 @@ class TestGradedMesh:
 
 
 # a grid like the bench's var_grid: each family's Table-1 theta and a strong
-# one, its d and alpha, three closed-form margins and a lockstep cycle
+# one, its d and alpha, three closed-form margins and a cycle of four
 FIRST_PASS_THETAS = {
     FamilyId.CLAYTON: (2.0, 10.0),
     FamilyId.FRANK: (5.74, 12.0),
@@ -855,7 +842,7 @@ class TestFirstPass:
     @pytest.mark.parametrize("family, theta", [(FamilyId.CLAYTON, 2.0), (FamilyId.FRANK, 5.74),
                                                (FamilyId.GUMBEL_HOUGAARD, 1.0)])
     def test_mixed_margins_near_one(self, family, theta):
-        # at d = 10, alpha = 1 - 1e-6 the symmetric mesh's lockstep stopped by
+        # at d = 10, alpha = 1 - 1e-6 the symmetric mesh's call stopped by
         # roundoff on the lognormal margin; each component now converges
         alpha, (cycle, quantiles) = 1.0 - 1e-6, _cycle()
         got = var_for_spec(CopulaSpec(family, theta, 10), [cycle[i % 4] for i in range(10)],

@@ -12,9 +12,12 @@ selects (``np.maximum`` with a scalar, multiply and add with a bool array),
 and the quadrature's ``** 1.5``.
 
 The quadrature's first pass rests on it as well: the VaR weight is evaluated
-once on the nodes of every integral that shares a mesh.  Its sums rest on one
-more premise, pinned by the last test: a slice of a stacked matmul gets the
-bits of the same 2-D matmul alone.
+once on the nodes of every integral that shares a mesh.  Its sums rest on two
+more premises, pinned by the last two tests: in the first pass, a slice of a
+stacked matmul gets the bits of the same 2-D matmul alone; in refinement,
+where a round splits however many intervals missed their tolerance, a row of
+an einsum over rows gets the bits of the same row alone, which a gemv's rows
+do not.
 """
 import numpy as np
 import pytest
@@ -162,3 +165,26 @@ def test_stacked_rule_sums_match_2d_calls(k):
                 assert np.array_equal(bits(gauss[i]), bits(fv[i][:, _GAUSS_IDX] @ _WG))
                 assert np.array_equal(bits(spread[i]),
                                       bits(np.abs(fv[i] - (fv[i] @ _WK)[:, None]) @ _WK))
+
+
+@pytest.mark.parametrize("k", [1, 2, 11, 70])
+def test_rule_row_sums_match_each_row_alone(k):
+    # A refinement round sums the halves of all the intervals it splits in
+    # one einsum per sum: the Kronrod sum over (k, 15) rows, the Gauss sum
+    # over the strided (k, 7) view of its nodes.  Each row, wherever it lies,
+    # must get the bits of the same sum over that row alone, so an interval's
+    # estimate does not hang on which others split in the same round.
+    rng = np.random.default_rng(k)
+    for _ in range(40):
+        fv = rng.standard_normal((k + 9, 15)) * np.exp(rng.uniform(-5.0, 5.0, (k + 9, 15)))
+        kronrod = np.einsum("ij,j->i", fv, _WK)
+        gauss = np.einsum("ij,j->i", fv[:, 1::2], _WG)
+        spread = np.einsum("ij,j->i", np.abs(fv - kronrod[:, None]), _WK)
+        for start in (0, 3, 9):
+            rows = fv[start:start + k].copy()
+            alone = np.einsum("ij,j->i", rows, _WK)
+            assert np.array_equal(bits(kronrod[start:start + k]), bits(alone))
+            assert np.array_equal(bits(gauss[start:start + k]),
+                                  bits(np.einsum("ij,j->i", rows[:, 1::2], _WG)))
+            assert np.array_equal(bits(spread[start:start + k]), bits(
+                np.einsum("ij,j->i", np.abs(rows - alone[:, None]), _WK)))
